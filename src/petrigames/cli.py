@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import BoundExceeded, EngineDisagreement, InputError
-from .formulas import format_formula, parse_formula
+from .formulas import Coalition, format_formula, parse_formula
 from .game import (
     build_fairness,
     build_game,
@@ -313,7 +313,7 @@ def _dispatch(config: RunConfig, report: Report) -> int:
 
 def _check(config: RunConfig, report: Report, net) -> int:
     formula = _load_formula(config)
-    if config.command == "synthesize" and type(formula).__name__ != "Coalition":
+    if config.command == "synthesize" and not isinstance(formula, Coalition):
         raise InputError("synthesize needs a formula with an outermost "
                          "coalition quantifier")
     g = build_game(net, single_user_simplification=config.single_user_simplification,

@@ -138,9 +138,6 @@ class ReachabilityGraph:
         self.initial = initial
         self.index = {m: i for i, m in enumerate(self.states)}
 
-    def successors(self, m: Marking) -> tuple:
-        return tuple((t, m2) for m1, t, m2 in self.edges if m1 == m)
-
     def __len__(self) -> int:
         return len(self.states)
 

@@ -8,11 +8,16 @@ formula (and at least one fair computation exists)?
 * ``synthesize_enumerate`` sweeps all profiles in canonical order and
   verifies each one exactly; it is the correctness oracle.
 * ``synthesize_fixpoint`` prunes the same search with attractor-based
-  solving of the two-player fair game on a monitor/counter product: a
-  partial profile is abandoned as soon as the adversary (environment plus
-  scheduler) can force a fair violating computation even against users
-  with full memory.  Complete survivors are verified exactly, so both
-  engines return identical verdicts and witnesses wherever both run.
+  solving of the two-player fair game: a partial profile is abandoned as
+  soon as the adversary (environment plus scheduler) can force a fair
+  violating computation even against users with full memory.  Complete
+  survivors are verified exactly, so both engines return identical
+  verdicts and witnesses wherever both run.
+
+The fair game of one objective is a single product arena of (state,
+monitor, awaited constraint) nodes, built lazily and once: every slot
+assignment of the search is a mask over it, and ``model_check`` shares
+one arena among all the states it labels for a coalition subformula.
 
 Verification of one profile restricts the user moves, builds the product
 with a small monitor automaton for the path formula (2 states for G,
@@ -30,9 +35,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, EngineDisagreement, InputError
 from .formulas import (
+    And,
     Coalition,
     Formula,
+    Not,
+    Or,
     PathFormula,
+    Prop,
+    TrueConst,
     check_fragment,
     format_formula,
     holds_in,
@@ -41,6 +51,7 @@ from .game import (
     FairnessConstraint,
     GameStructure,
     LassoComputation,
+    _linear_extensions,
     build_fairness,
     build_game,
 )
@@ -95,6 +106,15 @@ class PathObjective:
         # G: a violation was seen; U: failed, or pending forever
         return frozenset({_FAILED}) if self.op == "G" \
             else frozenset({_PENDING, _FAILED})
+
+
+def _objective(g: GameStructure, pf) -> PathObjective:
+    """The objective of ``pf``: a path formula, an objective, or the
+    :class:`_FairGame` that :func:`model_check` builds for one."""
+    if isinstance(pf, _FairGame):
+        return pf.objective
+    return pf if isinstance(pf, PathObjective) \
+        else PathObjective.from_path_formula(g, pf)
 
 
 @dataclass(frozen=True)
@@ -198,8 +218,7 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
         q0 = g.initial_state()
     if not 0 <= q0 < len(g.states):
         raise InputError(f"unknown state index {q0}")
-    objective = pf if isinstance(pf, PathObjective) \
-        else PathObjective.from_path_formula(g, pf)
+    objective = _objective(g, pf)
     constraints = tuple(constraints)
 
     root = (q0, objective.monitor_step(_PENDING, q0))
@@ -386,8 +405,7 @@ def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstra
         raise BoundExceeded(
             f"profile space of size {space} exceeds the enumeration bound "
             f"{max_profiles}; use the fixpoint engine", max_profiles)
-    objective = pf if isinstance(pf, PathObjective) \
-        else PathObjective.from_path_formula(g, pf)
+    objective = _objective(g, pf)
     last: Optional[VerifyOutcome] = None
     for profile in iter_profiles(g):
         outcome = verify_profile(g, constraints, profile, objective, q0)
@@ -401,19 +419,61 @@ def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstra
 # -- fixed-point engine -----------------------------------------------------------
 
 class _FairGame:
-    """Buechi game on the (state, monitor, awaited-constraint, tick)
-    product.  The adversary (scheduler and environment) wins by forcing a
-    computation that satisfies every weak fairness constraint infinitely
-    often while violating the objective; user moves at assigned slots are
-    frozen, the rest stay free protagonist choices."""
+    """The fair Buechi game of one objective, as a product arena shared by
+    every slot assignment and every start state.
+
+    Nodes get integer ids.  A ``c`` node ``(qi, mon, cnt, tick)`` belongs
+    to the adversary (scheduler and environment): ``mon`` is the monitor
+    state, ``cnt`` the weak fairness constraint awaited next and ``tick``
+    marks a completed round of all constraints.  A ``u`` node
+    ``(qi, mon, cnt, user)`` is a user's free choice, owned by the
+    protagonist.  A ``c`` node is accepting after a completed round under
+    a violating monitor.  Expanding it stores, once, ``choices``: for each
+    user with more than one move, its ``u`` node and per-move targets; and
+    ``static``: the targets no slot can change (users with a single move,
+    then the environment's moves).  The arena grows lazily from each new
+    start state.
+
+    :meth:`solve` masks the arena by a slot assignment -- a fixed slot
+    keeps the chosen move's target, a free one its ``u`` node -- and solves
+    the Buechi game on what the root reaches.  The adversary wins by
+    forcing a computation that meets every constraint infinitely often
+    while violating the objective.
+    """
 
     def __init__(self, g: GameStructure, constraints: Sequence[FairnessConstraint],
-                 objective: PathObjective, q0: int):
+                 objective: PathObjective):
         self.g = g
         self.constraints = tuple(constraints)
         self.objective = objective
-        self.q0 = q0
         self.m = max(1, len(self.constraints))
+        self._violating = objective.violating_monitors()
+        self._c_ids: dict = {}      # (qi, mon, cnt, tick) -> id
+        self._moves: dict = {}      # (qi, mon, cnt) -> (choices, static)
+        self._key: list = []        # id -> c node key (None for u nodes)
+        self._out: list = []        # c: (choices, static), None until
+                                    # expanded; u: the per-move targets
+        self._adv: list = []        # id -> owned by the adversary
+        self._accept: list = []     # id -> accepting
+
+    def _c_node(self, qi: int, mon: int, cnt: int, tick: bool) -> int:
+        key = (qi, mon, cnt, tick)
+        node = self._c_ids.get(key)
+        if node is None:
+            node = self._c_ids[key] = len(self._key)
+            self._key.append(key)
+            self._out.append(None)
+            self._adv.append(True)
+            self._accept.append(tick and mon in self._violating)
+        return node
+
+    def _u_node(self, targets: tuple) -> int:
+        node = len(self._key)
+        self._key.append(None)
+        self._out.append(targets)
+        self._adv.append(False)
+        self._accept.append(False)
+        return node
 
     def _advance(self, qi: int, scheduled: int, j: int, cnt: int) -> tuple:
         """Move the awaited-constraint counter across one game step."""
@@ -429,96 +489,114 @@ class _FairGame:
                 tick = True
         return cnt, tick
 
-    def solve(self, assignment: Mapping) -> bool:
-        """True iff the adversary wins from the initial node."""
-        g = self.g
-        objective = self.objective
-        violating = objective.violating_monitors()
-        root = ("c", self.q0, objective.monitor_step(_PENDING, self.q0), 0, False)
-
-        adjacency: dict = {}
-        owner_adv: dict = {}
-        accept: set = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in adjacency:
-                continue
-            edges = []
-            if node[0] == "c":
-                _, qi, mon, cnt, tick = node
-                owner_adv[node] = True
-                if tick and mon in violating:
-                    accept.add(node)
-                for a in range(g.user_count):
-                    fixed = assignment.get((a, qi))
-                    if fixed is None and g.d(a, qi) > 1:
-                        edges.append(("u", qi, mon, cnt, a))
-                    else:
-                        j = fixed if fixed is not None else 0
-                        edges.append(self._step(qi, mon, cnt, a, j))
-                for j in range(g.d(g.env_player, qi)):
-                    edges.append(self._step(qi, mon, cnt, g.env_player, j))
-            else:
-                _, qi, mon, cnt, a = node
-                owner_adv[node] = False
-                for j in range(g.d(a, qi)):
-                    edges.append(self._step(qi, mon, cnt, a, j))
-            adjacency[node] = edges
-            for target in edges:
-                if target not in adjacency:
-                    stack.append(target)
-
-        return root in _buchi_win(adjacency, owner_adv, accept)
-
-    def _step(self, qi: int, mon: int, cnt: int, scheduled: int, j: int) -> tuple:
+    def _step(self, qi: int, mon: int, cnt: int, scheduled: int, j: int) -> int:
         qj = self.g.apply_move(qi, scheduled, j)
-        mon2 = self.objective.monitor_step(mon, qj)
         cnt2, tick = self._advance(qi, scheduled, j, cnt)
-        return ("c", qj, mon2, cnt2, tick)
+        return self._c_node(qj, self.objective.monitor_step(mon, qj), cnt2, tick)
+
+    def _expand(self, node: int) -> tuple:
+        qi, mon, cnt, _ = self._key[node]
+        moves = self._moves.get((qi, mon, cnt))
+        if moves is None:
+            # successors do not depend on the tick, so both ticks share
+            # them, and each (qi, mon, cnt, user) gets one u node
+            g = self.g
+            choices, static = [], []
+            for a in range(g.user_count):
+                targets = tuple(self._step(qi, mon, cnt, a, j)
+                                for j in range(g.d(a, qi)))
+                if len(targets) > 1:
+                    choices.append(
+                        (a * len(g.states) + qi, self._u_node(targets), targets))
+                else:
+                    static.extend(targets)
+            static.extend(self._step(qi, mon, cnt, g.env_player, j)
+                          for j in range(g.d(g.env_player, qi)))
+            moves = self._moves[(qi, mon, cnt)] = (tuple(choices), tuple(static))
+        self._out[node] = moves
+        return moves
+
+    def root(self, q0: int) -> int:
+        return self._c_node(q0, self.objective.monitor_step(_PENDING, q0), 0, False)
+
+    def solve(self, fixed: Sequence, root: int) -> bool:
+        """True iff the adversary wins from ``root`` when user ``a`` plays
+        move ``fixed[a * len(g.states) + qi]`` at state ``qi`` wherever that
+        is not None."""
+        out_of, adv_of, accept_of = self._out, self._adv, self._accept
+        # the masked part the root reaches, renumbered from 0 (the root)
+        local = {root: 0}
+        order = [root]
+        succ = []
+        for node in order:
+            out = out_of[node]
+            if adv_of[node]:
+                if out is None:
+                    out = self._expand(node)
+                choices, targets = out
+                if choices:
+                    targets = [choice if fixed[slot] is None else moves[fixed[slot]]
+                               for slot, choice, moves in choices] + list(targets)
+            else:
+                targets = out
+            row = []
+            for t in targets:
+                i = local.get(t)
+                if i is None:
+                    i = local[t] = len(order)
+                    order.append(t)
+                row.append(i)
+            succ.append(row)
+        return _adversary_wins(succ, [adv_of[v] for v in order],
+                               [i for i, v in enumerate(order) if accept_of[v]])
 
 
-def _attractor(adjacency: Mapping, owner_adv: Mapping, for_adversary: bool,
-               target: set, arena: set) -> set:
-    """Player attractor within ``arena`` (standard backward fixpoint)."""
-    preds: dict = {node: [] for node in arena}
+def _attractor(succ: Sequence, preds: Sequence, adv: Sequence, for_adversary: bool,
+               target: Sequence, alive: Sequence) -> list:
+    """Player attractor of ``target`` within the ``alive`` nodes (standard
+    backward fixpoint); returns a membership list."""
+    attracted = [False] * len(succ)
     degree: dict = {}
-    for node in arena:
-        succ = [t for t in adjacency[node] if t in arena]
-        degree[node] = len(succ)
-        for t in succ:
-            preds[t].append(node)
-    attracted = set(target)
+    for v in target:
+        attracted[v] = True
     queue = list(target)
     while queue:
-        node = queue.pop()
-        for p in preds.get(node, ()):
-            if p in attracted:
+        v = queue.pop()
+        for p in preds[v]:
+            if attracted[p] or not alive[p]:
                 continue
-            if owner_adv[p] == for_adversary:
-                attracted.add(p)
-                queue.append(p)
-            else:
-                degree[p] -= 1
-                if degree[p] == 0:
-                    attracted.add(p)
-                    queue.append(p)
+            if adv[p] != for_adversary:
+                left = degree.get(p)
+                if left is None:
+                    left = sum(1 for t in succ[p] if alive[t])
+                degree[p] = left = left - 1
+                if left:
+                    continue
+            attracted[p] = True
+            queue.append(p)
     return attracted
 
 
-def _buchi_win(adjacency: Mapping, owner_adv: Mapping, accept: set) -> set:
-    """Adversary's winning region for 'visit accepting nodes infinitely
-    often' (classical repeated-attractor algorithm)."""
-    arena = set(adjacency)
+def _adversary_wins(succ: Sequence, adv: Sequence, accept: Sequence) -> bool:
+    """Whether node 0 is in the adversary's winning region for 'visit
+    ``accept`` infinitely often' (classical repeated-attractor algorithm,
+    stopped as soon as node 0 is decided)."""
+    n = len(succ)
+    preds: list = [[] for _ in range(n)]
+    for v, targets in enumerate(succ):
+        for t in targets:
+            preds[t].append(v)
+    alive = [True] * n
     while True:
-        reach = _attractor(adjacency, owner_adv, True, accept & arena, arena)
-        trap = arena - reach
+        reach = _attractor(succ, preds, adv, True,
+                           [v for v in accept if alive[v]], alive)
+        trap = [v for v in range(n) if alive[v] and not reach[v]]
         if not trap:
-            return arena
-        escape = _attractor(adjacency, owner_adv, False, trap, arena)
-        arena -= escape
-        if not arena:
-            return arena
+            return True
+        escape = _attractor(succ, preds, adv, False, trap, alive)
+        if escape[0]:
+            return False
+        alive = [a and not e for a, e in zip(alive, escape)]
 
 
 def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -530,50 +608,50 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
     users with unrestricted memory on the remaining slots (sound: the
     restriction only weakens the users).  Complete assignments are
     verified exactly, including non-vacuity, so the verdict and witness
-    match the enumerative engine.
+    match the enumerative engine.  The sweep keeps its own slot stack, so
+    its depth is not bounded by recursion.
+
+    ``pf`` may also be a :class:`_FairGame` built on ``g`` and
+    ``constraints``; its arena is then grown and reused, not rebuilt.
     """
     if q0 is None:
         q0 = g.initial_state()
-    objective = pf if isinstance(pf, PathObjective) \
-        else PathObjective.from_path_formula(g, pf)
-    constraints = tuple(constraints)
-    game = _FairGame(g, constraints, objective, q0)
+    game = pf if isinstance(pf, _FairGame) \
+        else _FairGame(g, constraints, _objective(g, pf))
     n = len(g.states)
+    root = game.root(q0)
+    # slot a * n + qi holds user a's move at state qi; None while free
+    sizes = [g.d(a, qi) for a in range(g.user_count) for qi in range(n)]
+    slots = [slot for slot, size in enumerate(sizes) if size > 1]
+    fixed = [None] * len(sizes)
     vacuity_probe = PathObjective("G", (True,) * n)
-
-    slots = [(a, qi) for a in range(g.user_count)
-             for qi in range(n) if g.d(a, qi) > 1]
-
-    assignment: dict = {}
-
-    def complete_profile() -> GameProfile:
-        return GameProfile(tuple(
-            tuple(assignment.get((a, qi), 0) for qi in range(n))
-            for a in range(g.user_count)))
-
-    def search(idx: int) -> Optional[GameProfile]:
-        if game.solve(assignment):
-            return None
-        if idx == len(slots):
+    depth = 0     # slots[:depth] are fixed
+    while True:
+        if not game.solve(fixed, root):
+            if depth < len(slots):
+                fixed[slots[depth]] = 0
+                depth += 1
+                continue
             # the leaf game solve is exact on a fully assigned profile, so
             # only non-vacuity (a fair computation exists) remains
-            profile = complete_profile()
-            if verify_profile(g, constraints, profile, vacuity_probe, q0).ok:
-                return profile
-            return None
-        slot = slots[idx]
-        for j in range(g.d(slot[0], slot[1])):
-            assignment[slot] = j
-            found = search(idx + 1)
-            if found is not None:
-                return found
-            del assignment[slot]
-        return None
-
-    found = search(0)
-    if found is not None:
-        return Verdict(True, witness=found)
-    fallback = verify_profile(g, constraints, next(iter_profiles(g)), objective, q0)
+            profile = GameProfile(tuple(
+                tuple(j or 0 for j in fixed[a * n:(a + 1) * n])
+                for a in range(g.user_count)))
+            if verify_profile(g, game.constraints, profile, vacuity_probe, q0).ok:
+                return Verdict(True, witness=profile)
+        # backtrack to the deepest slot with an untried move
+        while depth:
+            depth -= 1
+            slot = slots[depth]
+            if fixed[slot] + 1 < sizes[slot]:
+                fixed[slot] += 1
+                depth += 1
+                break
+            fixed[slot] = None
+        else:
+            break
+    fallback = verify_profile(g, game.constraints, next(iter_profiles(g)),
+                              game.objective, q0)
     return Verdict(False, counterexample=fallback.counterexample,
                    reason="adversary defeats every memoryless profile "
                           "(fixed-point search exhausted)")
@@ -607,7 +685,9 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
                 engine: str = "enumerate",
                 max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
     """Bottom-up labelling: boolean connectives as set operations, coalition
-    subformulas solved per state by strategy synthesis."""
+    subformulas solved per state by strategy synthesis.  The fixpoint
+    engine labels all states of one coalition subformula on one arena,
+    which is dropped when the call returns."""
     violations = check_fragment(formula, g.net)
     if violations:
         raise InputError("formula outside the checkable fragment: "
@@ -623,24 +703,25 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
         key = format_formula(node)
         if key in state_sets:
             return state_sets[key]
-        name = type(node).__name__
-        if name == "Prop":
+        if isinstance(node, Prop):
             result = frozenset(qi for qi in all_states if node.name in g.w(qi))
-        elif name == "TrueConst":
+        elif isinstance(node, TrueConst):
             result = all_states
-        elif name == "Not":
+        elif isinstance(node, Not):
             result = all_states - states_of(node.sub)
-        elif name == "Or":
+        elif isinstance(node, Or):
             result = states_of(node.left) | states_of(node.right)
-        elif name == "And":
+        elif isinstance(node, And):
             result = states_of(node.left) & states_of(node.right)
-        elif name == "Coalition":
+        elif isinstance(node, Coalition):
             left = states_of(node.args[0])
             right = states_of(node.args[1]) if node.op == "U" else None
-            objective = PathObjective.from_state_sets(g, node.op, left, right)
+            # one arena for the objective, shared by every state labelled
+            game = _FairGame(g, constraints, PathObjective.from_state_sets(
+                g, node.op, left, right))
             winning = set()
             for qi in sorted(all_states):
-                verdict = synthesize(g, constraints, objective, qi,
+                verdict = synthesize(g, constraints, game, qi,
                                      engine=engine, max_profiles=max_profiles)
                 verdict_cache[(key, qi)] = verdict
                 if verdict.satisfied:
@@ -774,7 +855,7 @@ def full_memory_from_cut_strategy(bp: BranchingProcess, g: GameStructure,
         past = sorted(events_before_cut(bp, cut))
         order = {e: {f for f in past if f != e and bp.causally_le(f, e)}
                  for e in past}
-        for extension in _linear_extensions_of(order, past):
+        for extension in _linear_extensions(order, past):
             seq = [bp.mu(initial_cut(bp))]
             walking = initial_cut(bp)
             for eid in extension:
@@ -792,26 +873,6 @@ def _prefer(new, old) -> bool:
     if new is None:
         return False
     return new < old
-
-
-def _linear_extensions_of(order: Mapping, items: Sequence):
-    items = sorted(items)
-    if not items:
-        yield ()
-        return
-    remaining = set(items)
-
-    def extend(done: tuple):
-        if len(done) == len(items):
-            yield done
-            return
-        for x in items:
-            if x in remaining and order.get(x, set()) <= set(done):
-                remaining.discard(x)
-                yield from extend(done + (x,))
-                remaining.add(x)
-
-    yield from extend(())
 
 
 # -- strategy files ---------------------------------------------------------------

@@ -2,10 +2,44 @@
 
 import random
 
-from petrigames.formulas import holds_in
+from petrigames.formulas import And, Not, Or, PathFormula, Prop, TrueConst, holds_in
 from petrigames.game import LassoComputation
 from petrigames.nets import enabled_set, fire, reachability_graph
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut
+
+
+def formula_pool(net):
+    """Five X-free grand-coalition path formulas over the net's places."""
+    rng = random.Random(f"pool:{net.name}")
+    places = sorted(net.places)
+
+    def pick():
+        return Prop(rng.choice(places))
+
+    return (
+        PathFormula("G", TrueConst()),
+        PathFormula("U", TrueConst(), pick()),
+        PathFormula("G", Not(pick())),
+        PathFormula("U", Or(pick(), pick()), pick()),
+        PathFormula("U", TrueConst(), And(pick(), pick())),
+    )
+
+
+def chain_net(k):
+    """chain(k): an environment toggle ``e0 <-> e1`` and, per user ``u_i``,
+    a choice ``a_i: c_i -> x_i`` or ``b_i: c_i -> y_i`` that the
+    environment undoes (``ra_i``, ``rb_i``); 2*3^k reachable states."""
+    users = [f"u{i}" for i in range(k)]
+    lines = [f"net chain{k}", "locations env " + " ".join(users),
+             "place e0 @env init", "place e1 @env",
+             "trans te01 @env pre e0 post e1", "trans te10 @env pre e1 post e0"]
+    for i in range(k):
+        lines += [f"place c{i} @u{i} init", f"place x{i} @env", f"place y{i} @env",
+                  f"trans a{i} @u{i} pre c{i} post x{i}",
+                  f"trans b{i} @u{i} pre c{i} post y{i}",
+                  f"trans ra{i} @env pre x{i} post c{i}",
+                  f"trans rb{i} @env pre y{i} post c{i}"]
+    return "\n".join(lines) + "\n"
 
 
 def full_edges(g):

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from helpers import (
+    formula_pool,
     insert_stutters,
     random_fair_lasso,
     random_lasso,
@@ -21,11 +22,7 @@ from helpers import (
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded
 from petrigames.formulas import (
-    And,
-    Not,
-    Or,
     PathFormula,
-    Prop,
     TrueConst,
     parse_formula,
     path_satisfies,
@@ -73,23 +70,6 @@ def corpus_games():
         g = build_game(net)
         triples.append((net, g, build_fairness(net, g)))
     return triples
-
-
-def formula_pool(net):
-    """Five X-free grand-coalition path formulas over the net's places."""
-    rng = random.Random(f"pool:{net.name}")
-    places = sorted(net.places)
-
-    def pick():
-        return Prop(rng.choice(places))
-
-    return (
-        PathFormula("G", TrueConst()),
-        PathFormula("U", TrueConst(), pick()),
-        PathFormula("G", Not(pick())),
-        PathFormula("U", Or(pick(), pick()), pick()),
-        PathFormula("U", TrueConst(), And(pick(), pick())),
-    )
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,14 @@
+import sys
+
 import pytest
 
+from helpers import chain_net, formula_pool
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError
-from petrigames.formulas import PathFormula, parse_formula
+from petrigames.formulas import Coalition, PathFormula, format_formula, parse_formula
 from petrigames.game import build_fairness, build_game, lasso_is_fair, stutter_remove
-from petrigames.nets import parse_net
+from petrigames.nets import marking_key, parse_net
+from petrigames.randnet import random_net
 from petrigames.solver import (
     GameProfile,
     PathObjective,
@@ -216,6 +220,89 @@ def test_model_check_state_sets_are_markings(g4, fc4):
     sets = verdict.state_sets
     assert sets["p0 & p3"] == (S({"p0", "p3"}),)
     assert sets["true"] == tuple(sorted(g4.states, key=lambda m: tuple(sorted(m))))
+
+
+# -- one arena per objective ------------------------------------------------------
+
+def _game(text):
+    net = parse_net(text)
+    g = build_game(net)
+    return g, build_fairness(net, g)
+
+
+def _winning(g, fcs, objective):
+    """States where a fresh fixpoint synthesis finds a witness."""
+    return frozenset(qi for qi in range(len(g.states))
+                     if synthesize_fixpoint(g, fcs, objective, qi).satisfied)
+
+
+def _markings(g, states):
+    return tuple(sorted((g.states[qi] for qi in states), key=marking_key))
+
+
+def _assert_matches_fresh_synthesis(g, fcs, formula):
+    key = format_formula(formula)
+    pf = PathFormula.from_coalition(formula)
+    winning = _markings(g, _winning(g, fcs, pf))
+    for qi in range(len(g.states)):
+        fresh = synthesize_fixpoint(g, fcs, pf, qi)
+        verdict = model_check(g, fcs, formula, q0=qi, engine="fixpoint")
+        assert verdict.state_sets[key] == winning, (key, qi)
+        assert verdict.satisfied == fresh.satisfied, (key, qi)
+        assert verdict.witness == fresh.witness, (key, qi)
+        assert verdict.counterexample == fresh.counterexample, (key, qi)
+        assert verdict.reason == fresh.reason, (key, qi)
+
+
+def test_shared_arena_matches_fresh_synthesis_on_corpus(g4, fc4):
+    # model_check grows one arena per objective over all start states; every
+    # state must see what a fresh arena built from it alone gives
+    for text in ("<<u>> F (p0 & p3)", "<<u>> F ((p0 & p3) | (p1 & p4))"):
+        _assert_matches_fresh_synthesis(g4, fc4, parse_formula(text))
+    for seed in range(1, 21):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for pf in formula_pool(net):
+            args = (pf.left,) if pf.op == "G" else (pf.left, pf.right)
+            _assert_matches_fresh_synthesis(g, fcs, Coalition(tuple(net.users), pf.op, args))
+
+
+def test_nested_coalition_sets_match_fresh_synthesis():
+    g, fcs = _game(chain_net(2))
+    verdict = model_check(g, fcs, parse_formula("<<u0,u1>> G <<u0,u1>> F x0"),
+                          engine="fixpoint")
+    inner = _winning(g, fcs, PathFormula.from_coalition(
+        parse_formula("<<u0,u1>> F x0")))
+    outer = _winning(g, fcs, PathObjective.from_state_sets(g, "G", inner))
+    assert verdict.state_sets["<<u0,u1>> U(true, x0)"] == _markings(g, inner)
+    assert verdict.state_sets["<<u0,u1>> G <<u0,u1>> U(true, x0)"] \
+        == _markings(g, outer)
+    assert verdict.satisfied == (g.initial_state() in outer)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_fixpoint_slot_search_is_not_bounded_by_recursion():
+    g, fcs = _game(chain_net(3))
+    slots = sum(1 for a in range(g.user_count) for qi in range(len(g.states))
+                if g.d(a, qi) > 1)
+    pf = PathFormula.from_coalition(parse_formula("<<u0,u1,u2>> F x0"))
+    headroom = 40
+    assert slots > headroom
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + headroom)
+    try:
+        verdict = synthesize_fixpoint(g, fcs, pf)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.satisfied
+    assert verify_profile(g, fcs, verdict.witness, pf).ok
 
 
 # -- strategy conversion ----------------------------------------------------------
