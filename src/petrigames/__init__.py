@@ -45,7 +45,6 @@ from .solver import (
     GameProfile,
     Verdict,
     check_net,
-    convert_strategy,
     model_check,
     synthesize,
     synthesize_enumerate,
@@ -77,7 +76,7 @@ __all__ = [
     "enabled_set", "fire", "format_net", "parse_net", "reachability_graph",
     "structural_relation", "validate_net",
     "random_net",
-    "GameProfile", "Verdict", "check_net", "convert_strategy", "model_check",
+    "GameProfile", "Verdict", "check_net", "model_check",
     "synthesize", "synthesize_enumerate", "synthesize_fixpoint",
     "verify_profile",
     "BranchingProcess", "NetStrategy", "Play", "consistent_with", "cut_order",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BoundExceeded, EngineDisagreement, InputError
@@ -38,7 +38,6 @@ from .nets import (
     reachability_graph,
     validate_net,
 )
-from .randnet import random_net  # noqa: F401  (programmatic corpus entry point)
 from .solver import Verdict, format_profile, model_check
 from .unfold import dot_prefix, format_play, initial_cut, parse_play, unfold_prefix
 
@@ -63,13 +62,11 @@ class RunConfig:
     engine: str = "enumerate"
     single_user_simplification: bool = False
     machine: bool = False
-    seed: int = 0
     what: Optional[str] = None
     dot: bool = False
     out: Optional[str] = None
     play_path: Optional[str] = None
     lasso_path: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -94,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("net", help="net file")
         p.add_argument("--machine", action="store_true",
                        help="append a machine-readable key: value block")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomised helpers (reserved)")
         p.add_argument("--max-states", type=int,
                        default=_env_int("PETRIGAMES_MAX_STATES", 100_000))
 
@@ -154,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, net_path=args.net)
     for name in ("formula", "formula_file", "depth", "max_states", "bound",
-                 "engine", "single_user_simplification", "machine", "seed",
+                 "engine", "single_user_simplification", "machine",
                  "what", "dot", "out", "play_path", "lasso_path"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
@@ -277,7 +272,8 @@ def _dispatch(config: RunConfig, report: Report) -> int:
     if config.command == "unfold":
         if config.depth < 0:
             raise InputError("depth must be >= 0")
-        bp = unfold_prefix(net, config.depth, max_size=config.max_prefix)
+        bp = unfold_prefix(net, config.depth, max_size=config.max_prefix,
+                           max_states=config.max_states)
         report.say(f"prefix of depth {config.depth}: {len(bp.conditions)} "
                    f"conditions, {len(bp.events)} events")
         report.record("conditions", len(bp.conditions))
@@ -385,7 +381,8 @@ def _export(config: RunConfig, report: Report, net) -> int:
         graph = reachability_graph(net, max_states=config.max_states)
         payload = dot_reachability(graph)
     elif config.what == "unfolding":
-        bp = unfold_prefix(net, config.depth, max_size=config.max_prefix)
+        bp = unfold_prefix(net, config.depth, max_size=config.max_prefix,
+                           max_states=config.max_states)
         payload = dot_prefix(bp, initial_cut(bp))
     elif config.what == "game":
         g = build_game(net, max_states=config.max_states)

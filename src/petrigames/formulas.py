@@ -181,7 +181,9 @@ def parse_formula(text: str) -> Formula:
 def format_formula(f: Formula) -> str:
     """Canonical print; parse(format(f)) == f."""
     def rank(node: Formula) -> int:
-        return {"Or": 0, "And": 1}.get(type(node).__name__, 2)
+        if isinstance(node, Or):
+            return 0
+        return 1 if isinstance(node, And) else 2
 
     def fmt(node: Formula, min_rank: int, strict: bool) -> str:
         # parenthesise when binding would change on re-parsing; binary

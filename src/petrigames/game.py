@@ -37,11 +37,9 @@ from .formulas import canonical_lasso
 from .nets import (
     Marking,
     NetSystem,
+    ReachabilityGraph,
     format_marking,
-    marking_key,
-    reachability_graph,
     require_contact_free,
-    require_valid,
 )
 from .unfold import Play, materialise_play, validate_play
 
@@ -53,7 +51,9 @@ class GameStructure:
     """Immutable game structure over the reachable markings of a net."""
 
     def __init__(self, net: NetSystem, states: Sequence[Marking],
-                 moves: Sequence[Sequence[tuple]], single_user_simplification: bool):
+                 moves: Sequence[Sequence[tuple]],
+                 successors: Sequence[Sequence[tuple]],
+                 single_user_simplification: bool):
         self.net = net
         self.states = tuple(states)
         self.state_index = {m: i for i, m in enumerate(self.states)}
@@ -66,6 +66,9 @@ class GameStructure:
         #: (transition names or None for users/environment, player indices
         #: for the scheduler)
         self.moves = tuple(tuple(per_state) for per_state in moves)
+        #: successors[a][qi][j] is the state reached when user or
+        #: environment ``a`` is scheduled at ``qi`` and plays move ``j``
+        self.successors = tuple(tuple(per_state) for per_state in successors)
         self.props = frozenset(net.places)
         self.single_user_simplification = single_user_simplification
 
@@ -95,12 +98,11 @@ class GameStructure:
 
     def apply_move(self, qi: int, player: int, j: int) -> int:
         """Successor state when ``player`` is scheduled and plays move ``j``."""
-        label = self.move_label(player, qi, j)
-        if label is None:
-            return qi
-        marking = self.states[qi]
-        nxt = self.net.post(label) | (marking - self.net.pre(label))
-        return self.state_index[nxt]
+        try:
+            return self.successors[player][qi][j]
+        except IndexError:
+            self.move_label(player, qi, j)   # InputError for a bad move index
+            raise
 
     def tau(self, qi: int, vector: Sequence[int]) -> int:
         """Transition function over full move vectors."""
@@ -129,46 +131,55 @@ class GameStructure:
     def edges(self, qi: int):
         """All (scheduled player, move index, successor) triples at a state."""
         for a in range(self.player_count - 1):
-            for j in range(self.d(a, qi)):
-                yield a, j, self.apply_move(qi, a, j)
+            for j, qj in enumerate(self.successors[a][qi]):
+                yield a, j, qj
 
 
 def build_game(net: NetSystem, single_user_simplification: bool = False,
-               max_states: int = 100_000) -> GameStructure:
-    """The turn-based asynchronous game structure of a distributed net."""
-    require_valid(net)
-    require_contact_free(net, max_states=max_states)
-    graph = reachability_graph(net, max_states=max_states)
-    states = graph.states
+               max_states: int = 100_000,
+               graph: Optional[ReachabilityGraph] = None) -> GameStructure:
+    """The turn-based asynchronous game structure of a distributed net.
+
+    ``graph``, when given, is the net's reachability graph and replaces
+    the search this function would otherwise run.
+    """
+    if graph is None:
+        graph = require_contact_free(net, max_states=max_states)
+    elif graph.contact is not None:
+        raise PreconditionError("build_game needs a contact-free net")
     users = net.users
     k = len(users)
+    player_of = {u: a for a, u in enumerate(users)}
+    player_of[net.env] = k
+    owner = {t: player_of[net.location_of(t)] for t in net.transitions}
 
-    enabled_by_state = []
-    for m in states:
-        enabled_by_state.append(tuple(
-            t for t in sorted(net.transitions)
-            if net.pre(t) <= m and not (net.post(t) & m)))
-
-    moves: list[list[tuple]] = []
-    for a, user in enumerate(users):
-        per_state = []
-        for qi, m in enumerate(states):
-            own = tuple(t for t in enabled_by_state[qi]
-                        if net.location_of(t) == user)
-            uncontrollable = any(not net.is_controllable(t)
-                                 for t in enabled_by_state[qi])
-            if single_user_simplification and k == 1 and own and not uncontrollable:
-                per_state.append(own)
+    moves: list[list[tuple]] = [[] for _ in range(k + 1)]
+    successors: list[list[tuple]] = [[] for _ in range(k + 1)]
+    for qi, succ in enumerate(graph.out):
+        labels = [[] for _ in range(k + 1)]
+        targets = [[] for _ in range(k + 1)]
+        for t, qj in succ:
+            a = owner[t]
+            labels[a].append(t)
+            targets[a].append(qj)
+        uncontrollable = bool(labels[k])
+        for a in range(k):
+            if single_user_simplification and k == 1 and labels[a] \
+                    and not uncontrollable:
+                moves[a].append(tuple(labels[a]))
+                successors[a].append(tuple(targets[a]))
             else:
-                per_state.append(own + (None,))
-        moves.append(per_state)
-    env_moves = []
-    for qi in range(len(states)):
-        unc = tuple(t for t in enabled_by_state[qi] if not net.is_controllable(t))
-        env_moves.append(unc if unc else (None,))
-    moves.append(env_moves)
-    moves.append([tuple(range(k + 1)) for _ in states])
-    return GameStructure(net, states, moves, single_user_simplification)
+                moves[a].append(tuple(labels[a]) + (None,))
+                successors[a].append(tuple(targets[a]) + (qi,))
+        if uncontrollable:
+            moves[k].append(tuple(labels[k]))
+            successors[k].append(tuple(targets[k]))
+        else:
+            moves[k].append((None,))
+            successors[k].append((qi,))
+    moves.append([tuple(range(k + 1))] * len(graph.states))
+    return GameStructure(net, graph.states, moves, successors,
+                         single_user_simplification)
 
 
 @dataclass(frozen=True)
@@ -191,38 +202,44 @@ def build_fairness(net: NetSystem, g: GameStructure) -> tuple:
     user progress constraints."""
     constraints: list[FairnessConstraint] = []
     sched = g.scheduler_player
+    n = len(g.states)
     for j in range(g.player_count - 1):
         constraints.append(FairnessConstraint(
             sched, f"schedule:{g.player_names[j]}",
-            {qi: frozenset({j}) for qi in range(len(g.states))}))
+            dict.fromkeys(range(n), frozenset({j}))))
 
+    # an uncontrollable transition's group at a state: its own move and
+    # the moves of its rivals, the uncontrollable transitions sharing an
+    # input place with it
     env = g.env_player
-    for t in sorted(net.transitions):
-        if net.is_controllable(t):
+    pre = {t: mask for t, mask, _ in net.kernel.arcs}
+    uncontrollable = [t for t in sorted(net.transitions) if not net.is_controllable(t)]
+    rivals = {t: frozenset(o for o in uncontrollable if o != t and pre[o] & pre[t])
+              for t in uncontrollable}
+    alone = [frozenset({j}) for j in range(len(uncontrollable))]
+    per_transition: dict[str, dict[int, frozenset]] = {t: {} for t in uncontrollable}
+    for qi, labels in enumerate(g.moves[env]):
+        if labels[0] is None:
             continue
-        per_state: dict[int, frozenset] = {}
-        for qi, m in enumerate(g.states):
-            if not (net.pre(t) <= m and not (net.post(t) & m)):
-                continue
-            group = {t}
-            for other in g.moves[env][qi]:
-                if other is not None and other != t and net.pre(other) & net.pre(t):
-                    group.add(other)
-            per_state[qi] = frozenset(g.moves[env][qi].index(x) for x in group)
-        constraints.append(FairnessConstraint(env, f"weak:{t}", per_state))
+        for j, t in enumerate(labels):
+            rival = rivals[t]
+            per_transition[t][qi] = frozenset(
+                i for i, o in enumerate(labels) if o == t or o in rival) \
+                if rival else alone[j]
+    for t in uncontrollable:
+        constraints.append(FairnessConstraint(env, f"weak:{t}", per_transition[t]))
 
     if not g.single_user_simplification:
         for qi, m in enumerate(g.states):
-            enabled = [t for t in sorted(net.transitions)
-                       if net.pre(t) <= m and not (net.post(t) & m)]
-            if not enabled or any(not net.is_controllable(t) for t in enabled):
+            if g.moves[env][qi][0] is not None:
                 continue
+            label = format_marking(m)
             for a, user in enumerate(net.users):
                 non_idle = frozenset(
-                    j for j, label in enumerate(g.moves[a][qi]) if label is not None)
+                    j for j, move in enumerate(g.moves[a][qi]) if move is not None)
                 if non_idle:
                     constraints.append(FairnessConstraint(
-                        a, f"progress:{format_marking(m)}:{user}", {qi: non_idle}))
+                        a, f"progress:{label}:{user}", {qi: non_idle}))
     return tuple(constraints)
 
 
@@ -497,16 +514,17 @@ def dot_game(g: GameStructure) -> str:
     """DOT rendering: states labelled by markings, edges by scheduled
     player and move."""
     out = ["digraph game {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for qi, m in enumerate(g.states):
-        label = format_marking(m)
-        mark = " penwidth=2" if qi == g.initial_state() else ""
+    labels = [format_marking(m) for m in g.states]
+    q0 = g.initial_state()
+    for qi, label in enumerate(labels):
+        mark = " penwidth=2" if qi == q0 else ""
         out.append(f'  "{label}" [label="{label}"{mark}];')
-    for qi, m in enumerate(g.states):
-        for a, j, qj in g.edges(qi):
-            move = g.move_label(a, qi, j)
-            text = move if move is not None else "pass"
-            out.append(f'  "{format_marking(m)}" -> "{format_marking(g.states[qj])}"'
-                       f' [label="{g.player_names[a]}:{text}"];')
+    for qi, label in enumerate(labels):
+        for a in range(g.player_count - 1):
+            name = g.player_names[a]
+            for move, qj in zip(g.moves[a][qi], g.successors[a][qi]):
+                text = move if move is not None else "pass"
+                out.append(f'  "{label}" -> "{labels[qj]}" [label="{name}:{text}"];')
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -514,23 +532,21 @@ def dot_game(g: GameStructure) -> str:
 def fairness_table(g: GameStructure, constraints: Iterable[FairnessConstraint]) -> str:
     """Tabular dump of move counts and fairness constraints."""
     lines = [f"players: {' '.join(g.player_names)}", "moves:"]
-    for qi, m in enumerate(g.states):
+    state_labels = [format_marking(m) for m in g.states]
+    for qi, label in enumerate(state_labels):
         cells = []
-        for a in range(g.player_count):
-            labels = g.moves[a][qi]
-            text = ",".join("pass" if x is None else str(x) for x in labels)
-            cells.append(f"{g.player_names[a]}=[{text}]")
-        lines.append(f"  {format_marking(m)}: " + " ".join(cells))
+        for a, name in enumerate(g.player_names):
+            text = ",".join("pass" if x is None else str(x) for x in g.moves[a][qi])
+            cells.append(f"{name}=[{text}]")
+        lines.append(f"  {label}: " + " ".join(cells))
     lines.append("fairness:")
     for fc in constraints:
         lines.append(f"  {fc.name} (player {g.player_names[fc.player]})")
-        for qi in sorted(fc.moves):
-            allowed = fc.at(qi)
-            if not allowed:
-                continue
-            labels = []
-            for j in sorted(allowed):
-                label = g.move_label(fc.player, qi, j)
-                labels.append("pass" if label is None else str(label))
-            lines.append(f"    {format_marking(g.states[qi])}: " + ",".join(labels))
+        moves = g.moves[fc.player]
+        for qi, allowed in sorted(fc.moves.items()):
+            if allowed:
+                labels = moves[qi]
+                text = ",".join("pass" if labels[j] is None else str(labels[j])
+                                for j in sorted(allowed))
+                lines.append(f"    {state_labels[qi]}: " + text)
     return "\n".join(lines) + "\n"

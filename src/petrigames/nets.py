@@ -5,13 +5,23 @@ initial marking and a location map: every place and transition belongs
 either to the environment or to one of the users, and a transition must
 share its location with all of its input places, so that every choice
 is resolved locally by a single agent.
+
+The token game has one implementation, the net's :class:`FiringKernel`
+(``net.kernel``, built once per net).  It numbers the places in sorted
+order and keeps every transition, in sorted order, with its pre- and
+post-set as integer bitmasks, so that "pre-set marked and post-set
+token-free" is two ``&`` tests and firing is ``(m ^ pre) | post``.
+:func:`reachability_graph` runs its breadth-first search on such integer
+markings, turns each reachable one into a frozenset once, and records the
+canonically first contact witness on the way; :func:`enabled_set`,
+:func:`fire`, the game structure and the strategy checks all go through
+the same kernel.  Public structures keep markings as frozensets.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, InputError, PreconditionError
 
@@ -128,15 +138,77 @@ class NetSystem:
         return tuple(sorted(t for t in self.transitions
                             if self.assignment.get(t) == location))
 
+    @functools.cached_property
+    def kernel(self) -> "FiringKernel":
+        return FiringKernel(self)
+
+
+class FiringKernel:
+    """The token game of one net on integer markings.
+
+    Bit ``i`` of a marking stands for ``places[i]``: the places in sorted
+    order, followed, for malformed nets only, by any other name a flow arc
+    mentions.  ``arcs`` lists every transition in sorted order with its
+    pre- and post-set masks.
+    """
+
+    __slots__ = ("places", "arcs")
+
+    def __init__(self, net: NetSystem):
+        extra = {x for arc in net.flow for x in arc} - net.places
+        self.places = tuple(sorted(net.places)) + tuple(sorted(extra))
+        self.arcs = tuple((t, self.encode(net.pre(t)), self.encode(net.post(t)))
+                          for t in sorted(net.transitions))
+
+    def encode(self, m: frozenset) -> int:
+        """The mask of ``m``; names the net never mentions carry no bit."""
+        return sum(1 << i for i, p in enumerate(self.places) if p in m)
+
+    def decode(self, x: int) -> tuple:
+        """The places of mask ``x`` in sorted order (its ``marking_key``)."""
+        places = self.places
+        out = []
+        while x:
+            low = x & -x
+            out.append(places[low.bit_length() - 1])
+            x ^= low
+        return tuple(out)
+
+    def enabled(self, x: int) -> tuple:
+        """Transitions enabled at ``x``, sorted: pre-set marked and post-set
+        token-free."""
+        return tuple(t for t, pre, post in self.arcs
+                     if x & pre == pre and not x & post)
+
+    def fire(self, x: int, t: str) -> int:
+        for name, pre, post in self.arcs:
+            if name == t:
+                return (x ^ pre) | post
+        raise InputError(f"unknown transition {t!r}")
+
 
 class ReachabilityGraph:
-    """Explicit reachable-marking graph, deterministically ordered."""
+    """Explicit reachable-marking graph in canonical order.
 
-    def __init__(self, states: Iterable[Marking], edges: Iterable[tuple], initial: Marking):
-        self.states = tuple(sorted(states, key=marking_key))
-        self.edges = tuple(sorted(edges, key=lambda e: (marking_key(e[0]), e[1])))
+    ``states`` are sorted by :func:`marking_key`; ``out[i]`` lists the
+    ``(transition, target index)`` pairs of state ``i`` by transition;
+    ``edges`` spells the same edges out as ``(marking, transition,
+    marking)`` triples, sorted by source marking, then transition.
+    ``contact`` is the least ``(marking, transition)`` in that order whose
+    transition has its pre-set marked and its post-set not token-free, or
+    None for a contact-free net.
+    """
+
+    def __init__(self, states: Sequence[Marking], out: Sequence[tuple],
+                 initial: Marking, contact: Optional[tuple] = None):
+        self.states = tuple(states)
+        self.out = tuple(out)
         self.initial = initial
+        self.contact = contact
         self.index = {m: i for i, m in enumerate(self.states)}
+        self.edges = tuple((m, t, self.states[j])
+                           for m, succ in zip(self.states, self.out)
+                           for t, j in succ)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -193,8 +265,8 @@ def enabled_set(net: NetSystem, m: Marking) -> frozenset:
     unknown = m - net.places
     if unknown:
         raise InputError(f"marking contains unknown places: {sorted(unknown)}")
-    return frozenset(t for t in net.transitions
-                     if net.pre(t) <= m and not (net.post(t) & m))
+    kernel = net.kernel
+    return frozenset(kernel.enabled(kernel.encode(m)))
 
 
 def fire(net: NetSystem, m: Marking, t: str) -> Marking:
@@ -204,29 +276,52 @@ def fire(net: NetSystem, m: Marking, t: str) -> Marking:
     if t not in enabled_set(net, m):
         raise PreconditionError(
             f"transition {t} is not enabled at {format_marking(m)}")
-    return net.post(t) | (m - net.pre(t))
+    kernel = net.kernel
+    return frozenset(kernel.decode(kernel.fire(kernel.encode(m), t)))
 
 
 def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
-    """BFS over the token game from the initial marking."""
+    """BFS over the token game from the initial marking, on the net's
+    kernel; also finds the canonically first contact witness."""
     require_valid(net)
-    transitions = sorted(net.transitions)
-    seen = {net.initial}
-    queue = deque([net.initial])
-    edges = []
-    while queue:
-        m = queue.popleft()
-        for t in transitions:
-            if net.pre(t) <= m and not (net.post(t) & m):
-                m2 = net.post(t) | (m - net.pre(t))
-                edges.append((m, t, m2))
-                if m2 not in seen:
-                    if len(seen) >= max_states:
-                        raise BoundExceeded(
-                            f"reachability graph exceeds {max_states} states", max_states)
-                    seen.add(m2)
-                    queue.append(m2)
-    return ReachabilityGraph(seen, edges, net.initial)
+    kernel = net.kernel
+    arcs = kernel.arcs
+    found = [kernel.encode(net.initial)]     # markings in BFS order
+    seen = {found[0]: 0}
+    out = []                                 # per BFS index: (t, BFS index)
+    contact = {}                             # BFS index -> least contact t
+    for i, m in enumerate(found):
+        succ = []
+        for t, pre, post in arcs:
+            if m & pre != pre:
+                continue
+            if m & post:
+                contact.setdefault(i, t)
+                continue
+            m2 = (m ^ pre) | post
+            j = seen.get(m2)
+            if j is None:
+                if len(seen) >= max_states:
+                    raise BoundExceeded(
+                        f"reachability graph exceeds {max_states} states", max_states)
+                j = seen[m2] = len(found)
+                found.append(m2)
+            succ.append((t, j))
+        out.append(succ)
+
+    keys = [kernel.decode(m) for m in found]
+    order = sorted(range(len(found)), key=keys.__getitem__)
+    rank = [0] * len(found)
+    for r, i in enumerate(order):
+        rank[i] = r
+    states = [frozenset(keys[i]) for i in order]
+    witness = None
+    if contact:
+        first = min(contact, key=rank.__getitem__)
+        witness = (states[rank[first]], contact[first])
+    return ReachabilityGraph(
+        states, [tuple((t, rank[j]) for t, j in out[i]) for i in order],
+        net.initial, witness)
 
 
 def check_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND,
@@ -237,21 +332,20 @@ def check_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND,
     first witness in canonical order: a reachable marking covering some
     pre-set while the corresponding post-set is not token-free.
     """
+    witness = reachability_graph(net, max_states=max_states).contact
+    return witness is None, witness
+
+
+def require_contact_free(net: NetSystem,
+                         max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
+    """The reachability graph of a contact-free net; InputError otherwise."""
     graph = reachability_graph(net, max_states=max_states)
-    for m in graph.states:
-        for t in sorted(net.transitions):
-            if net.pre(t) <= m and net.post(t) & m:
-                return False, (m, t)
-    return True, None
-
-
-def require_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> None:
-    ok, witness = check_contact_free(net, max_states=max_states)
-    if not ok:
-        m, t = witness
+    if graph.contact is not None:
+        m, t = graph.contact
         raise InputError(
             f"net is not contact-free: transition {t} has a marked post-set "
             f"at reachable marking {format_marking(m)}")
+    return graph
 
 
 class StructuralRelation:
@@ -307,9 +401,16 @@ def parse_net(text: str) -> NetSystem:
     flow: list[tuple[str, str]] = []
     initial: list[str] = []
     assignment: dict[str, str] = {}
+    declared: dict[tuple, int] = {}   # (kind, id) -> line of its declaration
 
     def fail(lineno: int, msg: str) -> None:
         raise InputError(f"net format error on line {lineno}: {msg}")
+
+    def declare(lineno: int, kind: str, ident: Optional[str] = None) -> None:
+        first = declared.setdefault((kind, ident), lineno)
+        if first != lineno:
+            what = f"{kind} {ident!r}" if ident is not None else f"'{kind}' line"
+            fail(lineno, f"duplicate {what} (first on line {first})")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -320,10 +421,12 @@ def parse_net(text: str) -> NetSystem:
         if kind == "net":
             if len(tokens) != 2:
                 fail(lineno, "expected: net <name>")
+            declare(lineno, "net")
             name = tokens[1]
         elif kind == "locations":
             if len(tokens) < 2:
                 fail(lineno, "expected: locations <env> [<user> ...]")
+            declare(lineno, "locations")
             locations = tokens[1:]
         elif kind == "place":
             if len(tokens) < 3 or not tokens[2].startswith("@"):
@@ -332,6 +435,7 @@ def parse_net(text: str) -> NetSystem:
             rest = tokens[3:]
             if rest not in ([], ["init"]):
                 fail(lineno, f"unexpected tokens {rest} after place declaration")
+            declare(lineno, "place", pid)
             places.append(pid)
             assignment[pid] = loc
             if rest == ["init"]:
@@ -349,6 +453,7 @@ def parse_net(text: str) -> NetSystem:
             post_ids = tokens[post_at + 1:]
             if not pre_ids or not post_ids:
                 fail(lineno, "empty pre or post list")
+            declare(lineno, "transition", tid)
             transitions.append(tid)
             assignment[tid] = loc
             for p in pre_ids:
@@ -380,11 +485,12 @@ def format_net(net: NetSystem) -> str:
 def dot_reachability(graph: ReachabilityGraph) -> str:
     """DOT rendering of the reachability graph (stable across runs)."""
     out = ["digraph reachability {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for m in graph.states:
-        label = format_marking(m)
+    labels = [format_marking(m) for m in graph.states]
+    for m, label in zip(graph.states, labels):
         shape = ' penwidth=2' if m == graph.initial else ""
         out.append(f'  "{label}" [label="{label}"{shape}];')
-    for m1, t, m2 in graph.edges:
-        out.append(f'  "{format_marking(m1)}" -> "{format_marking(m2)}" [label="{t}"];')
+    for label, succ in zip(labels, graph.out):
+        for t, j in succ:
+            out.append(f'  "{label}" -> "{labels[j]}" [label="{t}"];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 
-from .errors import BoundExceeded, InputError
+from .errors import BoundExceeded
 from .game import build_game
-from .nets import NetSystem, check_contact_free, reachability_graph, validate_net
+from .nets import NetSystem, reachability_graph, validate_net
 from .solver import profile_space
 from .unfold import unfold_prefix
 
@@ -41,12 +41,9 @@ def random_net(seed: int, max_places: int = 6, max_transitions: int = 6,
             graph = reachability_graph(net, max_states=max_states)
         except BoundExceeded:
             continue
-        if len(graph.states) < 3:
+        if len(graph.states) < 3 or graph.contact is not None:
             continue
-        ok, _ = check_contact_free(net, max_states=max_states)
-        if not ok:
-            continue
-        g = build_game(net, max_states=max_states)
+        g = build_game(net, graph=graph)
         if not 2 <= profile_space(g) <= max_profile_space:
             continue
         try:

@@ -813,14 +813,6 @@ def net_strategies_from_profile(g: GameStructure, profile: GameProfile) -> tuple
     return tuple(strategies)
 
 
-def convert_strategy(direction: str, g: GameStructure, payload):
-    if direction == "net-to-game":
-        return profile_from_net_strategies(g, payload)
-    if direction == "game-to-net":
-        return net_strategies_from_profile(g, payload)
-    raise InputError(f"unknown conversion direction {direction!r}")
-
-
 def full_memory_from_cut_strategy(bp: BranchingProcess, g: GameStructure,
                                   owner: str,
                                   cut_choice: Mapping) -> dict:

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, InputError, PreconditionError
 from .nets import (
+    DEFAULT_STATE_BOUND,
     Marking,
     NetSystem,
     format_marking,
@@ -129,16 +130,17 @@ class BranchingProcess:
 
 
 def unfold_prefix(net: NetSystem, depth: int,
-                  max_size: int = DEFAULT_PREFIX_BOUND) -> BranchingProcess:
+                  max_size: int = DEFAULT_PREFIX_BOUND,
+                  max_states: int = DEFAULT_STATE_BOUND) -> BranchingProcess:
     """The prefix of the unfolding containing all events of causal depth
-    <= ``depth`` (and their conditions).
+    <= ``depth`` (and their conditions); the contact-freeness check that
+    precedes it explores at most ``max_states`` markings.
 
     Events are identified by their label and pre-set: occurrences with
     equal pre-sets and equal labels are merged, so the result is unique
     up to nothing at all -- identifiers are deterministic.
     """
-    require_valid(net)
-    require_contact_free(net)
+    require_contact_free(net, max_states=max_states)
     if depth < 0:
         raise InputError("depth must be >= 0")
 
@@ -494,12 +496,14 @@ def check_strategy(net: NetSystem, strategy: NetStrategy) -> None:
     if strategy.owner not in net.users:
         raise InputError(f"strategy owner {strategy.owner!r} is not a user location")
     owned = set(net.transitions_of(strategy.owner))
+    kernel = net.kernel
     for m, ts in strategy.choice.items():
+        enabled = kernel.enabled(kernel.encode(m))
         for t in sorted(ts):
             if t not in owned:
                 raise InputError(
                     f"strategy for {strategy.owner} chooses foreign transition {t}")
-            if not (net.pre(t) <= m and not (net.post(t) & m)):
+            if t not in enabled:
                 raise InputError(
                     f"strategy for {strategy.owner} chooses {t}, "
                     f"not enabled at {format_marking(m)}")

@@ -42,6 +42,42 @@ def chain_net(k):
     return "\n".join(lines) + "\n"
 
 
+def reference_reachability(net):
+    """Token-game search on frozenset markings, written without
+    ``petrigames.nets``: (states sorted by marking, edges sorted by
+    (source marking, transition), least contact witness (marking,
+    transition) or None)."""
+    def key(m):
+        return tuple(sorted(m))
+
+    pre = {t: frozenset(a for a, b in net.flow if b == t) for t in net.transitions}
+    post = {t: frozenset(b for a, b in net.flow if a == t) for t in net.transitions}
+    seen = {net.initial}
+    stack = [net.initial]
+    edges = []
+    contacts = []
+    while stack:
+        m = stack.pop()
+        for t in net.transitions:
+            if not pre[t] <= m:
+                continue
+            if post[t] & m:
+                contacts.append((key(m), t))
+                continue
+            m2 = (m - pre[t]) | post[t]
+            edges.append((m, t, m2))
+            if m2 not in seen:
+                seen.add(m2)
+                stack.append(m2)
+    states = sorted(seen, key=key)
+    edges.sort(key=lambda e: (key(e[0]), e[1]))
+    contact = None
+    if contacts:
+        m_key, t = min(contacts)
+        contact = (frozenset(m_key), t)
+    return states, edges, contact
+
+
 def full_edges(g):
     """Adjacency of the unrestricted game graph: qi -> [(a, j, qj)]."""
     return [list(g.edges(qi)) for qi in range(len(g.states))]

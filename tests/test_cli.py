@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from helpers import chain_net
 from petrigames import fixtures
 from petrigames.cli import build_parser, config_from_args, main, run
 
@@ -194,3 +195,26 @@ def test_env_var_overrides_bounds(f4_path, monkeypatch):
     from petrigames.errors import InputError
     with pytest.raises(InputError):
         build_parser()
+
+
+@pytest.mark.parametrize("extra", ["net again", "locations env u",
+                                   "place p0 @env",
+                                   "trans t0 @env pre p1 post p0"])
+def test_duplicate_declarations_exit_2(tmp_path, extra):
+    path = tmp_path / "dup.net"
+    path.write_text(fixtures.FIG4 + extra + "\n")   # FIG4 has 13 lines
+    code, out = invoke(["validate", str(path)])
+    assert code == 2
+    assert "net format error on line 14: duplicate" in out
+
+
+def test_unfold_honours_max_states(tmp_path):
+    path = tmp_path / "chain2.net"
+    path.write_text(chain_net(2))          # 18 reachable markings
+    for argv in (["unfold", str(path)],
+                 ["export", str(path), "--what", "unfolding"]):
+        code, out = invoke(argv + ["--max-states", "10"])
+        assert code == 3
+        assert "reachability graph exceeds 10 states" in out
+        code, _ = invoke(argv)
+        assert code == 0

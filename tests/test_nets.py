@@ -197,3 +197,24 @@ def test_parse_errors_carry_line_numbers():
     assert "line 3" in str(err.value)
     with pytest.raises(InputError):
         parse_net("locations env\n")  # missing net name
+
+
+NET_HEAD = "net x\nlocations env u\nplace p @env init\nplace q @env\n"
+
+
+@pytest.mark.parametrize("text,line,what", [
+    (NET_HEAD + "net y\n", 5, "duplicate 'net' line (first on line 1)"),
+    (NET_HEAD + "locations env\n", 5, "duplicate 'locations' line (first on line 2)"),
+    (NET_HEAD + "place p @u\n", 5, "duplicate place 'p' (first on line 3)"),
+    (NET_HEAD + "trans t @env pre p post q\n# again\ntrans t @env pre q post p\n",
+     7, "duplicate transition 't' (first on line 5)"),
+], ids=["net", "locations", "place", "transition"])
+def test_parse_rejects_duplicate_declarations(text, line, what):
+    with pytest.raises(InputError) as err:
+        parse_net(text)
+    assert str(err.value) == f"net format error on line {line}: {what}"
+
+
+def test_place_and_transition_may_share_an_id_until_validation():
+    net = parse_net(NET_HEAD + "trans p @env pre p post q\n")
+    assert any("both a place and a transition" in d for d in validate_net(net))
