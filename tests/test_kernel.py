@@ -32,12 +32,21 @@ from petrigames.randnet import _draw, random_net
 
 NETS = {"F4": fixtures.FIG4, "chain2": chain_net(2)}
 
+#: Play and lasso files for ``translate``; the chain(2) play has a step
+#: group with a causal pair (``a0`` before ``ra0``) and a concurrent event.
+PLAYS = {"F4": "t0+t3\ncycle: t1 t5 t3 t0\n",
+         "chain2": "a0+a1+ra0 ra1\ncycle: te01 te10\n"}
+LASSOS = {"F4": "t3 t0\ncycle: t1 t5 t3 t0\n",
+          "chain2": "a1 a0 ra1 ra0\ncycle: te01 te10 pass@u0 pass@u1\n"}
+
 COMMANDS = {
     "reach": ["reach", "{net}", "--dot", "--machine"],
     "build-game": ["build-game", "{net}", "--machine"],
     "export-game": ["export", "{net}", "--what", "game", "--dot"],
     "export-fairness": ["export", "{net}", "--what", "fairness"],
     "unfold": ["unfold", "{net}", "--depth", "3", "--dot"],
+    "translate-play": ["translate", "{net}", "--play", "{play}", "--machine"],
+    "translate-lasso": ["translate", "{net}", "--lasso", "{lasso}", "--machine"],
 }
 
 CHECKS = {
@@ -64,9 +73,12 @@ def cases():
 
 
 def report(tmp_path, net, argv):
-    path = tmp_path / f"{net}.net"
-    path.write_text(NETS[net], encoding="utf-8")
-    args = build_parser().parse_args([a.format(net=path) for a in argv])
+    paths = {}
+    for kind, text in (("net", NETS[net]), ("play", PLAYS[net]),
+                       ("lasso", LASSOS[net])):
+        paths[kind] = tmp_path / f"{net}.{kind}"
+        paths[kind].write_text(text, encoding="utf-8")
+    args = build_parser().parse_args([a.format(**paths) for a in argv])
     out = io.StringIO()
     code = run(config_from_args(args), stdout=out)
     return code, out.getvalue()
@@ -95,6 +107,10 @@ GOLDEN = {
     "chain2:check2": "70d3ef5ccfc5a570c568556b9181714398d975ee5425596e0a7ceb5b0ffb0afb",
     "chain2:check3": "438b80b1cf3193781f00b6fc55ddf72aade2d85b041665769bc0feb2528e36de",
     "F4:build-game-simplified": "03fe04a0eb28d6341812a9cbd4536d70965a71a540abe78002177f90fd6e46c4",
+    "F4:translate-play": "f89fcdbe5e83a1de4f11ffb3575ee702a3e61f9ad79e60e9b60b6df057941dc3",
+    "F4:translate-lasso": "ec4aae99c1dd6560ae57f0880efea09f77184ca15feddabeac9756d508577022",
+    "chain2:translate-play": "7a339b030d547b8f5c348be2cb689fb29be023937d63a50ab38c43cdb35c4d2d",
+    "chain2:translate-lasso": "63bea56da2cd922f7475a8ceadf7d90827d7b4de6330d7475392202338e6cf90",
 }
 
 

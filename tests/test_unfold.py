@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 
 import pytest
 
 from petrigames import fixtures
-from petrigames.errors import InputError, PreconditionError
+from petrigames.errors import BoundExceeded, InputError, PreconditionError
 from petrigames.nets import enabled_set, fire, parse_net, reachability_graph
+from petrigames.randnet import random_net
 from petrigames.unfold import (
     NetStrategy,
     Play,
@@ -317,3 +319,51 @@ def test_dot_prefix_is_deterministic():
     b = dot_prefix(unfold_prefix(F4, 2), initial_cut(bp))
     assert a == b
     assert '"t0.1" [shape=box' in a
+
+
+# -- prefixes recorded from the cartesian-product candidate search ------------------
+
+def _prefix_text(net, depth, max_size=20_000):
+    """DOT plus every event's depth, or the bound message."""
+    try:
+        bp = unfold_prefix(net, depth, max_size=max_size)
+    except BoundExceeded as err:
+        return f"bound: {err}\n"
+    depths = "".join(f"{e} {ev.depth}\n" for e, ev in sorted(bp.events.items()))
+    return dot_prefix(bp) + depths
+
+
+#: sha256 over ``_prefix_text(random_net(s), 6, max_size)`` for s in each block
+#: of 10 seeds; at 150 elements some prefixes of every block exceed the bound
+PREFIX_DIGESTS = {
+    (1, 20_000): "32f6410ae3bbffd4c09813f7f7dbb1fb4572d2ab3701169057e0f9d2d54e6c5a",
+    (1, 150): "b216b733ce9a04154d2d7cc24c0727d3a484987023e5beb197b968cea4bb84d5",
+    (11, 20_000): "7e0f34d82f9b1bd95a2a46afe0d9c39c3fce52d7e5d25517330317c2f50bd4c3",
+    (11, 150): "4b740a938e40d0e6554bc7545f85a2e959f589f24efd9c01993d424dc943ede7",
+    (21, 20_000): "e3d49b0e10eae76609dc771bb43a995fdebb814e81a82031ec75dc9f470151e5",
+    (21, 150): "c4a037ef76c0ade3aa620c26b5ce9cc78e2722dce08492e8d707dfa8967ac758",
+    (31, 20_000): "58c87a0ac4194f65e5e0c2c2f919739be908b00afed767b403b43407232ffa6b",
+    (31, 150): "c8a7cdf479e77916dcb0e280641d627bdb8a69364b0ce8182a099de1cbb57562",
+    (41, 20_000): "23d182c2a63507dedb2b1ff70ffa2423d19965ccb9cc4d243f5580580ef04973",
+    (41, 150): "1d8ff407d40cf14ae362071f35fa6ac4533de63554f26b7e987bd2c5d2a68756",
+}
+
+#: the same over the fixtures at depths 0..8
+FIXTURE_PREFIX_DIGEST = "96b53109cbdfafce16a6eaeb46b56169cf52e658f2529e6085b52b2c8f5b0ef0"
+
+
+@pytest.mark.parametrize("first,max_size", sorted(PREFIX_DIGESTS))
+def test_corpus_prefixes_unchanged(first, max_size):
+    h = hashlib.sha256()
+    for seed in range(first, first + 10):
+        h.update(_prefix_text(random_net(seed), 6, max_size).encode("utf-8"))
+    assert h.hexdigest() == PREFIX_DIGESTS[first, max_size]
+
+
+def test_fixture_prefixes_unchanged():
+    h = hashlib.sha256()
+    for name in ("FIG4", "TOGGLE2", "DEADLOCK", "USERONLY", "COOP2"):
+        net = parse_net(getattr(fixtures, name))
+        for depth in range(9):
+            h.update(_prefix_text(net, depth).encode("utf-8"))
+    assert h.hexdigest() == FIXTURE_PREFIX_DIGEST
