@@ -259,12 +259,13 @@ def _dispatch(config: RunConfig, report: Report) -> int:
 
     if config.command == "reach":
         graph = reachability_graph(net, max_states=config.max_states)
+        edges = sum(map(len, graph.out))
         report.say(f"net {net.name}: {len(graph.states)} reachable markings, "
-                   f"{len(graph.edges)} edges")
+                   f"{edges} edges")
         for m in graph.states:
             report.say(f"  {format_marking(m)}")
         report.record("states", len(graph.states))
-        report.record("edges", len(graph.edges))
+        report.record("edges", edges)
         if config.dot:
             report.say(dot_reachability(graph))
         return EXIT_OK

@@ -25,6 +25,10 @@ from .nets import NetSystem
 
 TEMPORAL_OPS = ("X", "G", "U", "F")
 
+#: Deepest nesting of '!', parentheses and coalitions that parses; the
+#: parser and every walk over the syntax tree recurse once per level.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Prop:
@@ -83,6 +87,7 @@ class _Parser:
             self.tokens.append((m.group(1), m.start(1) + 1))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -100,6 +105,13 @@ class _Parser:
                              f"expected {want}, found {tok!r}")
         self.i += 1
         return tok
+
+    def enter(self) -> None:
+        """Open a nesting level at the current token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise InputError(f"syntax error at column {self.column()}: "
+                             f"formula nested deeper than {MAX_NESTING} levels")
 
     # -- grammar ---------------------------------------------------------
 
@@ -119,8 +131,11 @@ class _Parser:
 
     def unary(self) -> Formula:
         if self.peek() == "!":
+            self.enter()
             self.take()
-            return Not(self.unary())
+            node = Not(self.unary())
+            self.depth -= 1
+            return node
         return self.primary()
 
     def primary(self) -> Formula:
@@ -128,13 +143,16 @@ class _Parser:
         if tok is None:
             raise InputError(f"syntax error at column {self.column()}: "
                              "unexpected end of formula")
-        if tok == "(":
-            self.take()
-            node = self.formula()
-            self.take(")")
+        if tok in ("(", "<<"):
+            self.enter()
+            if tok == "(":
+                self.take()
+                node = self.formula()
+                self.take(")")
+            else:
+                node = self.coalition()
+            self.depth -= 1
             return node
-        if tok == "<<":
-            return self.coalition()
         if tok == "true":
             self.take()
             return TrueConst()

@@ -41,7 +41,7 @@ from .nets import (
     format_marking,
     require_contact_free,
 )
-from .unfold import Play, materialise_play, validate_play
+from .unfold import Play, interleavings, materialise_play, validate_play
 
 SCHEDULER_NAME = "scheduler"
 DEFAULT_LINEARISATION_BOUND = 1000
@@ -336,27 +336,6 @@ def computation_to_play(net: NetSystem, g: GameStructure,
     return Play(steps, cycle, ())
 
 
-def _linear_extensions(order: Mapping[str, set], items: Sequence[str]):
-    """All linear extensions of a finite partial order, lexicographically."""
-    items = sorted(items)
-    if not items:
-        yield ()
-        return
-    remaining = set(items)
-
-    def extend(done: tuple):
-        if len(done) == len(items):
-            yield done
-            return
-        for x in items:
-            if x in remaining and order.get(x, set()) <= set(done):
-                remaining.discard(x)
-                yield from extend(done + (x,))
-                remaining.add(x)
-
-    yield from extend(())
-
-
 def play_to_computations(net: NetSystem, g: GameStructure,
                          constraints: Iterable[FairnessConstraint],
                          play: Play,
@@ -379,13 +358,9 @@ def play_to_computations(net: NetSystem, g: GameStructure,
     bp = mat.bp
 
     # linear extensions per prefix gap, under the gap's causal order
-    gap_choices = []
-    for fired in mat.step_events[: mat.cycle_starts_at]:
-        order = {e: {f for f in fired if f != e and bp.causally_le(f, e)}
-                 for e in fired}
-        labels = [tuple(bp.events[e].label for e in ext)
-                  for ext in _linear_extensions(order, fired)]
-        gap_choices.append(labels)
+    gap_choices = [[tuple(bp.events[e].label for e in ext)
+                    for ext in interleavings(bp, fired)]
+                   for fired in mat.step_events[: mat.cycle_starts_at]]
 
     def step_for(qi: int, t: str) -> tuple:
         owner = net.location_of(t)

@@ -192,8 +192,9 @@ class ReachabilityGraph:
 
     ``states`` are sorted by :func:`marking_key`; ``out[i]`` lists the
     ``(transition, target index)`` pairs of state ``i`` by transition;
-    ``edges`` spells the same edges out as ``(marking, transition,
-    marking)`` triples, sorted by source marking, then transition.
+    ``edges`` spells the same edges out, on first use, as ``(marking,
+    transition, marking)`` triples, sorted by source marking, then
+    transition.
     ``contact`` is the least ``(marking, transition)`` in that order whose
     transition has its pre-set marked and its post-set not token-free, or
     None for a contact-free net.
@@ -206,9 +207,12 @@ class ReachabilityGraph:
         self.initial = initial
         self.contact = contact
         self.index = {m: i for i, m in enumerate(self.states)}
-        self.edges = tuple((m, t, self.states[j])
-                           for m, succ in zip(self.states, self.out)
-                           for t, j in succ)
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        return tuple((m, t, self.states[j])
+                     for m, succ in zip(self.states, self.out)
+                     for t, j in succ)
 
     def __len__(self) -> int:
         return len(self.states)

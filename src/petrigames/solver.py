@@ -51,13 +51,12 @@ from .game import (
     FairnessConstraint,
     GameStructure,
     LassoComputation,
-    _linear_extensions,
     build_fairness,
     build_game,
 )
 from .nets import NetSystem, format_marking, marking_key, parse_marking
 from .unfold import BranchingProcess, NetStrategy, cut_step, enabled_events, \
-    events_before_cut, initial_cut
+    events_before_cut, initial_cut, interleavings
 
 DEFAULT_PROFILE_BOUND = 200_000
 
@@ -674,6 +673,8 @@ def synthesize(g: GameStructure, constraints: Sequence[FairnessConstraint], pf,
             raise EngineDisagreement(
                 f"engines disagree: enumerate={left.satisfied} "
                 f"fixpoint={right.satisfied}")
+        if left.witness != right.witness:
+            raise EngineDisagreement("engines disagree on the witness profile")
         return left
     raise InputError(f"unknown engine {engine!r}")
 
@@ -845,9 +846,7 @@ def full_memory_from_cut_strategy(bp: BranchingProcess, g: GameStructure,
         chosen = sorted(cut_choice.get(cut, cut_choice.get(frozenset(cut), ())))
         value = chosen[0] if chosen else None
         past = sorted(events_before_cut(bp, cut))
-        order = {e: {f for f in past if f != e and bp.causally_le(f, e)}
-                 for e in past}
-        for extension in _linear_extensions(order, past):
+        for extension in interleavings(bp, past):
             seq = [bp.mu(initial_cut(bp))]
             walking = initial_cut(bp)
             for eid in extension:

@@ -1,9 +1,16 @@
 """Branching processes of a net system: prefixes of the unfolding, B-cuts,
 runs, plays, and the validity/consistency checks plays must satisfy.
 
-Identifiers are deterministic: the k-th occurrence of place ``p`` is the
-condition ``p.k`` and the k-th occurrence of transition ``t`` is the event
-``t.k``, counting creation order layer by layer.
+Occurrence nets are built in one place, :class:`_OccurrenceNet`, for both
+the unfolding prefix and a play's run.  Identifiers are deterministic:
+the k-th occurrence of place ``p`` is the condition ``p.k`` and the k-th
+occurrence of transition ``t`` is the event ``t.k``, counting creation
+order; every event records its causal depth.  :func:`unfold_prefix`
+keeps the co-relation of its conditions (which pairs are concurrent) as
+bitmasks and extends the prefix layer by layer with the co-sets that
+match a transition's pre-set; :func:`materialise_play` fires a play's
+transitions through the net's firing kernel.  :func:`interleavings`
+lists the orders of a set of events that respect causality.
 
 Infinite plays are kept finite as a prefix of single- or multi-event steps
 plus a lasso: a segment of transitions repeated forever at the marking
@@ -22,6 +29,7 @@ from .nets import (
     DEFAULT_STATE_BOUND,
     Marking,
     NetSystem,
+    enabled_set,
     format_marking,
     require_contact_free,
     require_valid,
@@ -66,9 +74,6 @@ class BranchingProcess:
 
     def __contains__(self, x: str) -> bool:
         return x in self.conditions or x in self.events
-
-    def is_event(self, x: str) -> bool:
-        return x in self.events
 
     def label(self, x: str) -> str:
         if x in self.conditions:
@@ -129,6 +134,41 @@ class BranchingProcess:
         return False
 
 
+class _OccurrenceNet:
+    """An occurrence net under construction: it numbers conditions ``p.k``
+    and events ``t.k`` (a valid net never names a place and a transition
+    alike) and gives every event its causal depth."""
+
+    def __init__(self, net: NetSystem):
+        self.net = net
+        self.conditions: dict[str, Condition] = {}
+        self.events: dict[str, Event] = {}
+        self._count: dict[str, int] = {}
+        self.minimal = [self._condition(p, None) for p in sorted(net.initial)]
+
+    def _name(self, label: str) -> str:
+        k = self._count[label] = self._count.get(label, 0) + 1
+        return f"{label}.{k}"
+
+    def _condition(self, place: str, producer: Optional[str]) -> str:
+        cid = self._name(place)
+        self.conditions[cid] = Condition(cid, place, producer)
+        return cid
+
+    def event(self, t: str, pre: frozenset) -> Event:
+        """Add the occurrence of ``t`` that consumes ``pre``, with one new
+        condition per output place."""
+        eid = self._name(t)
+        producers = (self.conditions[c].producer for c in pre)
+        depth = 1 + max((self.events[e].depth for e in producers if e), default=0)
+        post = frozenset(self._condition(p, eid) for p in sorted(self.net.post(t)))
+        event = self.events[eid] = Event(eid, t, pre, post, depth)
+        return event
+
+    def process(self) -> BranchingProcess:
+        return BranchingProcess(self.net, self.conditions, self.events, self.minimal)
+
+
 def unfold_prefix(net: NetSystem, depth: int,
                   max_size: int = DEFAULT_PREFIX_BOUND,
                   max_states: int = DEFAULT_STATE_BOUND) -> BranchingProcess:
@@ -136,72 +176,85 @@ def unfold_prefix(net: NetSystem, depth: int,
     <= ``depth`` (and their conditions); the contact-freeness check that
     precedes it explores at most ``max_states`` markings.
 
-    Events are identified by their label and pre-set: occurrences with
-    equal pre-sets and equal labels are merged, so the result is unique
-    up to nothing at all -- identifiers are deterministic.
+    Layer k adds, in ``(t, sorted pre-set)`` order, an event for every
+    co-set labelled by some ``pre(t)`` that has none yet; such a co-set
+    holds a condition of layer k - 1, so the search starts from those.
     """
     require_contact_free(net, max_states=max_states)
     if depth < 0:
         raise InputError("depth must be >= 0")
+    occ = _OccurrenceNet(net)
+    # with one input place per transition every co-set is a single
+    # condition, and the co-relation is left empty
+    pairs = any(len(net.pre(t)) > 1 for t in net.transitions)
+    bit: dict[str, int] = {}       # condition -> its bit in the masks below
+    co: list = []                  # co[bit[c]]: mask of the conditions concurrent with c
+    pools: dict[str, list] = {}    # place -> the conditions it labels
 
-    cond_seq: dict[str, int] = {}
-    event_seq: dict[str, int] = {}
-    conditions: dict[str, Condition] = {}
-    events: dict[str, Event] = {}
-    event_keys: set = set()
+    def add_conditions(cids: list, concurrent: int) -> None:
+        # new pairwise concurrent conditions, concurrent with ``concurrent``
+        first = len(co)
+        siblings = ((1 << len(cids)) - 1) << first if pairs else 0
+        for i, c in enumerate(cids, start=first):
+            bit[c] = i
+            co.append(concurrent | (siblings & ~(1 << i)))
+            pools.setdefault(occ.conditions[c].label, []).append(c)
+        bits = bin(concurrent)[:1:-1]     # bit i of ``concurrent`` is bits[i]
+        i = bits.find("1")
+        while i >= 0:
+            co[i] |= siblings
+            i = bits.find("1", i + 1)
 
-    def new_condition(place: str, producer: Optional[str]) -> str:
-        idx = cond_seq.get(place, 0) + 1
-        cond_seq[place] = idx
-        cid = f"{place}.{idx}"
-        conditions[cid] = Condition(cid, place, producer)
-        return cid
-
-    minimal = [new_condition(p, None) for p in sorted(net.initial)]
-    bp = BranchingProcess(net, conditions, events, minimal)
-
-    for layer in range(1, depth + 1):
-        by_label: dict[str, list] = {}
-        for cid, cond in conditions.items():
-            by_label.setdefault(cond.label, []).append(cid)
-        for pool in by_label.values():
-            pool.sort()
-        candidates = []
-        for t in sorted(net.transitions):
-            pools = [by_label.get(p, []) for p in sorted(net.pre(t))]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*pools):
-                pre = frozenset(combo)
-                if len(pre) < len(pools) or (t, pre) in event_keys:
-                    continue
-                pairwise_ok = all(
-                    not bp.causally_le(a, b) and not bp.causally_le(b, a)
-                    and not bp.in_conflict(a, b)
-                    for a, b in itertools.combinations(sorted(pre), 2))
-                if not pairwise_ok:
-                    continue
-                candidates.append((t, tuple(sorted(pre)), pre))
-        added = False
-        for t, key, pre in sorted(candidates):
-            producers = [conditions[c].producer for c in pre]
-            ev_depth = 1 + max((events[p].depth for p in producers if p), default=0)
-            if ev_depth != layer:
-                continue
-            idx = event_seq.get(t, 0) + 1
-            event_seq[t] = idx
-            eid = f"{t}.{idx}"
-            post = frozenset(new_condition(p, eid) for p in sorted(net.post(t)))
-            events[eid] = Event(eid, t, pre, post, ev_depth)
-            event_keys.add((t, pre))
-            added = True
-            if len(conditions) + len(events) > max_size:
+    add_conditions(occ.minimal, 0)
+    fresh = occ.minimal
+    for _ in range(depth):
+        found = set()
+        for c in fresh:
+            place = occ.conditions[c].label
+            for t in net.post(place):
+                partial = [((c,), co[bit[c]])]
+                for p in sorted(net.pre(t) - {place}):
+                    partial = [(chosen + (d,), allowed & co[bit[d]])
+                               for chosen, allowed in partial
+                               for d in pools.get(p, ()) if allowed >> bit[d] & 1]
+                found.update((t, tuple(sorted(chosen))) for chosen, _ in partial)
+        fresh = []
+        for t, pre in sorted(found):
+            event = occ.event(t, frozenset(pre))
+            if len(occ.conditions) + len(occ.events) > max_size:
                 raise BoundExceeded(
                     f"unfolding prefix exceeds {max_size} elements", max_size)
-        if not added:
-            break
-        bp = BranchingProcess(net, conditions, events, minimal)
-    return BranchingProcess(net, conditions, events, minimal)
+            concurrent = -1               # all ones
+            for c in pre:
+                concurrent &= co[bit[c]]
+            post = sorted(event.post)
+            add_conditions(post, concurrent)
+            fresh.extend(post)
+    return occ.process()
+
+
+def interleavings(bp: BranchingProcess, events: Iterable[str]):
+    """Every order of ``events`` that puts each event after its causes
+    among them, lexicographically by event id.  A loop, so a long causal
+    chain needs no deep recursion."""
+    items = sorted(events)
+    causes = {e: bp.event_past(e).intersection(items) - {e} for e in items}
+    order: list = []
+    placed: set = set()
+    stack = [iter(items)]       # per position of ``order``: the items left to try
+    while stack:
+        for e in stack[-1]:
+            if e not in placed and causes[e] <= placed:
+                order.append(e)
+                placed.add(e)
+                stack.append(iter(items))
+                break
+        else:
+            if len(order) == len(items):
+                yield tuple(order)
+            stack.pop()
+            if order:
+                placed.discard(order.pop())
 
 
 def relation_query(bp: BranchingProcess, x: str, y: str) -> str:
@@ -354,44 +407,23 @@ def materialise_play(net: NetSystem, play: Play, passes: int = 2) -> Materialise
     appears or when the cycle does not return to its starting marking.
     """
     require_valid(net)
-    cond_seq: dict[str, int] = {}
-    event_seq: dict[str, int] = {}
-    conditions: dict[str, Condition] = {}
-    events: dict[str, Event] = {}
-
-    def new_condition(place: str, producer: Optional[str]) -> str:
-        idx = cond_seq.get(place, 0) + 1
-        cond_seq[place] = idx
-        cid = f"{place}.{idx}"
-        conditions[cid] = Condition(cid, place, producer)
-        return cid
-
-    minimal = [new_condition(p, None) for p in sorted(net.initial)]
-    current: dict[str, str] = {conditions[c].label: c for c in minimal}
+    occ = _OccurrenceNet(net)
+    current = {occ.conditions[c].label: c for c in occ.minimal}  # place -> condition
     events_in_order: list = []
 
     def fire_label(t: str) -> None:
         if t not in net.transitions:
             raise InputError(f"unknown transition {t!r} in play")
-        pre_places = net.pre(t)
-        missing = [p for p in sorted(pre_places) if p not in current]
-        if missing or (net.post(t) & current.keys()):
+        if t not in enabled_set(net, frozenset(current)):
             raise InputError(
                 f"transition {t} is not enabled at marking "
                 f"{format_marking(frozenset(current))} while replaying the play")
-        pre = frozenset(current[p] for p in pre_places)
-        idx = event_seq.get(t, 0) + 1
-        event_seq[t] = idx
-        eid = f"{t}.{idx}"
-        post = frozenset(new_condition(p, eid) for p in sorted(net.post(t)))
-        events[eid] = Event(eid, t, pre, post, 0)
-        events_in_order.append(eid)
-        for p in pre_places:
-            del current[p]
-        for c in post:
-            current[conditions[c].label] = c
+        event = occ.event(t, frozenset(current.pop(p) for p in net.pre(t)))
+        events_in_order.append(event.eid)
+        for c in event.post:
+            current[occ.conditions[c].label] = c
 
-    cuts = [frozenset(minimal)]
+    cuts = [frozenset(occ.minimal)]
     step_events: list = []
     for step in play.steps:
         if not step:
@@ -421,8 +453,7 @@ def materialise_play(net: NetSystem, play: Play, passes: int = 2) -> Materialise
     for t in play.trailing:
         fire_label(t)
 
-    bp = BranchingProcess(net, conditions, events, minimal)
-    return MaterialisedPlay(bp, cuts, step_events, cycle_starts_at,
+    return MaterialisedPlay(occ.process(), cuts, step_events, cycle_starts_at,
                             events_in_order, pass_boundaries)
 
 

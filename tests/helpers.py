@@ -1,6 +1,7 @@
 """Shared generators and oracles for the property and acceptance suites."""
 
 import random
+import sys
 
 from petrigames.formulas import And, Not, Or, PathFormula, Prop, TrueConst, holds_in
 from petrigames.game import LassoComputation
@@ -40,6 +41,14 @@ def chain_net(k):
                   f"trans ra{i} @env pre x{i} post c{i}",
                   f"trans rb{i} @env pre y{i} post c{i}"]
     return "\n".join(lines) + "\n"
+
+
+def stack_depth():
+    """Frames on the stack, counting this function's own."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def reference_reachability(net):

@@ -1,10 +1,13 @@
 import io
+import sys
 
 import pytest
 
-from helpers import chain_net
-from petrigames import fixtures
+from helpers import chain_net, stack_depth
+from petrigames import fixtures, solver
 from petrigames.cli import build_parser, config_from_args, main, run
+from petrigames.formulas import MAX_NESTING
+from petrigames.solver import GameProfile
 
 GOAL_EITHER = "<<u>> F ((p0 & p3) | (p1 & p4))"
 GOAL_BOTH = "<<u>> F (p0 & p3)"
@@ -115,6 +118,52 @@ def test_translate_play_and_back(f4_path, tmp_path):
     code, out = invoke(["translate", f4_path, "--lasso", str(lasso_file)])
     assert code == 0
     assert "play:" in out
+
+
+def test_translate_long_step_group_is_not_bounded_by_recursion(tmp_path):
+    net = tmp_path / "toggle2.net"
+    net.write_text(fixtures.TOGGLE2)
+    play = tmp_path / "chained.play"
+    play.write_text("+".join(["a01", "a10"] * 50) + "\ncycle: a01 a10 b01 b10\n")
+    headroom = 40
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + headroom)
+    try:
+        code, out = invoke(["translate", str(net), "--play", str(play)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert out.startswith("1 computation(s)\n")
+
+
+@pytest.mark.parametrize("opening,closing", [("!", ""), ("(", ")")])
+def test_formula_nesting_limit(f4_path, opening, closing):
+    def check(levels):
+        formula = opening * levels + "p0" + closing * levels
+        return invoke(["check", f4_path, "--formula", formula])
+
+    assert check(MAX_NESTING)[0] == 0
+    code, out = check(3000)
+    assert code == 2
+    assert out.startswith(f"error: syntax error at column {MAX_NESTING + 1}: "
+                          f"formula nested deeper than {MAX_NESTING} levels\n")
+
+
+def test_engine_both_compares_witnesses(f4_path, monkeypatch):
+    fixpoint = solver.synthesize_fixpoint
+
+    def other_witness(*args, **kwargs):
+        verdict = fixpoint(*args, **kwargs)
+        if verdict.witness is not None:
+            verdict.witness = GameProfile(((),))
+        return verdict
+
+    code, _ = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
+    assert code == 0
+    monkeypatch.setattr(solver, "synthesize_fixpoint", other_witness)
+    code, out = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
+    assert code == 4
+    assert "engines disagree on the witness profile" in out
 
 
 def test_export_game_dot(f4_path, tmp_path):

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from helpers import chain_net, formula_pool
+from helpers import chain_net, formula_pool, stack_depth
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, format_formula, parse_formula
@@ -281,13 +281,6 @@ def test_nested_coalition_sets_match_fresh_synthesis():
     assert verdict.satisfied == (g.initial_state() in outer)
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_fixpoint_slot_search_is_not_bounded_by_recursion():
     g, fcs = _game(chain_net(3))
     slots = sum(1 for a in range(g.user_count) for qi in range(len(g.states))
@@ -296,7 +289,7 @@ def test_fixpoint_slot_search_is_not_bounded_by_recursion():
     headroom = 40
     assert slots > headroom
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + headroom)
+    sys.setrecursionlimit(stack_depth() + headroom)
     try:
         verdict = synthesize_fixpoint(g, fcs, pf)
     finally:
