@@ -329,10 +329,11 @@ def _check(config: RunConfig, report: Report, net) -> int:
         report.say("witness strategy:")
         text = format_profile(g, verdict.witness)
         report.say(text.rstrip("\n"))
-        for line in text.strip().splitlines():
-            user, _, rest = line[len("strategy "):].partition(":")
-            report.record(f"witness.{user.strip()}.{rest.split('->')[0].strip()}",
-                          rest.split("->")[1].strip())
+        for a, user in enumerate(g.net.users):
+            for qi, m in enumerate(g.states):
+                label = g.move_label(a, qi, verdict.witness.move(a, qi))
+                report.record(f"witness.{user}.{format_marking(m)}",
+                              label if label is not None else "pass")
     if verdict.counterexample is not None:
         report.say("fair counterexample lasso:")
         report.say(format_lasso(g, verdict.counterexample).rstrip("\n"))

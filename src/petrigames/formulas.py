@@ -25,8 +25,9 @@ from .nets import NetSystem
 
 TEMPORAL_OPS = ("X", "G", "U", "F")
 
-#: Deepest nesting of '!', parentheses and coalitions that parses; the
-#: parser and every walk over the syntax tree recurse once per level.
+#: Deepest nesting of '!', parentheses, coalitions and '&'/'|' chain
+#: operands (each after the first is one level) that parses; the parser
+#: and every walk over the syntax tree recurse once per level.
 MAX_NESTING = 100
 
 
@@ -116,17 +117,23 @@ class _Parser:
     # -- grammar ---------------------------------------------------------
 
     def formula(self) -> Formula:
-        node = self.conjunction()
+        # a chain builds a left-deep tree: each operand after the first
+        # nests one level, released once the chain ends
+        depth, node = self.depth, self.conjunction()
         while self.peek() == "|":
+            self.enter()
             self.take()
             node = Or(node, self.conjunction())
+        self.depth = depth
         return node
 
     def conjunction(self) -> Formula:
-        node = self.unary()
+        depth, node = self.depth, self.unary()
         while self.peek() == "&":
+            self.enter()
             self.take()
             node = And(node, self.unary())
+        self.depth = depth
         return node
 
     def unary(self) -> Formula:

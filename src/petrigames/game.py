@@ -357,9 +357,12 @@ def play_to_computations(net: NetSystem, g: GameStructure,
     mat = materialise_play(net, play, passes=1)
     bp = mat.bp
 
-    # linear extensions per prefix gap, under the gap's causal order
+    # linear extensions per prefix gap, under the gap's causal order; the
+    # product below is lexicographic, so its first ``bound`` tuples use
+    # only the first ``bound`` orders of each gap
     gap_choices = [[tuple(bp.events[e].label for e in ext)
-                    for ext in interleavings(bp, fired)]
+                    for ext in itertools.islice(interleavings(bp, fired),
+                                               max(bound, 0))]
                    for fired in mat.step_events[: mat.cycle_starts_at]]
 
     def step_for(qi: int, t: str) -> tuple:

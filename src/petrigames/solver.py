@@ -14,14 +14,14 @@ formula (and at least one fair computation exists)?
   survivors are verified exactly, so both engines return identical
   verdicts and witnesses wherever both run.
 
-The fair game of one objective is a single product arena of (state,
-monitor, awaited constraint) nodes, built lazily and once: every slot
-assignment of the search is a mask over it, and ``model_check`` shares
-one arena among all the states it labels for a coalition subformula.
+Both engines read one product of the game with a monitor automaton for
+the path formula (2 states for G, 3 for U): ``_FairGame`` builds, lazily
+and once, a row per (state, monitor) node listing the node each move
+reaches, and its fair game arena from these rows.  ``model_check``
+shares one such arena among all the states it labels for a coalition.
 
-Verification of one profile restricts the user moves, builds the product
-with a small monitor automaton for the path formula (2 states for G,
-3 for U), and looks for a reachable strongly connected component that
+Verification of one profile restricts the rows to the profile's user
+moves and looks for a reachable strongly connected component that
 contains a violating cycle satisfying every weak fairness constraint
 (disabled at some position or taken at some step).  Weak fairness makes
 this a generalized Buechi condition, so SCC inspection is exact.
@@ -107,13 +107,14 @@ class PathObjective:
             else frozenset({_PENDING, _FAILED})
 
 
-def _objective(g: GameStructure, pf) -> PathObjective:
-    """The objective of ``pf``: a path formula, an objective, or the
-    :class:`_FairGame` that :func:`model_check` builds for one."""
+def _arena(g: GameStructure, constraints: Sequence[FairnessConstraint],
+           pf) -> "_FairGame":
+    """The product arena of ``pf``: a path formula, an objective, or a
+    :class:`_FairGame` already built on ``g`` and ``constraints``."""
     if isinstance(pf, _FairGame):
-        return pf.objective
-    return pf if isinstance(pf, PathObjective) \
-        else PathObjective.from_path_formula(g, pf)
+        return pf
+    return _FairGame(g, constraints, pf if isinstance(pf, PathObjective)
+                     else PathObjective.from_path_formula(g, pf))
 
 
 @dataclass(frozen=True)
@@ -193,16 +194,6 @@ def _profile_vector(g: GameStructure, profile: GameProfile,
     return tuple(vec)
 
 
-def _restricted_edges(g: GameStructure, profile: GameProfile, qi: int):
-    """Outgoing (scheduled, move, successor) under the profile; adversary
-    keeps the scheduler and environment choices."""
-    for a in range(g.user_count):
-        j = profile.move(a, qi)
-        yield a, j, g.apply_move(qi, a, j)
-    for j in range(g.d(g.env_player, qi)):
-        yield g.env_player, j, g.apply_move(qi, g.env_player, j)
-
-
 def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
                    profile: GameProfile, pf, q0: Optional[int] = None,
                    ) -> VerifyOutcome:
@@ -210,17 +201,20 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     and every one of them satisfies the path formula.
 
     On failure returns a fair violating lasso, or a reason when the
-    profile admits no fair computation at all.
+    profile admits no fair computation at all.  ``pf`` may also be a
+    :class:`_FairGame` on ``g``, whose rows are then read, not rebuilt.
     """
     validate_game_profile(g, profile)
     if q0 is None:
         q0 = g.initial_state()
     if not 0 <= q0 < len(g.states):
         raise InputError(f"unknown state index {q0}")
-    objective = _objective(g, pf)
+    game = _arena(g, constraints, pf)
     constraints = tuple(constraints)
 
-    root = (q0, objective.monitor_step(_PENDING, q0))
+    # the arena's rows restricted to the profile: one move per user, every
+    # environment move (the scheduler picks among them)
+    root = game.start(q0)
     adjacency: dict[tuple, list] = {}
     stack = [root]
     while stack:
@@ -228,12 +222,12 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
         if node in adjacency:
             continue
         qi, mon = node
-        edges = []
-        for a, j, qj in _restricted_edges(g, profile, qi):
-            target = (qj, objective.monitor_step(mon, qj))
-            edges.append((target, a, j))
-            if target not in adjacency:
-                stack.append(target)
+        row = game.row(qi, mon)
+        edges = [(row[a][moves[qi]], a, moves[qi])
+                 for a, moves in enumerate(profile.moves)]
+        edges.extend((target, g.env_player, j)
+                     for j, target in enumerate(row[g.env_player]))
+        stack.extend(target for target, _, _ in edges if target not in adjacency)
         adjacency[node] = edges
     for edges in adjacency.values():
         edges.sort(key=lambda e: (e[0], e[1], e[2]))
@@ -258,7 +252,7 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
         node = next(iter(component))
         return any(target == node for target, _, _ in adjacency[node])
 
-    violating = objective.violating_monitors()
+    violating = game.objective.violating_monitors()
     any_fair = False
     for component in sccs:
         if not has_cycle(component) or not fair_scc(component):
@@ -397,17 +391,18 @@ def _extract_lasso(g: GameStructure, profile: GameProfile,
 def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstraint],
                          pf, q0: Optional[int] = None,
                          max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
-    """Try every profile in canonical order; the first winning one is the
-    witness.  Unsatisfied verdicts carry the last profile's counterexample."""
+    """Try every profile in canonical order on one arena; the first winning
+    one is the witness.  Unsatisfied verdicts carry the last profile's
+    counterexample."""
     space = profile_space(g)
     if space > max_profiles:
         raise BoundExceeded(
             f"profile space of size {space} exceeds the enumeration bound "
             f"{max_profiles}; use the fixpoint engine", max_profiles)
-    objective = _objective(g, pf)
+    game = _arena(g, constraints, pf)
     last: Optional[VerifyOutcome] = None
     for profile in iter_profiles(g):
-        outcome = verify_profile(g, constraints, profile, objective, q0)
+        outcome = verify_profile(g, constraints, profile, game, q0)
         if outcome.ok:
             return Verdict(True, witness=profile)
         last = outcome
@@ -418,13 +413,16 @@ def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstra
 # -- fixed-point engine -----------------------------------------------------------
 
 class _FairGame:
-    """The fair Buechi game of one objective, as a product arena shared by
-    every slot assignment and every start state.
+    """The (state, monitor) product of one objective, and its fair Buechi
+    game as an arena shared by every slot assignment and every start state.
 
-    Nodes get integer ids.  A ``c`` node ``(qi, mon, cnt, tick)`` belongs
-    to the adversary (scheduler and environment): ``mon`` is the monitor
-    state, ``cnt`` the weak fairness constraint awaited next and ``tick``
-    marks a completed round of all constraints.  A ``u`` node
+    :meth:`row` lists, once per ``(qi, mon)``, the ``(qj, mon')`` each move
+    of each user and of the environment reaches; :func:`verify_profile`
+    restricts it to one profile, and the game nodes are built from it.
+    Game nodes get integer ids.  A ``c`` node ``(qi, mon, cnt, tick)``
+    belongs to the adversary (scheduler and environment): ``cnt`` is the
+    weak fairness constraint awaited next and ``tick`` marks a completed
+    round of all constraints.  A ``u`` node
     ``(qi, mon, cnt, user)`` is a user's free choice, owned by the
     protagonist.  A ``c`` node is accepting after a completed round under
     a violating monitor.  Expanding it stores, once, ``choices``: for each
@@ -447,6 +445,7 @@ class _FairGame:
         self.objective = objective
         self.m = max(1, len(self.constraints))
         self._violating = objective.violating_monitors()
+        self._rows: dict = {}       # (qi, mon) -> per player, per move (qj, mon')
         self._c_ids: dict = {}      # (qi, mon, cnt, tick) -> id
         self._moves: dict = {}      # (qi, mon, cnt) -> (choices, static)
         self._key: list = []        # id -> c node key (None for u nodes)
@@ -488,10 +487,19 @@ class _FairGame:
                 tick = True
         return cnt, tick
 
-    def _step(self, qi: int, mon: int, cnt: int, scheduled: int, j: int) -> int:
-        qj = self.g.apply_move(qi, scheduled, j)
-        cnt2, tick = self._advance(qi, scheduled, j, cnt)
-        return self._c_node(qj, self.objective.monitor_step(mon, qj), cnt2, tick)
+    def row(self, qi: int, mon: int) -> tuple:
+        """For each user, then the environment, the ``(qj, mon')`` that
+        each of its moves reaches from ``(qi, mon)``."""
+        row = self._rows.get((qi, mon))
+        if row is None:
+            step = self.objective.monitor_step
+            row = self._rows[(qi, mon)] = tuple(
+                tuple((qj, step(mon, qj)) for qj in per_state[qi])
+                for per_state in self.g.successors)
+        return row
+
+    def start(self, q0: int) -> tuple:
+        return q0, self.objective.monitor_step(_PENDING, q0)
 
     def _expand(self, node: int) -> tuple:
         qi, mon, cnt, _ = self._key[node]
@@ -501,22 +509,20 @@ class _FairGame:
             # them, and each (qi, mon, cnt, user) gets one u node
             g = self.g
             choices, static = [], []
-            for a in range(g.user_count):
-                targets = tuple(self._step(qi, mon, cnt, a, j)
-                                for j in range(g.d(a, qi)))
-                if len(targets) > 1:
+            for a, per_move in enumerate(self.row(qi, mon)):
+                targets = tuple(self._c_node(qj, mon2, *self._advance(qi, a, j, cnt))
+                                for j, (qj, mon2) in enumerate(per_move))
+                if a != g.env_player and len(targets) > 1:
                     choices.append(
                         (a * len(g.states) + qi, self._u_node(targets), targets))
                 else:
                     static.extend(targets)
-            static.extend(self._step(qi, mon, cnt, g.env_player, j)
-                          for j in range(g.d(g.env_player, qi)))
             moves = self._moves[(qi, mon, cnt)] = (tuple(choices), tuple(static))
         self._out[node] = moves
         return moves
 
     def root(self, q0: int) -> int:
-        return self._c_node(q0, self.objective.monitor_step(_PENDING, q0), 0, False)
+        return self._c_node(*self.start(q0), 0, False)
 
     def solve(self, fixed: Sequence, root: int) -> bool:
         """True iff the adversary wins from ``root`` when user ``a`` plays
@@ -615,15 +621,13 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
     """
     if q0 is None:
         q0 = g.initial_state()
-    game = pf if isinstance(pf, _FairGame) \
-        else _FairGame(g, constraints, _objective(g, pf))
+    game = _arena(g, constraints, pf)
     n = len(g.states)
     root = game.root(q0)
     # slot a * n + qi holds user a's move at state qi; None while free
     sizes = [g.d(a, qi) for a in range(g.user_count) for qi in range(n)]
     slots = [slot for slot, size in enumerate(sizes) if size > 1]
     fixed = [None] * len(sizes)
-    vacuity_probe = PathObjective("G", (True,) * n)
     depth = 0     # slots[:depth] are fixed
     while True:
         if not game.solve(fixed, root):
@@ -631,12 +635,12 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
                 fixed[slots[depth]] = 0
                 depth += 1
                 continue
-            # the leaf game solve is exact on a fully assigned profile, so
-            # only non-vacuity (a fair computation exists) remains
+            # the leaf solve is exact on a full profile, so the exact check
+            # on the same arena adds only non-vacuity (a fair computation)
             profile = GameProfile(tuple(
                 tuple(j or 0 for j in fixed[a * n:(a + 1) * n])
                 for a in range(g.user_count)))
-            if verify_profile(g, game.constraints, profile, vacuity_probe, q0).ok:
+            if verify_profile(g, game.constraints, profile, game, q0).ok:
                 return Verdict(True, witness=profile)
         # backtrack to the deepest slot with an untried move
         while depth:
@@ -650,7 +654,7 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
         else:
             break
     fallback = verify_profile(g, game.constraints, next(iter_profiles(g)),
-                              game.objective, q0)
+                              game, q0)
     return Verdict(False, counterexample=fallback.counterexample,
                    reason="adversary defeats every memoryless profile "
                           "(fixed-point search exhausted)")
@@ -686,9 +690,9 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
                 engine: str = "enumerate",
                 max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
     """Bottom-up labelling: boolean connectives as set operations, coalition
-    subformulas solved per state by strategy synthesis.  The fixpoint
-    engine labels all states of one coalition subformula on one arena,
-    which is dropped when the call returns."""
+    subformulas solved per state by strategy synthesis.  Either engine
+    labels all states of one coalition subformula on one arena, which is
+    dropped when the call returns."""
     violations = check_fragment(formula, g.net)
     if violations:
         raise InputError("formula outside the checkable fragment: "

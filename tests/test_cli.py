@@ -149,6 +149,33 @@ def test_formula_nesting_limit(f4_path, opening, closing):
                           f"formula nested deeper than {MAX_NESTING} levels\n")
 
 
+@pytest.mark.parametrize("operator", ["&", "|"])
+def test_flat_chain_limit(f4_path, operator):
+    def check(operands):
+        formula = f" {operator} ".join(["p0"] * operands)
+        return invoke(["check", f4_path, "--formula", formula])
+
+    assert check(MAX_NESTING + 1)[0] == 0
+    code, out = check(3000)
+    assert code == 2
+    column = len(f" {operator} ".join(["p0"] * (MAX_NESTING + 1))) + 2
+    assert out.startswith(f"error: syntax error at column {column}: "
+                          f"formula nested deeper than {MAX_NESTING} levels\n")
+
+
+def test_machine_witness_keys_keep_arrows_in_names(tmp_path):
+    net = tmp_path / "arrow.net"
+    net.write_text("net arrow\nlocations env u\nplace p0 @u init\n"
+                   "place p1 @env\ntrans a->b @u pre p0 post p1\n"
+                   "trans back @env pre p1 post p0\n")
+    code, out = invoke(["check", str(net), "--formula", "<<u>> F p1",
+                        "--machine"])
+    assert code == 0
+    assert "strategy u: {p0} -> a->b\n" in out
+    assert "witness.u.{p0}: a->b\n" in out
+    assert "witness.u.{p1}: pass\n" in out
+
+
 def test_engine_both_compares_witnesses(f4_path, monkeypatch):
     fixpoint = solver.synthesize_fixpoint
 

@@ -1,6 +1,7 @@
 import pytest
 
-from petrigames import fixtures
+from helpers import chain_net
+from petrigames import fixtures, game
 from petrigames.errors import InputError, PreconditionError
 from petrigames.game import (
     LassoComputation,
@@ -16,7 +17,7 @@ from petrigames.game import (
     stutter_remove,
 )
 from petrigames.nets import parse_net
-from petrigames.unfold import Play, validate_play
+from petrigames.unfold import Play, parse_play, validate_play
 
 F4 = parse_net(fixtures.FIG4)
 S = frozenset
@@ -307,6 +308,29 @@ def test_play_to_computations_rejects_invalid_play(g4, fc4):
     bad = Play.from_sequence(["t3"], cycle=["t5", "t3"])  # starves t0
     with pytest.raises(PreconditionError):
         play_to_computations(F4, g4, fc4, bad)
+
+
+def test_play_to_computations_draws_only_bound_orders(monkeypatch):
+    # chain(8): eight concurrent user choices, then eight concurrent undos;
+    # each step group has 8! = 40320 orders
+    net = parse_net(chain_net(8))
+    g = build_game(net)
+    fcs = build_fairness(net, g)
+    play = parse_play(" ".join("+".join(f"{t}{i}" for i in range(8))
+                               for t in ("a", "ra")) + "\ncycle: te01 te10\n")
+    drawn = []
+    interleavings = game.interleavings
+
+    def counted(bp, events):
+        drawn.append(0)
+        for order in interleavings(bp, events):
+            drawn[-1] += 1
+            yield order
+
+    monkeypatch.setattr(game, "interleavings", counted)
+    lassos = play_to_computations(net, g, fcs, play, bound=1)
+    assert len(drawn) == 2 and max(drawn) <= 1
+    assert any(lasso_is_fair(g, fcs, lam).fair for lam in lassos)
 
 
 def test_round_trip_play_computation_play(g4, fc4):

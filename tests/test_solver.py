@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from helpers import chain_net, formula_pool, stack_depth
+from helpers import chain_net, formula_pool, monitor_start, monitor_step, stack_depth
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, format_formula, parse_formula
@@ -296,6 +296,30 @@ def test_fixpoint_slot_search_is_not_bounded_by_recursion():
         sys.setrecursionlimit(limit)
     assert verdict.satisfied
     assert verify_profile(g, fcs, verdict.witness, pf).ok
+
+
+def test_enumerate_sweep_steps_each_product_edge_once(g4, fc4, monkeypatch):
+    # every (state, monitor) edge of the unrestricted game, counted with the
+    # independent monitor of tests/helpers.py
+    q0 = g4.initial_state()
+    root = (q0, monitor_start(REACH_BOTH, g4.w(q0)))
+    seen, stack, edges = {root}, [root], 0
+    while stack:
+        qi, mon = stack.pop()
+        for per_state in g4.successors:
+            for qj in per_state[qi]:
+                edges += 1
+                target = (qj, monitor_step(REACH_BOTH, mon, g4.w(qj)))
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+    calls = []
+    step = PathObjective.monitor_step
+    monkeypatch.setattr(PathObjective, "monitor_step",
+                        lambda self, mon, qi: calls.append(qi) or step(self, mon, qi))
+    verdict = synthesize_enumerate(g4, fc4, REACH_BOTH)
+    assert not verdict.satisfied    # so the sweep verified every profile
+    assert len(calls) <= edges + profile_space(g4)
 
 
 # -- strategy conversion ----------------------------------------------------------
