@@ -20,6 +20,13 @@ and once, a row per (state, monitor) node listing the node each move
 reaches, and its fair game arena from these rows.  ``model_check``
 shares one such arena among all the states it labels for a coalition.
 
+Under ``enumerate`` and ``both``, ``model_check`` synthesizes at every
+state.  Under ``fixpoint`` only the printed root verdict comes from a
+full synthesis; every other state is decided exactly by the cheapest of
+three answers: it lies in the adversary's full-memory winning region
+(one Buechi solve for all start states), an earlier witness wins there,
+or a slot search run at that state.
+
 Verification of one profile restricts the rows to the profile's user
 moves and looks for a reachable strongly connected component that
 contains a violating cycle satisfying every weak fairness constraint
@@ -210,8 +217,26 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     if not 0 <= q0 < len(g.states):
         raise InputError(f"unknown state index {q0}")
     game = _arena(g, constraints, pf)
-    constraints = tuple(constraints)
+    refutation = _refute(game, profile, q0)
+    if refutation is None:
+        return VerifyOutcome(True, None, "")
+    adjacency, root, component = refutation
+    if component is None:
+        return VerifyOutcome(
+            False, None, "profile admits no fair computation from the initial state")
+    # the lasso's shortest paths break ties by edge order
+    for edges in adjacency.values():
+        edges.sort(key=lambda e: (e[0], e[1], e[2]))
+    lasso = _extract_lasso(g, profile, game.constraints, adjacency, root, component)
+    return VerifyOutcome(False, lasso, "fair violating computation found")
 
+
+def _refute(game: _FairGame, profile: GameProfile, q0: int) -> Optional[tuple]:
+    """The answer-only part of :func:`verify_profile`: None when the profile
+    wins from ``q0``, otherwise ``(adjacency, root, component)`` with the
+    first fair violating strongly connected component, or None in its
+    place when the profile admits no fair computation.  Builds no lasso."""
+    g = game.g
     # the arena's rows restricted to the profile: one move per user, every
     # environment move (the scheduler picks among them)
     root = game.start(q0)
@@ -229,13 +254,9 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
                      for j, target in enumerate(row[g.env_player]))
         stack.extend(target for target, _, _ in edges if target not in adjacency)
         adjacency[node] = edges
-    for edges in adjacency.values():
-        edges.sort(key=lambda e: (e[0], e[1], e[2]))
-
-    sccs = _strongly_connected_components(sorted(adjacency), adjacency)
 
     def fair_scc(component: frozenset) -> bool:
-        for fc in constraints:
+        for fc in game.constraints:
             if any(not fc.enabled(qi) for qi, _ in component):
                 continue
             if any(_edge_taken(g, fc, qi, a, j)
@@ -254,18 +275,13 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
 
     violating = game.objective.violating_monitors()
     any_fair = False
-    for component in sccs:
+    for component in _strongly_connected_components(sorted(adjacency), adjacency):
         if not has_cycle(component) or not fair_scc(component):
             continue
-        any_fair = True
         if next(iter(component))[1] in violating:
-            lasso = _extract_lasso(g, profile, constraints, adjacency,
-                                   root, component)
-            return VerifyOutcome(False, lasso, "fair violating computation found")
-    if not any_fair:
-        return VerifyOutcome(
-            False, None, "profile admits no fair computation from the initial state")
-    return VerifyOutcome(True, None, "")
+            return adjacency, root, component
+        any_fair = True
+    return None if any_fair else (adjacency, root, None)
 
 
 def _strongly_connected_components(nodes: Sequence, adjacency: Mapping) -> list:
@@ -524,14 +540,14 @@ class _FairGame:
     def root(self, q0: int) -> int:
         return self._c_node(*self.start(q0), 0, False)
 
-    def solve(self, fixed: Sequence, root: int) -> bool:
-        """True iff the adversary wins from ``root`` when user ``a`` plays
-        move ``fixed[a * len(g.states) + qi]`` at state ``qi`` wherever that
-        is not None."""
+    def _walk(self, fixed: Sequence, roots: Sequence) -> tuple:
+        """The part of the arena masked by ``fixed`` that ``roots`` reach,
+        renumbered from 0 in discovery order (the roots first): successor
+        lists, owners and accepting nodes, as :func:`_adversary_region`
+        reads them."""
         out_of, adv_of, accept_of = self._out, self._adv, self._accept
-        # the masked part the root reaches, renumbered from 0 (the root)
-        local = {root: 0}
-        order = [root]
+        local = {root: i for i, root in enumerate(roots)}
+        order = list(roots)
         succ = []
         for node in order:
             out = out_of[node]
@@ -552,8 +568,25 @@ class _FairGame:
                     order.append(t)
                 row.append(i)
             succ.append(row)
-        return _adversary_wins(succ, [adv_of[v] for v in order],
-                               [i for i, v in enumerate(order) if accept_of[v]])
+        return (succ, [adv_of[v] for v in order],
+                [i for i, v in enumerate(order) if accept_of[v]])
+
+    def solve(self, fixed: Sequence, root: int) -> bool:
+        """True iff the adversary wins from ``root`` when user ``a`` plays
+        move ``fixed[a * len(g.states) + qi]`` at state ``qi`` wherever that
+        is not None."""
+        return _adversary_region(*self._walk(fixed, [root]), watch=0)[0]
+
+    def region(self) -> frozenset:
+        """The states whose root lies in the adversary's winning region
+        with every slot free, from one solve over the arena all roots
+        reach: there the adversary beats users with unrestricted memory,
+        so no memoryless profile wins."""
+        g = self.g
+        n = len(g.states)
+        won = _adversary_region(*self._walk([None] * (g.user_count * n),
+                                            [self.root(qi) for qi in range(n)]))
+        return frozenset(qi for qi in range(n) if won[qi])
 
 
 def _attractor(succ: Sequence, preds: Sequence, adv: Sequence, for_adversary: bool,
@@ -582,10 +615,13 @@ def _attractor(succ: Sequence, preds: Sequence, adv: Sequence, for_adversary: bo
     return attracted
 
 
-def _adversary_wins(succ: Sequence, adv: Sequence, accept: Sequence) -> bool:
-    """Whether node 0 is in the adversary's winning region for 'visit
-    ``accept`` infinitely often' (classical repeated-attractor algorithm,
-    stopped as soon as node 0 is decided)."""
+def _adversary_region(succ: Sequence, adv: Sequence, accept: Sequence,
+                      watch: Optional[int] = None) -> list:
+    """The adversary's winning region for 'visit ``accept`` infinitely
+    often', as a membership list (classical repeated-attractor algorithm:
+    remove what the users can attract into a trap avoiding ``accept``
+    until no trap is left).  With ``watch``, the loop stops as soon as that
+    node leaves the region; the list is then exact only at ``watch``."""
     n = len(succ)
     preds: list = [[] for _ in range(n)]
     for v, targets in enumerate(succ):
@@ -597,24 +633,18 @@ def _adversary_wins(succ: Sequence, adv: Sequence, accept: Sequence) -> bool:
                            [v for v in accept if alive[v]], alive)
         trap = [v for v in range(n) if alive[v] and not reach[v]]
         if not trap:
-            return True
+            return alive
         escape = _attractor(succ, preds, adv, False, trap, alive)
-        if escape[0]:
-            return False
         alive = [a and not e for a, e in zip(alive, escape)]
+        if watch is not None and not alive[watch]:
+            return alive
 
 
 def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstraint],
                         pf, q0: Optional[int] = None) -> Verdict:
-    """Attractor-pruned search over profiles.
-
-    A depth-first sweep fixes user moves slot by slot in canonical order;
-    a branch is cut as soon as the adversary wins the fair game against
-    users with unrestricted memory on the remaining slots (sound: the
-    restriction only weakens the users).  Complete assignments are
-    verified exactly, including non-vacuity, so the verdict and witness
-    match the enumerative engine.  The sweep keeps its own slot stack, so
-    its depth is not bounded by recursion.
+    """Attractor-pruned search over profiles (:func:`_search`).  An
+    unsatisfied verdict carries the canonically first profile's
+    counterexample.
 
     ``pf`` may also be a :class:`_FairGame` built on ``g`` and
     ``constraints``; its arena is then grown and reused, not rebuilt.
@@ -622,6 +652,29 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
     if q0 is None:
         q0 = g.initial_state()
     game = _arena(g, constraints, pf)
+    witness = _search(game, q0)
+    if witness is not None:
+        return Verdict(True, witness=witness)
+    fallback = verify_profile(g, game.constraints, next(iter_profiles(g)),
+                              game, q0)
+    return Verdict(False, counterexample=fallback.counterexample,
+                   reason="adversary defeats every memoryless profile "
+                          "(fixed-point search exhausted)")
+
+
+def _search(game: _FairGame, q0: int) -> Optional[GameProfile]:
+    """The canonically first memoryless profile that wins from ``q0``, or
+    None.
+
+    A depth-first sweep fixes user moves slot by slot in canonical order;
+    a branch is cut as soon as the adversary wins the fair game against
+    users with unrestricted memory on the remaining slots (sound: the
+    restriction only weakens the users).  Complete assignments are
+    checked exactly, including non-vacuity, so the witness matches the
+    enumerative engine's.  The sweep keeps its own slot stack, so its
+    depth is not bounded by recursion.
+    """
+    g = game.g
     n = len(g.states)
     root = game.root(q0)
     # slot a * n + qi holds user a's move at state qi; None while free
@@ -640,8 +693,8 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
             profile = GameProfile(tuple(
                 tuple(j or 0 for j in fixed[a * n:(a + 1) * n])
                 for a in range(g.user_count)))
-            if verify_profile(g, game.constraints, profile, game, q0).ok:
-                return Verdict(True, witness=profile)
+            if _refute(game, profile, q0) is None:
+                return profile
         # backtrack to the deepest slot with an untried move
         while depth:
             depth -= 1
@@ -652,12 +705,7 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
                 break
             fixed[slot] = None
         else:
-            break
-    fallback = verify_profile(g, game.constraints, next(iter_profiles(g)),
-                              game, q0)
-    return Verdict(False, counterexample=fallback.counterexample,
-                   reason="adversary defeats every memoryless profile "
-                          "(fixed-point search exhausted)")
+            return None
 
 
 ENGINES = ("enumerate", "fixpoint", "both")
@@ -690,9 +738,12 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
                 engine: str = "enumerate",
                 max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
     """Bottom-up labelling: boolean connectives as set operations, coalition
-    subformulas solved per state by strategy synthesis.  Either engine
-    labels all states of one coalition subformula on one arena, which is
-    dropped when the call returns."""
+    subformulas decided at every state.  All states of one coalition
+    subformula are labelled on one arena, which is dropped when the call
+    returns.  ``enumerate`` and ``both`` run a synthesis at every state;
+    ``fixpoint`` runs one at ``q0`` for the outermost coalition, whose
+    verdict is returned, and labels the rest with
+    :func:`_label_fixpoint`.  Every engine gives the same state sets."""
     violations = check_fragment(formula, g.net)
     if violations:
         raise InputError("formula outside the checkable fragment: "
@@ -724,14 +775,21 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
             # one arena for the objective, shared by every state labelled
             game = _FairGame(g, constraints, PathObjective.from_state_sets(
                 g, node.op, left, right))
-            winning = set()
-            for qi in sorted(all_states):
-                verdict = synthesize(g, constraints, game, qi,
-                                     engine=engine, max_profiles=max_profiles)
-                verdict_cache[(key, qi)] = verdict
-                if verdict.satisfied:
-                    winning.add(qi)
-            result = frozenset(winning)
+            if engine == "fixpoint":
+                root = None
+                if node is formula:     # the only verdict that is printed
+                    root = verdict_cache[(key, q0)] = synthesize_fixpoint(
+                        g, constraints, game, q0)
+                result = _label_fixpoint(game, q0, root)
+            else:
+                winning = set()
+                for qi in sorted(all_states):
+                    verdict = synthesize(g, constraints, game, qi,
+                                         engine=engine, max_profiles=max_profiles)
+                    verdict_cache[(key, qi)] = verdict
+                    if verdict.satisfied:
+                        winning.add(qi)
+                result = frozenset(winning)
         else:
             raise InputError(f"not a formula node: {node!r}")
         state_sets[key] = result
@@ -748,6 +806,36 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
         key: tuple(sorted((g.states[qi] for qi in states), key=marking_key))
         for key, states in sorted(state_sets.items())}
     return verdict
+
+
+def _label_fixpoint(game: _FairGame, q0: int, root: Optional[Verdict]) -> frozenset:
+    """The states from which some memoryless profile wins on ``game``.
+
+    ``q0`` comes first, then the other states in sorted order; ``root``,
+    when given, is the verdict already found at ``q0``.  A state in the
+    all-states region (:meth:`_FairGame.region`) is lost.  Otherwise it is
+    won if a witness found so far, tried in the order found, passes the
+    exact profile check there; only when none does is the slot search run,
+    and its witness kept.  Every bit is exact, and no lasso is built.
+    """
+    lost = game.region()
+    witnesses, winning = [], set()
+    todo = [qi for qi in range(len(game.g.states)) if qi != q0]
+    if root is None:
+        todo.insert(0, q0)
+    elif root.satisfied:
+        witnesses.append(root.witness)
+        winning.add(q0)
+    for qi in todo:
+        if qi in lost:
+            continue
+        if not any(_refute(game, w, qi) is None for w in witnesses):
+            witness = _search(game, qi)
+            if witness is None:
+                continue
+            witnesses.append(witness)
+        winning.add(qi)
+    return frozenset(winning)
 
 
 def check_net(net: NetSystem, formula: Formula, engine: str = "enumerate",

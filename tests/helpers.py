@@ -3,7 +3,8 @@
 import random
 import sys
 
-from petrigames.formulas import And, Not, Or, PathFormula, Prop, TrueConst, holds_in
+from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, TrueConst, \
+    holds_in
 from petrigames.game import LassoComputation
 from petrigames.nets import enabled_set, fire, reachability_graph
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut
@@ -23,6 +24,20 @@ def formula_pool(net):
         PathFormula("G", Not(pick())),
         PathFormula("U", Or(pick(), pick()), pick()),
         PathFormula("U", TrueConst(), And(pick(), pick())),
+    )
+
+
+
+def nested_goals(net):
+    """Two nested grand-coalition goals over the net's places:
+    ``<<A>> G <<A>> F p`` and ``<<A>> U(<<A>> G !p, q)``."""
+    rng = random.Random(f"nested:{net.name}")
+    places = sorted(net.places)
+    users = tuple(net.users)
+    p, q = Prop(rng.choice(places)), Prop(rng.choice(places))
+    return (
+        Coalition(users, "G", (Coalition(users, "U", (TrueConst(), p)),)),
+        Coalition(users, "U", (Coalition(users, "G", (Not(p),)), q)),
     )
 
 

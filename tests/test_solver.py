@@ -2,10 +2,12 @@ import sys
 
 import pytest
 
-from helpers import chain_net, formula_pool, monitor_start, monitor_step, stack_depth
-from petrigames import fixtures
+from helpers import chain_net, formula_pool, monitor_start, monitor_step, nested_goals, \
+    stack_depth
+from petrigames import fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
-from petrigames.formulas import Coalition, PathFormula, format_formula, parse_formula
+from petrigames.formulas import Coalition, PathFormula, format_formula, holds_in, \
+    parse_formula
 from petrigames.game import build_fairness, build_game, lasso_is_fair, stutter_remove
 from petrigames.nets import marking_key, parse_net
 from petrigames.randnet import random_net
@@ -279,6 +281,121 @@ def test_nested_coalition_sets_match_fresh_synthesis():
     assert verdict.state_sets["<<u0,u1>> G <<u0,u1>> U(true, x0)"] \
         == _markings(g, outer)
     assert verdict.satisfied == (g.initial_state() in outer)
+
+
+def _fresh_verdicts(g, fcs, formula, labels):
+    """Fresh fixpoint verdicts of the coalition ``formula`` at every state;
+    ``labels`` gets the winning states of it and of every coalition inside
+    it, by formula text."""
+    args = []
+    for arg in formula.args:
+        if isinstance(arg, Coalition):
+            _fresh_verdicts(g, fcs, arg, labels)
+            args.append(labels[format_formula(arg)])
+        else:
+            args.append(frozenset(qi for qi in range(len(g.states))
+                                  if holds_in(arg, g.w(qi))))
+    objective = PathObjective.from_state_sets(g, formula.op, *args)
+    verdicts = [synthesize_fixpoint(g, fcs, objective, qi) for qi in range(len(g.states))]
+    labels[format_formula(formula)] = frozenset(
+        qi for qi, v in enumerate(verdicts) if v.satisfied)
+    return verdicts
+
+
+def _assert_nested_matches_fresh_synthesis(g, fcs, formula):
+    labels = {}
+    fresh = _fresh_verdicts(g, fcs, formula, labels)
+    key = format_formula(formula)
+    for qi in range(len(g.states)):
+        verdict = model_check(g, fcs, formula, q0=qi, engine="fixpoint")
+        for k, states in labels.items():
+            assert verdict.state_sets[k] == _markings(g, states), (key, k, qi)
+        assert verdict.satisfied == fresh[qi].satisfied, (key, qi)
+        assert verdict.witness == fresh[qi].witness, (key, qi)
+        assert verdict.counterexample == fresh[qi].counterexample, (key, qi)
+        assert verdict.reason == fresh[qi].reason, (key, qi)
+
+
+def test_nested_goals_match_fresh_synthesis_on_corpus():
+    # fixpoint labelling decides non-root states by the all-states region and
+    # by earlier witnesses; every bit, at every root, must be a fresh search's
+    for seed in range(1, 21):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for formula in nested_goals(net):
+            _assert_nested_matches_fresh_synthesis(g, fcs, formula)
+
+
+def test_unsatisfied_chain_goal_matches_fresh_synthesis():
+    g, fcs = _game(chain_net(3))
+    formula = parse_formula("<<u0,u1,u2>> F (x0 & x1 & x2)")
+    labels = {}
+    fresh = _fresh_verdicts(g, fcs, formula, labels)
+    verdict = model_check(g, fcs, formula, engine="fixpoint")
+    root = fresh[g.initial_state()]
+    assert not verdict.satisfied
+    key = format_formula(formula)
+    assert verdict.state_sets[key] == _markings(g, labels[key])
+    assert (verdict.witness, verdict.counterexample, verdict.reason) \
+        == (root.witness, root.counterexample, root.reason)
+
+
+def _pool_goal(net, pf):
+    args = (pf.left,) if pf.op == "G" else (pf.left, pf.right)
+    return Coalition(tuple(net.users), pf.op, args)
+
+
+def test_fixpoint_state_sets_match_enumerate_on_corpus():
+    for seed in range(1, 21):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for pf in formula_pool(net):
+            formula = _pool_goal(net, pf)
+            exhaustive = model_check(g, fcs, formula, engine="enumerate")
+            labelled = model_check(g, fcs, formula, engine="fixpoint")
+            assert labelled.state_sets == exhaustive.state_sets, (seed, pf)
+            assert labelled.satisfied == exhaustive.satisfied, (seed, pf)
+            assert labelled.witness == exhaustive.witness, (seed, pf)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(solver, name)
+    monkeypatch.setattr(solver, name,
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("goal, searches, lassos", [
+    ("F x0", 2, 0),
+    ("F (x0 & x1 & x2)", 2, 1),
+])
+def test_fixpoint_labelling_searches_only_where_needed(monkeypatch, goal, searches, lassos):
+    # chain(3) has 54 states: the all-states region and the witnesses
+    # already found decide all but at most one of the non-root ones
+    g, fcs = _game(chain_net(3))
+    searched = _count_calls(monkeypatch, "_search")
+    built = _count_calls(monkeypatch, "_extract_lasso")
+    verdict = model_check(g, fcs, parse_formula(f"<<u0,u1,u2>> {goal}"), engine="fixpoint")
+    assert verdict.satisfied == (lassos == 0)
+    assert len(searched) <= searches
+    assert len(built) == lassos
+
+
+def test_fixpoint_labelling_builds_only_printed_lassos(monkeypatch):
+    built = _count_calls(monkeypatch, "_extract_lasso")
+    printed = 0
+    for seed in range(1, 41):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for pf in formula_pool(net):
+            verdict = model_check(g, fcs, _pool_goal(net, pf), engine="fixpoint")
+            printed += verdict.counterexample is not None
+    assert printed > 0
+    assert len(built) == printed
 
 
 def test_fixpoint_slot_search_is_not_bounded_by_recursion():
