@@ -6,26 +6,28 @@ memoryless profile under which every fair computation satisfies the path
 formula (and at least one fair computation exists)?
 
 * ``synthesize_enumerate`` sweeps all profiles in canonical order and
-  verifies each one exactly; it is the correctness oracle.
-* ``synthesize_fixpoint`` prunes the same search with attractor-based
-  solving of the two-player fair game: a partial profile is abandoned as
-  soon as the adversary (environment plus scheduler) can force a fair
-  violating computation even against users with full memory.  Complete
-  survivors are verified exactly, so both engines return identical
-  verdicts and witnesses wherever both run.
+  checks each one exactly; it is the correctness oracle.
+* ``synthesize_fixpoint`` prunes the same search by solving the
+  two-player fair game: a partial profile is abandoned as soon as the
+  adversary (environment plus scheduler) can force a fair violating
+  computation even against users with full memory.  Weak fairness makes
+  this a generalized Buechi game, solved by the Emerson-Lei nested
+  fixpoint on the (state, monitor) rows.  Complete survivors are checked
+  exactly, so both engines return identical verdicts and witnesses
+  wherever both run.
 
 Both engines read one product of the game with a monitor automaton for
 the path formula (2 states for G, 3 for U): ``_FairGame`` builds, lazily
 and once, a row per (state, monitor) node listing the node each move
-reaches, and its fair game arena from these rows.  ``model_check``
-shares one such arena among all the states it labels for a coalition.
+reaches, and plays the fair game on these rows.  ``model_check`` shares
+one such arena among all the states it labels for a coalition.
 
 Under ``enumerate`` and ``both``, ``model_check`` synthesizes at every
 state.  Under ``fixpoint`` only the printed root verdict comes from a
 full synthesis; every other state is decided exactly by the cheapest of
 three answers: it lies in the adversary's full-memory winning region
-(one Buechi solve for all start states), an earlier witness wins there,
-or a slot search run at that state.
+(one fair game solve for all start states), an earlier witness wins
+there, or a slot search run at that state.
 
 Verification of one profile restricts the rows to the profile's user
 moves and looks for a reachable strongly connected component that
@@ -217,7 +219,7 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     if not 0 <= q0 < len(g.states):
         raise InputError(f"unknown state index {q0}")
     game = _arena(g, constraints, pf)
-    refutation = _refute(game, profile, q0)
+    refutation = _refute(game, profile, game.start(q0))
     if refutation is None:
         return VerifyOutcome(True, None, "")
     adjacency, root, component = refutation
@@ -231,15 +233,15 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     return VerifyOutcome(False, lasso, "fair violating computation found")
 
 
-def _refute(game: _FairGame, profile: GameProfile, q0: int) -> Optional[tuple]:
+def _refute(game: _FairGame, profile: GameProfile, root: tuple) -> Optional[tuple]:
     """The answer-only part of :func:`verify_profile`: None when the profile
-    wins from ``q0``, otherwise ``(adjacency, root, component)`` with the
-    first fair violating strongly connected component, or None in its
-    place when the profile admits no fair computation.  Builds no lasso."""
+    wins from the row ``root``, otherwise ``(adjacency, root, component)``
+    with the first fair violating strongly connected component, or None in
+    its place when the profile admits no fair computation.  Builds no
+    lasso."""
     g = game.g
     # the arena's rows restricted to the profile: one move per user, every
     # environment move (the scheduler picks among them)
-    root = game.start(q0)
     adjacency: dict[tuple, list] = {}
     stack = [root]
     while stack:
@@ -409,49 +411,48 @@ def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstra
                          max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
     """Try every profile in canonical order on one arena; the first winning
     one is the witness.  Unsatisfied verdicts carry the last profile's
-    counterexample."""
+    counterexample, the only lasso built."""
     space = profile_space(g)
     if space > max_profiles:
         raise BoundExceeded(
             f"profile space of size {space} exceeds the enumeration bound "
             f"{max_profiles}; use the fixpoint engine", max_profiles)
+    if q0 is None:
+        q0 = g.initial_state()
+    if not 0 <= q0 < len(g.states):
+        raise InputError(f"unknown state index {q0}")
     game = _arena(g, constraints, pf)
-    last: Optional[VerifyOutcome] = None
+    root = game.start(q0)
+    profile = None
     for profile in iter_profiles(g):
-        outcome = verify_profile(g, constraints, profile, game, q0)
-        if outcome.ok:
+        if _refute(game, profile, root) is None:
             return Verdict(True, witness=profile)
-        last = outcome
-    return Verdict(False, counterexample=last.counterexample if last else None,
-                   reason=last.reason if last else "no profiles to try")
+    if profile is None:
+        return Verdict(False, reason="no profiles to try")
+    last = verify_profile(g, constraints, profile, game, q0)
+    return Verdict(False, counterexample=last.counterexample, reason=last.reason)
 
 
 # -- fixed-point engine -----------------------------------------------------------
 
 class _FairGame:
-    """The (state, monitor) product of one objective, and its fair Buechi
-    game as an arena shared by every slot assignment and every start state.
+    """The (state, monitor) product of one objective, and its fair game as
+    an arena shared by every slot assignment and every start state.
 
     :meth:`row` lists, once per ``(qi, mon)``, the ``(qj, mon')`` each move
     of each user and of the environment reaches; :func:`verify_profile`
-    restricts it to one profile, and the game nodes are built from it.
-    Game nodes get integer ids.  A ``c`` node ``(qi, mon, cnt, tick)``
-    belongs to the adversary (scheduler and environment): ``cnt`` is the
-    weak fairness constraint awaited next and ``tick`` marks a completed
-    round of all constraints.  A ``u`` node
-    ``(qi, mon, cnt, user)`` is a user's free choice, owned by the
-    protagonist.  A ``c`` node is accepting after a completed round under
-    a violating monitor.  Expanding it stores, once, ``choices``: for each
-    user with more than one move, its ``u`` node and per-move targets; and
-    ``static``: the targets no slot can change (users with a single move,
-    then the environment's moves).  The arena grows lazily from each new
-    start state.
-
-    :meth:`solve` masks the arena by a slot assignment -- a fixed slot
-    keeps the chosen move's target, a free one its ``u`` node -- and solves
-    the Buechi game on what the root reaches.  The adversary wins by
-    forcing a computation that meets every constraint infinitely often
-    while violating the objective.
+    restricts it to one profile, and the game is played on the same rows.
+    At a row the adversary (scheduler and environment) picks one
+    environment move, or a user: that user's fixed move, or any of its
+    moves while its slot is free, since the user chooses.  Each step is
+    labelled with the weak fairness constraints it meets (disabled at
+    ``qi``, or taken by the step), a bitmask that depends only on the
+    player, ``qi`` and the move.  The monitor is eventually constant on a
+    play, so "the monitor violates" is folded into every constraint: the
+    adversary wins by forcing a play that meets each constraint infinitely
+    often from violating rows, a generalized Buechi condition solved by
+    :func:`_adversary_region`.  The rows' moves and labels are built once,
+    lazily from each new start state.
     """
 
     def __init__(self, g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -459,49 +460,11 @@ class _FairGame:
         self.g = g
         self.constraints = tuple(constraints)
         self.objective = objective
-        self.m = max(1, len(self.constraints))
         self._violating = objective.violating_monitors()
+        self._goals = (2 << len(self.constraints)) - 1   # all mask bits
         self._rows: dict = {}       # (qi, mon) -> per player, per move (qj, mon')
-        self._c_ids: dict = {}      # (qi, mon, cnt, tick) -> id
-        self._moves: dict = {}      # (qi, mon, cnt) -> (choices, static)
-        self._key: list = []        # id -> c node key (None for u nodes)
-        self._out: list = []        # c: (choices, static), None until
-                                    # expanded; u: the per-move targets
-        self._adv: list = []        # id -> owned by the adversary
-        self._accept: list = []     # id -> accepting
-
-    def _c_node(self, qi: int, mon: int, cnt: int, tick: bool) -> int:
-        key = (qi, mon, cnt, tick)
-        node = self._c_ids.get(key)
-        if node is None:
-            node = self._c_ids[key] = len(self._key)
-            self._key.append(key)
-            self._out.append(None)
-            self._adv.append(True)
-            self._accept.append(tick and mon in self._violating)
-        return node
-
-    def _u_node(self, targets: tuple) -> int:
-        node = len(self._key)
-        self._key.append(None)
-        self._out.append(targets)
-        self._adv.append(False)
-        self._accept.append(False)
-        return node
-
-    def _advance(self, qi: int, scheduled: int, j: int, cnt: int) -> tuple:
-        """Move the awaited-constraint counter across one game step."""
-        if not self.constraints:
-            return 0, True
-        tick = False
-        for _ in range(self.m):
-            fc = self.constraints[cnt]
-            if fc.enabled(qi) and not _edge_taken(self.g, fc, qi, scheduled, j):
-                break
-            cnt = (cnt + 1) % self.m
-            if cnt == 0:
-                tick = True
-        return cnt, tick
+        self._labels: dict = {}     # qi -> per player, per move constraint mask
+        self._options: dict = {}    # (qi, mon) -> (choices, static)
 
     def row(self, qi: int, mon: int) -> tuple:
         """For each user, then the environment, the ``(qj, mon')`` that
@@ -517,65 +480,67 @@ class _FairGame:
     def start(self, q0: int) -> tuple:
         return q0, self.objective.monitor_step(_PENDING, q0)
 
-    def _expand(self, node: int) -> tuple:
-        qi, mon, cnt, _ = self._key[node]
-        moves = self._moves.get((qi, mon, cnt))
-        if moves is None:
-            # successors do not depend on the tick, so both ticks share
-            # them, and each (qi, mon, cnt, user) gets one u node
-            g = self.g
-            choices, static = [], []
-            for a, per_move in enumerate(self.row(qi, mon)):
-                targets = tuple(self._c_node(qj, mon2, *self._advance(qi, a, j, cnt))
-                                for j, (qj, mon2) in enumerate(per_move))
-                if a != g.env_player and len(targets) > 1:
-                    choices.append(
-                        (a * len(g.states) + qi, self._u_node(targets), targets))
-                else:
-                    static.extend(targets)
-            moves = self._moves[(qi, mon, cnt)] = (tuple(choices), tuple(static))
-        self._out[node] = moves
-        return moves
+    def _build_options(self, node: tuple) -> tuple:
+        """The adversary's options at a row, built once: ``choices``, the
+        slot and ``(target, mask)`` moves of each user with more than one
+        move, and ``static``, one-move options for the other users and for
+        every environment move.  Bit ``i`` of a mask is constraint ``i``
+        and the top bit, the monitor alone; a step from a row whose monitor
+        does not violate meets nothing."""
+        qi, mon = node
+        g = self.g
+        labels = self._labels.get(qi)
+        if labels is None:
+            top = 1 << len(self.constraints)
+            labels = self._labels[qi] = tuple(
+                tuple(top | sum(1 << i for i, fc in enumerate(self.constraints)
+                                if not fc.enabled(qi) or _edge_taken(g, fc, qi, a, j))
+                      for j in range(len(per_state[qi])))
+                for a, per_state in enumerate(g.successors))
+        violating = mon in self._violating
+        choices, static = [], []
+        for a, (targets, masks) in enumerate(zip(self.row(qi, mon), labels)):
+            moves = tuple((target, mask if violating else 0)
+                          for target, mask in zip(targets, masks))
+            if a != g.env_player and len(moves) > 1:
+                choices.append((a * len(g.states) + qi, moves))
+            else:
+                static.extend((move,) for move in moves)
+        options = self._options[node] = (choices, static)
+        return options
 
-    def root(self, q0: int) -> int:
-        return self._c_node(*self.start(q0), 0, False)
-
-    def _walk(self, fixed: Sequence, roots: Sequence) -> tuple:
+    def _walk(self, fixed: Sequence, roots: Sequence) -> list:
         """The part of the arena masked by ``fixed`` that ``roots`` reach,
-        renumbered from 0 in discovery order (the roots first): successor
-        lists, owners and accepting nodes, as :func:`_adversary_region`
-        reads them."""
-        out_of, adv_of, accept_of = self._out, self._adv, self._accept
+        renumbered from 0 in discovery order (the roots first): each row's
+        options as lists of ``(target, mask)``, as
+        :func:`_adversary_region` reads them."""
         local = {root: i for i, root in enumerate(roots)}
         order = list(roots)
-        succ = []
+        options = []
         for node in order:
-            out = out_of[node]
-            if adv_of[node]:
-                if out is None:
-                    out = self._expand(node)
-                choices, targets = out
-                if choices:
-                    targets = [choice if fixed[slot] is None else moves[fixed[slot]]
-                               for slot, choice, moves in choices] + list(targets)
-            else:
-                targets = out
-            row = []
-            for t in targets:
-                i = local.get(t)
-                if i is None:
-                    i = local[t] = len(order)
-                    order.append(t)
-                row.append(i)
-            succ.append(row)
-        return (succ, [adv_of[v] for v in order],
-                [i for i, v in enumerate(order) if accept_of[v]])
+            choices, static = self._options.get(node) or self._build_options(node)
+            row = [moves if fixed[slot] is None else (moves[fixed[slot]],)
+                   for slot, moves in choices]
+            row.extend(static)
+            renumbered = []
+            for moves in row:
+                option = []
+                for target, mask in moves:
+                    i = local.get(target)
+                    if i is None:
+                        i = local[target] = len(order)
+                        order.append(target)
+                    option.append((i, mask))
+                renumbered.append(option)
+            options.append(renumbered)
+        return options
 
-    def solve(self, fixed: Sequence, root: int) -> bool:
-        """True iff the adversary wins from ``root`` when user ``a`` plays
-        move ``fixed[a * len(g.states) + qi]`` at state ``qi`` wherever that
-        is not None."""
-        return _adversary_region(*self._walk(fixed, [root]), watch=0)[0]
+    def solve(self, fixed: Sequence, root: tuple) -> bool:
+        """True iff the adversary wins from the row ``root`` when user
+        ``a`` plays move ``fixed[a * len(g.states) + qi]`` at state ``qi``
+        wherever that is not None (a free slot lets the user choose at each
+        visit, with unrestricted memory)."""
+        return _adversary_region(self._walk(fixed, [root]), self._goals, watch=0)[0]
 
     def region(self) -> frozenset:
         """The states whose root lies in the adversary's winning region
@@ -584,65 +549,64 @@ class _FairGame:
         so no memoryless profile wins."""
         g = self.g
         n = len(g.states)
-        won = _adversary_region(*self._walk([None] * (g.user_count * n),
-                                            [self.root(qi) for qi in range(n)]))
+        won = _adversary_region(self._walk([None] * (g.user_count * n),
+                                           [self.start(qi) for qi in range(n)]),
+                                self._goals)
         return frozenset(qi for qi in range(n) if won[qi])
 
 
-def _attractor(succ: Sequence, preds: Sequence, adv: Sequence, for_adversary: bool,
-               target: Sequence, alive: Sequence) -> list:
-    """Player attractor of ``target`` within the ``alive`` nodes (standard
-    backward fixpoint); returns a membership list."""
-    attracted = [False] * len(succ)
-    degree: dict = {}
-    for v in target:
-        attracted[v] = True
-    queue = list(target)
-    while queue:
-        v = queue.pop()
-        for p in preds[v]:
-            if attracted[p] or not alive[p]:
-                continue
-            if adv[p] != for_adversary:
-                left = degree.get(p)
-                if left is None:
-                    left = sum(1 for t in succ[p] if alive[t])
-                degree[p] = left = left - 1
-                if left:
-                    continue
-            attracted[p] = True
-            queue.append(p)
-    return attracted
-
-
-def _adversary_region(succ: Sequence, adv: Sequence, accept: Sequence,
+def _adversary_region(options: Sequence, goals: int,
                       watch: Optional[int] = None) -> list:
-    """The adversary's winning region for 'visit ``accept`` infinitely
-    often', as a membership list (classical repeated-attractor algorithm:
-    remove what the users can attract into a trap avoiding ``accept``
-    until no trap is left).  With ``watch``, the loop stops as soon as that
-    node leaves the region; the list is then exact only at ``watch``."""
-    n = len(succ)
+    """The adversary's winning region, as a membership list, for 'meet
+    every constraint bit of ``goals`` infinitely often'.  The adversary
+    picks an option at each row and the users pick its step, so a row
+    forces a set when some option has every step in it.
+
+    Emerson-Lei nested fixpoint: the greatest ``Z`` such that every row of
+    ``Z`` forces, for each constraint, a step meeting it into ``Z``,
+    possibly after forced steps within ``Z``.  The least fixpoints of all
+    constraints are computed together, one bit each: ``forced[v]`` holds
+    the constraints row ``v`` can force so far.  ``Z`` shrinks to the rows
+    forcing every constraint until it is stable.  With ``watch``, the loop
+    stops as soon as that row leaves ``Z``; the list is then exact only at
+    ``watch``."""
+    n = len(options)
     preds: list = [[] for _ in range(n)]
-    for v, targets in enumerate(succ):
-        for t in targets:
-            preds[t].append(v)
+    for v, row in enumerate(options):
+        for option in row:
+            for t, _ in option:
+                preds[t].append(v)
     alive = [True] * n
     while True:
-        reach = _attractor(succ, preds, adv, True,
-                           [v for v in accept if alive[v]], alive)
-        trap = [v for v in range(n) if alive[v] and not reach[v]]
-        if not trap:
-            return alive
-        escape = _attractor(succ, preds, adv, False, trap, alive)
-        alive = [a and not e for a, e in zip(alive, escape)]
-        if watch is not None and not alive[watch]:
-            return alive
+        forced = [0] * n
+        todo = [v for v in range(n) if alive[v]]
+        queued = alive[:]
+        while todo:
+            v = todo.pop()
+            queued[v] = False
+            value = 0
+            for option in options[v]:
+                both = goals
+                for t, mask in option:
+                    both &= forced[t] | mask if alive[t] else 0
+                    if not both:
+                        break
+                value |= both
+            if value != forced[v]:
+                forced[v] = value
+                for p in preds[v]:
+                    if alive[p] and not queued[p]:
+                        queued[p] = True
+                        todo.append(p)
+        kept = [bits == goals for bits in forced]
+        if kept == alive or watch is not None and not kept[watch]:
+            return kept
+        alive = kept
 
 
 def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstraint],
                         pf, q0: Optional[int] = None) -> Verdict:
-    """Attractor-pruned search over profiles (:func:`_search`).  An
+    """Fair-game-pruned search over profiles (:func:`_search`).  An
     unsatisfied verdict carries the canonically first profile's
     counterexample.
 
@@ -676,7 +640,7 @@ def _search(game: _FairGame, q0: int) -> Optional[GameProfile]:
     """
     g = game.g
     n = len(g.states)
-    root = game.root(q0)
+    root = game.start(q0)
     # slot a * n + qi holds user a's move at state qi; None while free
     sizes = [g.d(a, qi) for a in range(g.user_count) for qi in range(n)]
     slots = [slot for slot, size in enumerate(sizes) if size > 1]
@@ -693,7 +657,7 @@ def _search(game: _FairGame, q0: int) -> Optional[GameProfile]:
             profile = GameProfile(tuple(
                 tuple(j or 0 for j in fixed[a * n:(a + 1) * n])
                 for a in range(g.user_count)))
-            if _refute(game, profile, q0) is None:
+            if _refute(game, profile, root) is None:
                 return profile
         # backtrack to the deepest slot with an untried move
         while depth:
@@ -829,7 +793,8 @@ def _label_fixpoint(game: _FairGame, q0: int, root: Optional[Verdict]) -> frozen
     for qi in todo:
         if qi in lost:
             continue
-        if not any(_refute(game, w, qi) is None for w in witnesses):
+        root = game.start(qi)
+        if not any(_refute(game, w, root) is None for w in witnesses):
             witness = _search(game, qi)
             if witness is None:
                 continue

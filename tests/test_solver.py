@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -360,6 +361,45 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
             assert labelled.witness == exhaustive.witness, (seed, pf)
 
 
+def _violating_component(game, profile, root):
+    refutation = solver._refute(game, profile, root)
+    return refutation is not None and refutation[2] is not None
+
+
+@pytest.mark.parametrize("fair", [True, False])
+def test_arena_solve_matches_exact_profile_check(fair):
+    # the fair game's answer against the exact check of one profile: equal on
+    # complete profiles, sound on partial ones and on the all-states region
+    rng = random.Random(7)
+    partial_wins = 0
+    for seed in range(1, 31):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g) if fair else ()
+        n = len(g.states)
+        profiles = [(p, [j for per_state in p.moves for j in per_state])
+                    for p in iter_profiles(g)]
+        for pf in formula_pool(net):
+            game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
+            lost = game.region()
+            for qi in range(n):
+                root = game.start(qi)
+                refuted = [_violating_component(game, p, root) for p, _ in profiles]
+                for (_, full), violated in zip(profiles, refuted):
+                    assert game.solve(full, root) == violated, (seed, pf, qi, full)
+                assert qi not in lost or all(refuted), (seed, pf, qi)
+                for _ in range(4):
+                    fixed = [rng.randrange(g.d(a, q)) if rng.random() < 0.5 else None
+                             for a in range(g.user_count) for q in range(n)]
+                    if not game.solve(fixed, root):
+                        continue
+                    partial_wins += 1
+                    for (_, full), violated in zip(profiles, refuted):
+                        if all(j in (None, k) for j, k in zip(fixed, full)):
+                            assert violated, (seed, pf, qi, fixed, full)
+    assert partial_wins > 0
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(solver, name)
@@ -396,6 +436,20 @@ def test_fixpoint_labelling_builds_only_printed_lassos(monkeypatch):
             printed += verdict.counterexample is not None
     assert printed > 0
     assert len(built) == printed
+
+
+def test_enumerate_builds_only_the_returned_lasso(monkeypatch):
+    built = _count_calls(monkeypatch, "_extract_lasso")
+    returned = 0
+    for seed in range(1, 21):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for pf in formula_pool(net):
+            verdict = synthesize_enumerate(g, fcs, pf)
+            returned += verdict.counterexample is not None
+    assert returned > 0
+    assert len(built) == returned
 
 
 def test_fixpoint_slot_search_is_not_bounded_by_recursion():
