@@ -30,10 +30,12 @@ three answers: it lies in the adversary's full-memory winning region
 there, or a slot search run at that state.
 
 Verification of one profile restricts the rows to the profile's user
-moves and looks for a reachable strongly connected component that
-contains a violating cycle satisfying every weak fairness constraint
-(disabled at some position or taken at some step).  Weak fairness makes
-this a generalized Buechi condition, so SCC inspection is exact.
+moves, numbered as integers, and looks for a reachable strongly connected
+component that contains a violating cycle satisfying every weak fairness
+constraint (disabled at some position or taken at some step).  Weak
+fairness makes this a generalized Buechi condition, so SCC inspection is
+exact: each step carries the arena's constraint mask, and a component
+holds a fair cycle iff the OR of its internal steps' masks has every bit.
 """
 
 from __future__ import annotations
@@ -212,6 +214,9 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     On failure returns a fair violating lasso, or a reason when the
     profile admits no fair computation at all.  ``pf`` may also be a
     :class:`_FairGame` on ``g``, whose rows are then read, not rebuilt.
+    :func:`_refute` decides on integer-numbered rows; the
+    ``(target, player, move)`` edges the lasso needs are rebuilt only for
+    a refuted profile.
     """
     validate_game_profile(g, profile)
     if q0 is None:
@@ -222,117 +227,111 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     refutation = _refute(game, profile, game.start(q0))
     if refutation is None:
         return VerifyOutcome(True, None, "")
-    adjacency, root, component = refutation
+    rows, root, component = refutation
     if component is None:
         return VerifyOutcome(
             False, None, "profile admits no fair computation from the initial state")
     # the lasso's shortest paths break ties by edge order
-    for edges in adjacency.values():
-        edges.sort(key=lambda e: (e[0], e[1], e[2]))
+    adjacency = {}
+    for qi, mon in rows:
+        row = game.row(qi, mon)
+        edges = [(row[a][moves[qi]], a, moves[qi])
+                 for a, moves in enumerate(profile.moves)]
+        edges.extend((target, g.env_player, j)
+                     for j, target in enumerate(row[g.env_player]))
+        adjacency[(qi, mon)] = sorted(edges)
     lasso = _extract_lasso(g, profile, game.constraints, adjacency, root, component)
     return VerifyOutcome(False, lasso, "fair violating computation found")
 
 
 def _refute(game: _FairGame, profile: GameProfile, root: tuple) -> Optional[tuple]:
     """The answer-only part of :func:`verify_profile`: None when the profile
-    wins from the row ``root``, otherwise ``(adjacency, root, component)``
-    with the first fair violating strongly connected component, or None in
-    its place when the profile admits no fair computation.  Builds no
-    lasso."""
-    g = game.g
-    # the arena's rows restricted to the profile: one move per user, every
-    # environment move (the scheduler picks among them)
-    adjacency: dict[tuple, list] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in adjacency:
-            continue
-        qi, mon = node
-        row = game.row(qi, mon)
-        edges = [(row[a][moves[qi]], a, moves[qi])
+    wins from the row ``root``, otherwise ``(rows, root, component)``: the
+    rows the profile reaches, and the first fair violating strongly
+    connected component (the one holding the least row) as a frozenset of
+    rows, or None in its place when the profile admits no fair
+    computation.  Builds no lasso.
+
+    The reached rows are numbered from 0 in discovery order, each with its
+    ``(target, mask)`` edges: each user's profile move, then every
+    environment move, masked by :meth:`_FairGame.labels`.  Every mask has
+    the top bit, so a component holds a fair cycle iff the OR of its
+    internal edges' masks has every bit: a constraint disabled at one of
+    its rows is met by that row's internal edges, and a single row with no
+    self-loop has none."""
+    env = game.g.env_player
+    local = {root: 0}
+    rows = [root]
+    succ = []
+    for qi, mon in rows:        # grows while it is read
+        row, labels = game.row(qi, mon), game.labels(qi)
+        edges = [(row[a][moves[qi]], labels[a][moves[qi]])
                  for a, moves in enumerate(profile.moves)]
-        edges.extend((target, g.env_player, j)
-                     for j, target in enumerate(row[g.env_player]))
-        stack.extend(target for target, _, _ in edges if target not in adjacency)
-        adjacency[node] = edges
-
-    def fair_scc(component: frozenset) -> bool:
-        for fc in game.constraints:
-            if any(not fc.enabled(qi) for qi, _ in component):
-                continue
-            if any(_edge_taken(g, fc, qi, a, j)
-                   for (qi, mon) in component
-                   for (target, a, j) in adjacency[(qi, mon)]
-                   if target in component):
-                continue
-            return False
-        return True
-
-    def has_cycle(component: frozenset) -> bool:
-        if len(component) > 1:
-            return True
-        node = next(iter(component))
-        return any(target == node for target, _, _ in adjacency[node])
-
-    violating = game.objective.violating_monitors()
-    any_fair = False
-    for component in _strongly_connected_components(sorted(adjacency), adjacency):
-        if not has_cycle(component) or not fair_scc(component):
+        edges.extend(zip(row[env], labels[env]))
+        out = []
+        for target, mask in edges:
+            t = local.get(target)
+            if t is None:
+                t = local[target] = len(rows)
+                rows.append(target)
+            out.append((t, mask))
+        succ.append(out)
+    component = _strongly_connected_components(succ)
+    met = [0] * len(succ)       # per component, the OR of its internal edges
+    for v, edges in enumerate(succ):
+        c = component[v]
+        for t, mask in edges:
+            if component[t] == c:
+                met[c] |= mask
+    first, any_fair = None, False
+    for v, node in enumerate(rows):
+        if met[component[v]] != game._goals:
             continue
-        if next(iter(component))[1] in violating:
-            return adjacency, root, component
-        any_fair = True
-    return None if any_fair else (adjacency, root, None)
+        if node[1] not in game._violating:
+            any_fair = True
+        elif first is None or node < rows[first]:
+            first = v
+    if first is not None:
+        c = component[first]
+        return rows, root, frozenset(
+            node for node, cv in zip(rows, component) if cv == c)
+    return None if any_fair else (rows, root, None)
 
 
-def _strongly_connected_components(nodes: Sequence, adjacency: Mapping) -> list:
-    """Iterative Tarjan; deterministic given node and edge order.  Returns
-    components as frozensets, ordered by their smallest node."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components = []
-    counter = itertools.count()
-
-    for start in nodes:
-        if start in index:
-            continue
-        work = [(start, iter(adjacency[start]))]
-        index[start] = low[start] = next(counter)
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, edge_iter = work[-1]
-            advanced = False
-            for target, _, _ in edge_iter:
-                if target not in index:
-                    index[target] = low[target] = next(counter)
-                    stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(adjacency[target])))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    low[node] = min(low[node], index[target])
-            if advanced:
-                continue
+def _strongly_connected_components(succ: Sequence) -> list:
+    """Iterative Tarjan on the nodes ``0..n-1`` of ``succ``, all reachable
+    from node 0, where ``succ[v]`` lists ``(target, mask)`` edges.  Returns
+    every node's component number, numbered in the order found."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    component = [-1] * n        # -1 while unvisited or on the stack
+    index[0] = 0
+    stack, work = [0], [(0, iter(succ[0]))]
+    counter, found = 1, 0
+    while work:
+        v, edges = work[-1]
+        for t, _ in edges:
+            if index[t] < 0:
+                index[t] = low[t] = counter
+                counter += 1
+                stack.append(t)
+                work.append((t, iter(succ[t])))
+                break
+            if component[t] < 0 and index[t] < low[v]:
+                low[v] = index[t]
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = set()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
                 while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
+                    w = stack.pop()
+                    component[w] = found
+                    if w == v:
                         break
-                components.append(frozenset(component))
-    components.sort(key=lambda comp: min(comp))
-    return components
+                found += 1
+    return component
 
 
 def _extract_lasso(g: GameStructure, profile: GameProfile,
@@ -373,17 +372,16 @@ def _extract_lasso(g: GameStructure, profile: GameProfile,
     tour = []
     pos = anchor
     for fc in constraints:
-        disabled = sorted(n for n in component if not fc.enabled(n[0]))
-        if disabled:
+        if any(not fc.enabled(n[0]) for n in component):
             segment = bfs(pos, lambda n: not fc.enabled(n[0]), allowed=component)
             tour.extend(segment)
             pos = segment[-1][1][0] if segment else pos
             continue
-        taken_sources = sorted(
+        taken_sources = {
             n for n in component
             if any(t in component and _edge_taken(g, fc, n[0], a, j)
-                   for t, a, j in adjacency[n]))
-        segment = bfs(pos, lambda n: n in set(taken_sources), allowed=component)
+                   for t, a, j in adjacency[n])}
+        segment = bfs(pos, lambda n: n in taken_sources, allowed=component)
         tour.extend(segment)
         pos = segment[-1][1][0] if segment else pos
         edge = next(e for e in adjacency[pos]
@@ -440,19 +438,20 @@ class _FairGame:
     an arena shared by every slot assignment and every start state.
 
     :meth:`row` lists, once per ``(qi, mon)``, the ``(qj, mon')`` each move
-    of each user and of the environment reaches; :func:`verify_profile`
-    restricts it to one profile, and the game is played on the same rows.
-    At a row the adversary (scheduler and environment) picks one
-    environment move, or a user: that user's fixed move, or any of its
-    moves while its slot is free, since the user chooses.  Each step is
-    labelled with the weak fairness constraints it meets (disabled at
-    ``qi``, or taken by the step), a bitmask that depends only on the
-    player, ``qi`` and the move.  The monitor is eventually constant on a
-    play, so "the monitor violates" is folded into every constraint: the
-    adversary wins by forcing a play that meets each constraint infinitely
-    often from violating rows, a generalized Buechi condition solved by
-    :func:`_adversary_region`.  The rows' moves and labels are built once,
-    lazily from each new start state.
+    of each user and of the environment reaches, and :meth:`labels`, once
+    per ``qi``, the weak fairness constraints each move meets (disabled at
+    ``qi``, or taken by the step), as a bitmask that depends only on the
+    player, ``qi`` and the move.  This one label table serves both readers:
+    :func:`_refute` restricts the rows to one profile and tests a
+    component's masks, and the game is played on the same rows.  At a row
+    the adversary (scheduler and environment) picks one environment move,
+    or a user: that user's fixed move, or any of its moves while its slot
+    is free, since the user chooses.  The monitor is eventually constant
+    on a play, so "the monitor violates" is folded into every constraint:
+    the adversary wins by forcing a play that meets each constraint
+    infinitely often from violating rows, a generalized Buechi condition
+    solved by :func:`_adversary_region`.  The rows' moves and labels are
+    built once, lazily from each new start state.
     """
 
     def __init__(self, g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -480,23 +479,32 @@ class _FairGame:
     def start(self, q0: int) -> tuple:
         return q0, self.objective.monitor_step(_PENDING, q0)
 
-    def _build_options(self, node: tuple) -> tuple:
-        """The adversary's options at a row, built once: ``choices``, the
-        slot and ``(target, mask)`` moves of each user with more than one
-        move, and ``static``, one-move options for the other users and for
-        every environment move.  Bit ``i`` of a mask is constraint ``i``
-        and the top bit, the monitor alone; a step from a row whose monitor
-        does not violate meets nothing."""
-        qi, mon = node
-        g = self.g
+    def labels(self, qi: int) -> tuple:
+        """For each user, then the environment, the mask of the weak
+        fairness constraints each of its moves at ``qi`` meets (bit ``i``:
+        constraint ``i`` is disabled at ``qi`` or taken by the move), with
+        the top bit always set; built once per state."""
         labels = self._labels.get(qi)
         if labels is None:
+            g = self.g
             top = 1 << len(self.constraints)
             labels = self._labels[qi] = tuple(
                 tuple(top | sum(1 << i for i, fc in enumerate(self.constraints)
                                 if not fc.enabled(qi) or _edge_taken(g, fc, qi, a, j))
                       for j in range(len(per_state[qi])))
                 for a, per_state in enumerate(g.successors))
+        return labels
+
+    def _build_options(self, node: tuple) -> tuple:
+        """The adversary's options at a row, built once: ``choices``, the
+        slot and ``(target, mask)`` moves of each user with more than one
+        move, and ``static``, one-move options for the other users and for
+        every environment move.  The masks are :meth:`labels`, whose top
+        bit stands for the monitor alone; a step from a row whose monitor
+        does not violate meets nothing."""
+        qi, mon = node
+        g = self.g
+        labels = self.labels(qi)
         violating = mon in self._violating
         choices, static = [], []
         for a, (targets, masks) in enumerate(zip(self.row(qi, mon), labels)):

@@ -188,6 +188,46 @@ def _edge_taken(g, fc, qi, a, j):
     return a == fc.player and j in fc.at(qi)
 
 
+def refute_profile(g, constraints, pf, profile, q0):
+    """Independent check of one memoryless profile from state ``q0``, on
+    the (state, monitor) product built with this module's monitor: None
+    when fair computations exist and all satisfy ``pf``; "no fair
+    computation" when there are none; otherwise the product nodes of the
+    fair violating strongly connected component holding the least node.
+    A component is fair when it has an internal edge and, for every
+    constraint, a node where it is disabled or an internal edge taking it."""
+    root = (q0, monitor_start(pf, g.w(q0)))
+    nodes, number, edges = [root], {root: 0}, []
+    for qi, mon in nodes:
+        out = []
+        for a, j, qj in g.edges(qi):
+            if a < g.user_count and j != profile.moves[a][qi]:
+                continue
+            target = (qj, monitor_step(pf, mon, g.w(qj)))
+            if target not in number:
+                number[target] = len(nodes)
+                nodes.append(target)
+            out.append((a, j, number[target]))
+        edges.append(out)
+    fair, violating = False, []
+    for group in _sccs(len(nodes), [[t for _, _, t in out] for out in edges]):
+        internal = [(nodes[v][0], a, j) for v in group
+                    for a, j, t in edges[v] if t in group]
+        if not internal or not all(
+                any(not fc.enabled(nodes[v][0]) for v in group)
+                or any(_edge_taken(g, fc, qi, a, j) for qi, a, j in internal)
+                for fc in constraints):
+            continue
+        mon = nodes[next(iter(group))][1]
+        if mon == _FAILED or (pf.op == "U" and mon == _PENDING):
+            violating.append({nodes[v] for v in group})
+        else:
+            fair = True
+    if violating:
+        return min(violating, key=min)
+    return None if fair else "no fair computation"
+
+
 def random_fair_lasso(g, constraints, rng):
     """A random fair computation: a random walk into a terminal strongly
     connected component, then a tour witnessing every fairness constraint."""

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from helpers import chain_net, formula_pool, monitor_start, monitor_step, nested_goals, \
-    stack_depth
+    refute_profile, stack_depth
 from petrigames import fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, format_formula, holds_in, \
@@ -400,6 +400,46 @@ def test_arena_solve_matches_exact_profile_check(fair):
     assert partial_wins > 0
 
 
+def _sample_profiles(g, rng):
+    """Every profile of a space of at most 64; otherwise the first, the
+    last and 6 random ones."""
+    if profile_space(g) <= 64:
+        return list(iter_profiles(g))
+    n = len(g.states)
+    sizes = [[g.d(a, qi) for qi in range(n)] for a in range(g.user_count)]
+    picks = [lambda size: 0, lambda size: size - 1] + [rng.randrange] * 6
+    return [GameProfile(tuple(tuple(pick(size) for size in per_user)
+                              for per_user in sizes))
+            for pick in picks]
+
+
+@pytest.mark.parametrize("fair", [True, False])
+def test_refute_matches_independent_profile_check(fair):
+    # won, no fair computation, or the same first violating component
+    rng = random.Random(11)
+    violated = 0
+    for seed in range(1, 31):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g) if fair else ()
+        profiles = _sample_profiles(g, rng)
+        for pf in formula_pool(net):
+            game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
+            for qi in range(len(g.states)):
+                for profile in profiles:
+                    expected = refute_profile(g, fcs, pf, profile, qi)
+                    refutation = solver._refute(game, profile, game.start(qi))
+                    if refutation is None:
+                        got = None
+                    elif refutation[2] is None:
+                        got = "no fair computation"
+                    else:
+                        got = set(refutation[2])
+                        violated += 1
+                    assert got == expected, (seed, pf, qi, profile)
+    assert violated > 0
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(solver, name)
@@ -450,6 +490,22 @@ def test_enumerate_builds_only_the_returned_lasso(monkeypatch):
             returned += verdict.counterexample is not None
     assert returned > 0
     assert len(built) == returned
+
+
+def test_enumerate_labels_each_move_once(monkeypatch):
+    # the arena's label table tests each constraint against each move once,
+    # however many profiles and product rows revisit it; the printed
+    # lasso's own tests stay within the same bound
+    taken = _count_calls(monkeypatch, "_edge_taken")
+    for seed in range(1, 21):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        moves = sum(1 for qi in range(len(g.states)) for _ in g.edges(qi))
+        for pf in formula_pool(net):
+            before = len(taken)
+            synthesize_enumerate(g, fcs, pf)
+            assert len(taken) - before <= len(fcs) * moves, (seed, pf)
 
 
 def test_fixpoint_slot_search_is_not_bounded_by_recursion():
