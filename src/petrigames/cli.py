@@ -21,6 +21,7 @@ from typing import Optional
 from .errors import BoundExceeded, EngineDisagreement, InputError
 from .formulas import Coalition, format_formula, parse_formula
 from .game import (
+    DEFAULT_LINEARISATION_BOUND,
     build_fairness,
     build_game,
     computation_to_play,
@@ -32,14 +33,17 @@ from .game import (
     play_to_computations,
 )
 from .nets import (
+    DEFAULT_STATE_BOUND,
     dot_reachability,
     format_marking,
     parse_net,
     reachability_graph,
     validate_net,
 )
-from .solver import Verdict, format_profile, model_check
-from .unfold import dot_prefix, format_play, initial_cut, parse_play, unfold_prefix
+from .solver import DEFAULT_PROFILE_BOUND, ENGINES, Verdict, _profile_moves, \
+    format_profile, model_check
+from .unfold import DEFAULT_PREFIX_BOUND, dot_prefix, format_play, initial_cut, \
+    parse_play, unfold_prefix
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -55,10 +59,10 @@ class RunConfig:
     formula: Optional[str] = None
     formula_file: Optional[str] = None
     depth: int = 2
-    max_states: int = 100_000
-    max_prefix: int = 20_000
-    max_profiles: int = 200_000
-    bound: int = 1000
+    max_states: int = DEFAULT_STATE_BOUND
+    max_prefix: int = DEFAULT_PREFIX_BOUND
+    max_profiles: int = DEFAULT_PROFILE_BOUND
+    bound: int = DEFAULT_LINEARISATION_BOUND
     engine: str = "enumerate"
     single_user_simplification: bool = False
     machine: bool = False
@@ -92,7 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--machine", action="store_true",
                        help="append a machine-readable key: value block")
         p.add_argument("--max-states", type=int,
-                       default=_env_int("PETRIGAMES_MAX_STATES", 100_000))
+                       default=_env_int("PETRIGAMES_MAX_STATES", DEFAULT_STATE_BOUND))
+
+    def prefix_options(p):
+        p.add_argument("--depth", type=int, default=2)
+        p.add_argument("--max-size", type=int,
+                       default=_env_int("PETRIGAMES_MAX_PREFIX", DEFAULT_PREFIX_BOUND))
+        p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("validate", help="check the net's structural rules")
     common(p)
@@ -103,10 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unfold", help="branching-process prefix")
     common(p)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--max-size", type=int,
-                   default=_env_int("PETRIGAMES_MAX_PREFIX", 20_000))
-    p.add_argument("--dot", action="store_true")
+    prefix_options(p)
 
     p = sub.add_parser("build-game", help="turn-based asynchronous game structure")
     common(p)
@@ -119,11 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--formula")
         group.add_argument("--formula-file")
-        p.add_argument("--engine", choices=("enumerate", "fixpoint", "both"),
-                       default="enumerate")
+        p.add_argument("--engine", choices=ENGINES, default="enumerate")
         p.add_argument("--single-user-simplification", action="store_true")
         p.add_argument("--max-profiles", type=int,
-                       default=_env_int("PETRIGAMES_MAX_PROFILES", 200_000))
+                       default=_env_int("PETRIGAMES_MAX_PROFILES", DEFAULT_PROFILE_BOUND))
 
     p = sub.add_parser("translate",
                        help="translate plays to fair computations and back")
@@ -132,31 +138,26 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--play", dest="play_path")
     group.add_argument("--lasso", dest="lasso_path")
     p.add_argument("--bound", type=int,
-                   default=_env_int("PETRIGAMES_MAX_LINEARISATIONS", 1000))
+                   default=_env_int("PETRIGAMES_MAX_LINEARISATIONS", DEFAULT_LINEARISATION_BOUND))
 
     p = sub.add_parser("export", help="write DOT or tabular artifacts")
     common(p)
     p.add_argument("--what", choices=("reach", "unfolding", "game", "fairness"),
                    required=True)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--max-size", type=int,
-                   default=_env_int("PETRIGAMES_MAX_PREFIX", 20_000))
-    p.add_argument("--dot", action="store_true")
+    prefix_options(p)
     p.add_argument("--out")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, net_path=args.net)
-    for name in ("formula", "formula_file", "depth", "max_states", "bound",
-                 "engine", "single_user_simplification", "machine",
+    for name in ("formula", "formula_file", "depth", "max_states", "max_profiles",
+                 "bound", "engine", "single_user_simplification", "machine",
                  "what", "dot", "out", "play_path", "lasso_path"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     if hasattr(args, "max_size"):
         cfg.max_prefix = args.max_size
-    if hasattr(args, "max_profiles"):
-        cfg.max_profiles = args.max_profiles
     if cfg.bound <= 0 or cfg.max_states <= 0 or cfg.max_prefix <= 0 \
             or cfg.max_profiles <= 0:
         raise InputError("bounds must be positive")
@@ -214,24 +215,18 @@ def run(config: RunConfig, stdout=None) -> int:
     return code
 
 
-def _load_net(config: RunConfig):
+def _read(path: str, kind: str) -> str:
     try:
-        with open(config.net_path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as err:
-        raise InputError(f"cannot read net file: {err}")
-    return parse_net(text)
+        raise InputError(f"cannot read {kind} file: {err}")
 
 
 def _load_formula(config: RunConfig):
     if config.formula is not None:
         return parse_formula(config.formula)
-    try:
-        with open(config.formula_file, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise InputError(f"cannot read formula file: {err}")
-    lines = [line for line in text.splitlines()
+    lines = [line for line in _read(config.formula_file, "formula").splitlines()
              if line.split("#", 1)[0].strip()]
     if len(lines) != 1:
         raise InputError("formula file must hold exactly one formula")
@@ -239,7 +234,7 @@ def _load_formula(config: RunConfig):
 
 
 def _dispatch(config: RunConfig, report: Report) -> int:
-    net = _load_net(config)
+    net = parse_net(_read(config.net_path, "net"))
     report.record("command", config.command)
     report.record("net", net.name)
 
@@ -327,18 +322,14 @@ def _check(config: RunConfig, report: Report, net) -> int:
                f"{format_marking(net.initial)}")
     if verdict.witness is not None:
         report.say("witness strategy:")
-        text = format_profile(g, verdict.witness)
-        report.say(text.rstrip("\n"))
-        for a, user in enumerate(g.net.users):
-            for qi, m in enumerate(g.states):
-                label = g.move_label(a, qi, verdict.witness.move(a, qi))
-                report.record(f"witness.{user}.{format_marking(m)}",
-                              label if label is not None else "pass")
+        report.say(format_profile(g, verdict.witness).rstrip("\n"))
+        for user, marking, move in _profile_moves(g, verdict.witness):
+            report.record(f"witness.{user}.{marking}", move)
     if verdict.counterexample is not None:
+        text = format_lasso(g, verdict.counterexample)
         report.say("fair counterexample lasso:")
-        report.say(format_lasso(g, verdict.counterexample).rstrip("\n"))
-        report.record("counterexample",
-                      format_lasso(g, verdict.counterexample).replace("\n", " / ").strip())
+        report.say(text.rstrip("\n"))
+        report.record("counterexample", text.replace("\n", " / ").strip())
     if verdict.reason and not verdict.satisfied:
         report.record("reason", verdict.reason)
     for key, states in verdict.state_sets.items():
@@ -351,11 +342,7 @@ def _translate(config: RunConfig, report: Report, net) -> int:
     g = build_game(net, max_states=config.max_states)
     constraints = build_fairness(net, g)
     if config.play_path is not None:
-        try:
-            with open(config.play_path, encoding="utf-8") as handle:
-                play = parse_play(handle.read())
-        except OSError as err:
-            raise InputError(f"cannot read play file: {err}")
+        play = parse_play(_read(config.play_path, "play"))
         lassos = play_to_computations(net, g, constraints, play,
                                       bound=config.bound)
         report.say(f"{len(lassos)} computation(s)")
@@ -366,15 +353,11 @@ def _translate(config: RunConfig, report: Report, net) -> int:
             report.say(format_lasso(g, lam).rstrip("\n"))
             report.record(f"fair.{i}", fair)
         return EXIT_OK
-    try:
-        with open(config.lasso_path, encoding="utf-8") as handle:
-            lasso = parse_lasso(g, handle.read())
-    except OSError as err:
-        raise InputError(f"cannot read lasso file: {err}")
-    play = computation_to_play(net, g, constraints, lasso)
+    lasso = parse_lasso(g, _read(config.lasso_path, "lasso"))
+    text = format_play(computation_to_play(net, g, constraints, lasso))
     report.say("play:")
-    report.say(format_play(play).rstrip("\n"))
-    report.record("play", format_play(play).replace("\n", " / ").strip())
+    report.say(text.rstrip("\n"))
+    report.record("play", text.replace("\n", " / ").strip())
     return EXIT_OK
 
 
@@ -386,12 +369,10 @@ def _export(config: RunConfig, report: Report, net) -> int:
         bp = unfold_prefix(net, config.depth, max_size=config.max_prefix,
                            max_states=config.max_states)
         payload = dot_prefix(bp, initial_cut(bp))
-    elif config.what == "game":
-        g = build_game(net, max_states=config.max_states)
-        payload = dot_game(g)
     else:
         g = build_game(net, max_states=config.max_states)
-        payload = fairness_table(g, build_fairness(net, g))
+        payload = dot_game(g) if config.what == "game" \
+            else fairness_table(g, build_fairness(net, g))
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as handle:

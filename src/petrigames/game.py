@@ -35,13 +35,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import BoundExceeded, InputError, PreconditionError
 from .formulas import canonical_lasso
 from .nets import (
+    DEFAULT_STATE_BOUND,
     Marking,
     NetSystem,
     ReachabilityGraph,
     format_marking,
     require_contact_free,
 )
-from .unfold import Play, interleavings, materialise_play, validate_play
+from .unfold import Play, interleavings, materialise_play, parse_play, validate_play
 
 SCHEDULER_NAME = "scheduler"
 DEFAULT_LINEARISATION_BOUND = 1000
@@ -69,7 +70,6 @@ class GameStructure:
         #: successors[a][qi][j] is the state reached when user or
         #: environment ``a`` is scheduled at ``qi`` and plays move ``j``
         self.successors = tuple(tuple(per_state) for per_state in successors)
-        self.props = frozenset(net.places)
         self.single_user_simplification = single_user_simplification
 
     # -- basic queries -----------------------------------------------------
@@ -136,7 +136,7 @@ class GameStructure:
 
 
 def build_game(net: NetSystem, single_user_simplification: bool = False,
-               max_states: int = 100_000,
+               max_states: int = DEFAULT_STATE_BOUND,
                graph: Optional[ReachabilityGraph] = None) -> GameStructure:
     """The turn-based asynchronous game structure of a distributed net.
 
@@ -252,9 +252,6 @@ class LassoComputation:
     prefix: tuple
     cycle: tuple
 
-    def initial(self) -> int:
-        return self.prefix[0][0] if self.prefix else self.cycle[0][0]
-
 
 def validate_lasso(g: GameStructure, lasso: LassoComputation) -> None:
     if not lasso.cycle:
@@ -325,15 +322,42 @@ def computation_to_play(net: NetSystem, g: GameStructure,
         raise PreconditionError(
             "computation is not fair; violated: " + ", ".join(report.violated))
 
-    def fired(qi: int, vec) -> Optional[str]:
-        scheduled = g.move_label(g.scheduler_player, qi, vec[g.scheduler_player])
-        return g.move_label(scheduled, qi, vec[scheduled])
-
-    steps = tuple((t,) for qi, vec in lasso.prefix
-                  if (t := fired(qi, vec)) is not None)
-    cycle = tuple(t for qi, vec in lasso.cycle
-                  if (t := fired(qi, vec)) is not None)
+    steps = tuple((t,) for step in lasso.prefix
+                  if (t := _scheduled_move(g, *step)[1]) is not None)
+    cycle = tuple(t for step in lasso.cycle
+                  if (t := _scheduled_move(g, *step)[1]) is not None)
     return Play(steps, cycle, ())
+
+
+def _scheduled_move(g: GameStructure, qi: int, vec: Sequence[int]) -> tuple:
+    """Decode a step: the scheduled player and the label of its move (a
+    transition, or None for an idle move)."""
+    scheduled = g.move_label(g.scheduler_player, qi, vec[g.scheduler_player])
+    return scheduled, g.move_label(scheduled, qi, vec[scheduled])
+
+
+def _transition_step(g: GameStructure, qi: int, t: str) -> tuple:
+    """Encode a step: the (state, move vector) step in which the owner of
+    transition ``t`` is scheduled at ``qi`` and fires ``t``."""
+    owner = g.net.location_of(t)
+    player = g.player_names.index(owner)
+    try:
+        j = g.moves[player][qi].index(t)
+    except ValueError:
+        raise InputError(f"transition {t} is not a move of {owner} at "
+                         f"{format_marking(g.states[qi])}") from None
+    return (qi, g.vector_for(qi, player, j))
+
+
+def _walk(g: GameStructure, qi: int, tokens: Iterable, encode=_transition_step) -> tuple:
+    """The steps ``encode(g, state, token)`` gives for the tokens in turn,
+    from ``qi`` along ``g.tau``, and the state the last one reaches."""
+    steps = []
+    for token in tokens:
+        step = encode(g, qi, token)
+        steps.append(step)
+        qi = g.tau(*step)
+    return tuple(steps), qi
 
 
 def play_to_computations(net: NetSystem, g: GameStructure,
@@ -365,32 +389,13 @@ def play_to_computations(net: NetSystem, g: GameStructure,
                                                max(bound, 0))]
                    for fired in mat.step_events[: mat.cycle_starts_at]]
 
-    def step_for(qi: int, t: str) -> tuple:
-        owner = net.location_of(t)
-        player = g.player_names.index(owner)
-        j = g.moves[player][qi].index(t)
-        return (qi, g.vector_for(qi, player, j))
-
-    cycle_labels = list(play.cycle)
-
     def build(choice) -> LassoComputation:
-        qi = g.initial_state()
-        prefix = []
-        for gap in choice:
-            for t in gap:
-                step = step_for(qi, t)
-                prefix.append(step)
-                qi = g.tau(*step)
-        cycle = []
-        if cycle_labels:
-            for t in cycle_labels:
-                step = step_for(qi, t)
-                cycle.append(step)
-                qi = g.tau(*step)
+        prefix, qi = _walk(g, g.initial_state(), itertools.chain.from_iterable(choice))
+        if play.cycle:
+            cycle, _ = _walk(g, qi, play.cycle)
         else:
-            cycle.append((qi, g.vector_for(qi, g.env_player,
-                                           g.idle_move(g.env_player, qi))))
-        return LassoComputation(tuple(prefix), tuple(cycle))
+            cycle = ((qi, g.vector_for(qi, g.env_player, g.idle_move(g.env_player, qi))),)
+        return LassoComputation(prefix, cycle)
 
     computations = []
     for choice in itertools.product(*gap_choices):
@@ -431,8 +436,7 @@ def _repair_fairness(g: GameStructure, lasso: LassoComputation) -> LassoComputat
 
 def format_lasso(g: GameStructure, lasso: LassoComputation) -> str:
     def token(qi: int, vec) -> str:
-        scheduled = g.move_label(g.scheduler_player, qi, vec[g.scheduler_player])
-        label = g.move_label(scheduled, qi, vec[scheduled])
+        scheduled, label = _scheduled_move(g, qi, vec)
         return label if label is not None else f"pass@{g.player_names[scheduled]}"
 
     lines = []
@@ -443,45 +447,32 @@ def format_lasso(g: GameStructure, lasso: LassoComputation) -> str:
 
 
 def parse_lasso(g: GameStructure, text: str) -> LassoComputation:
-    from .unfold import parse_play  # same token syntax
-
-    play = parse_play(text)
+    play = parse_play(text)    # play files have the same token syntax
     if play.trailing:
         raise InputError("lasso files cannot have trailing events")
 
-    def step_for(qi: int, token: str) -> tuple:
-        if token.startswith("pass@"):
-            name = token[len("pass@"):]
-            if name not in g.player_names[:-1]:
-                raise InputError(f"unknown player in token {token!r}")
-            player = g.player_names.index(name)
-            idle = g.idle_move(player, qi)
-            if idle is None:
-                raise InputError(
-                    f"player {name} has no idle move at {format_marking(g.states[qi])}")
-            return (qi, g.vector_for(qi, player, idle))
-        owner = g.net.location_of(token)
-        player = g.player_names.index(owner)
-        if token not in g.moves[player][qi]:
+    def encode(g: GameStructure, qi: int, token: str) -> tuple:
+        if not token.startswith("pass@"):
+            return _transition_step(g, qi, token)
+        name = token[len("pass@"):]
+        if name not in g.player_names[:-1]:
+            raise InputError(f"unknown player in token {token!r}")
+        player = g.player_names.index(name)
+        idle = g.idle_move(player, qi)
+        if idle is None:
             raise InputError(
-                f"transition {token} is not a move of {owner} at "
-                f"{format_marking(g.states[qi])}")
-        return (qi, g.vector_for(qi, player, g.moves[player][qi].index(token)))
+                f"player {name} has no idle move at {format_marking(g.states[qi])}")
+        return (qi, g.vector_for(qi, player, idle))
 
-    qi = g.initial_state()
-    prefix = []
-    for step in play.steps:
+    def single(step: tuple) -> str:
         if len(step) != 1:
             raise InputError("lasso files take one move per step")
-        s = step_for(qi, step[0])
-        prefix.append(s)
-        qi = g.tau(*s)
-    cycle = []
-    for token in play.cycle:
-        s = step_for(qi, token)
-        cycle.append(s)
-        qi = g.tau(*s)
-    lasso = LassoComputation(tuple(prefix), tuple(cycle))
+        return step[0]
+
+    # map is lazy, so each step is checked in file order as it is walked
+    prefix, qi = _walk(g, g.initial_state(), map(single, play.steps), encode)
+    cycle, _ = _walk(g, qi, play.cycle, encode)
+    lasso = LassoComputation(prefix, cycle)
     validate_lasso(g, lasso)
     return lasso
 

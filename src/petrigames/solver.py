@@ -36,6 +36,8 @@ constraint (disabled at some position or taken at some step).  Weak
 fairness makes this a generalized Buechi condition, so SCC inspection is
 exact: each step carries the arena's constraint mask, and a component
 holds a fair cycle iff the OR of its internal steps' masks has every bit.
+
+Every entry point resolves its start state ``q0`` once, with ``_start``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .formulas import (
     PathFormula,
     Prop,
     TrueConst,
+    canonical_lasso,
     check_fragment,
     format_formula,
     holds_in,
@@ -65,7 +68,7 @@ from .game import (
     build_fairness,
     build_game,
 )
-from .nets import NetSystem, format_marking, marking_key, parse_marking
+from .nets import DEFAULT_STATE_BOUND, NetSystem, format_marking, marking_key, parse_marking
 from .unfold import BranchingProcess, NetStrategy, cut_step, enabled_events, \
     events_before_cut, initial_cut, interleavings
 
@@ -163,10 +166,24 @@ def iter_profiles(g: GameStructure):
     indices ascending."""
     ranges = [range(g.d(a, qi))
               for a in range(g.user_count) for qi in range(len(g.states))]
-    n = len(g.states)
     for flat in itertools.product(*ranges):
-        yield GameProfile(tuple(flat[a * n:(a + 1) * n]
-                                for a in range(g.user_count)))
+        yield _profile(g, flat)
+
+
+def _profile(g: GameStructure, flat: tuple) -> GameProfile:
+    """The profile in which user ``a`` plays ``flat[a * n + qi]`` at state
+    ``qi``, for ``n`` states."""
+    n = len(g.states)
+    return GameProfile(tuple(flat[a * n:(a + 1) * n] for a in range(g.user_count)))
+
+
+def _start(g: GameStructure, q0: Optional[int]) -> int:
+    """The start state: ``q0``, or the initial state when it is None."""
+    if q0 is None:
+        return g.initial_state()
+    if not 0 <= q0 < len(g.states):
+        raise InputError(f"unknown state index {q0}")
+    return q0
 
 
 @dataclass
@@ -219,10 +236,7 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     a refuted profile.
     """
     validate_game_profile(g, profile)
-    if q0 is None:
-        q0 = g.initial_state()
-    if not 0 <= q0 < len(g.states):
-        raise InputError(f"unknown state index {q0}")
+    q0 = _start(g, q0)
     game = _arena(g, constraints, pf)
     refutation = _refute(game, profile, game.start(q0))
     if refutation is None:
@@ -415,18 +429,13 @@ def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstra
         raise BoundExceeded(
             f"profile space of size {space} exceeds the enumeration bound "
             f"{max_profiles}; use the fixpoint engine", max_profiles)
-    if q0 is None:
-        q0 = g.initial_state()
-    if not 0 <= q0 < len(g.states):
-        raise InputError(f"unknown state index {q0}")
+    q0 = _start(g, q0)
     game = _arena(g, constraints, pf)
     root = game.start(q0)
-    profile = None
     for profile in iter_profiles(g):
         if _refute(game, profile, root) is None:
             return Verdict(True, witness=profile)
-    if profile is None:
-        return Verdict(False, reason="no profiles to try")
+    # every user has a move at every state, so the sweep saw a profile
     last = verify_profile(g, constraints, profile, game, q0)
     return Verdict(False, counterexample=last.counterexample, reason=last.reason)
 
@@ -621,8 +630,7 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
     ``pf`` may also be a :class:`_FairGame` built on ``g`` and
     ``constraints``; its arena is then grown and reused, not rebuilt.
     """
-    if q0 is None:
-        q0 = g.initial_state()
+    q0 = _start(g, q0)
     game = _arena(g, constraints, pf)
     witness = _search(game, q0)
     if witness is not None:
@@ -662,9 +670,7 @@ def _search(game: _FairGame, q0: int) -> Optional[GameProfile]:
                 continue
             # the leaf solve is exact on a full profile, so the exact check
             # on the same arena adds only non-vacuity (a fair computation)
-            profile = GameProfile(tuple(
-                tuple(j or 0 for j in fixed[a * n:(a + 1) * n])
-                for a in range(g.user_count)))
+            profile = _profile(g, tuple(j or 0 for j in fixed))
             if _refute(game, profile, root) is None:
                 return profile
         # backtrack to the deepest slot with an untried move
@@ -720,8 +726,7 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     if violations:
         raise InputError("formula outside the checkable fragment: "
                          + "; ".join(violations))
-    if q0 is None:
-        q0 = g.initial_state()
+    q0 = _start(g, q0)
     constraints = tuple(constraints)
     all_states = frozenset(range(len(g.states)))
     state_sets: dict = {}
@@ -813,7 +818,7 @@ def _label_fixpoint(game: _FairGame, q0: int, root: Optional[Verdict]) -> frozen
 
 def check_net(net: NetSystem, formula: Formula, engine: str = "enumerate",
               single_user_simplification: bool = False,
-              max_states: int = 100_000,
+              max_states: int = DEFAULT_STATE_BOUND,
               max_profiles: int = DEFAULT_PROFILE_BOUND) -> tuple:
     """Convenience front door: build the game and fairness constraints,
     then model-check the formula at the initial state."""
@@ -889,8 +894,6 @@ def full_memory_from_cut_strategy(bp: BranchingProcess, g: GameStructure,
     to one transition arbitrarily-but-canonically chosen from the cut's
     choice set.  Conflicting assignments keep the least transition.
     """
-    from .formulas import canonical_lasso as _canon
-
     if owner not in g.net.users:
         raise InputError(f"{owner!r} is not a user location")
     known_cuts = set()
@@ -917,7 +920,7 @@ def full_memory_from_cut_strategy(bp: BranchingProcess, g: GameStructure,
             for eid in extension:
                 walking = cut_step(bp, walking, eid)
                 seq.append(bp.mu(walking))
-            key = _canon(seq, ())[0]
+            key = canonical_lasso(seq, ())[0]
             if key not in mapping or _prefer(value, mapping[key]):
                 mapping[key] = value
     return mapping
@@ -933,15 +936,19 @@ def _prefer(new, old) -> bool:
 
 # -- strategy files ---------------------------------------------------------------
 
-def format_profile(g: GameStructure, profile: GameProfile) -> str:
-    """``strategy <user>: <marking> -> <transition|pass>`` lines."""
-    lines = []
+def _profile_moves(g: GameStructure, profile: GameProfile):
+    """``(user, marking text, transition or "pass")`` for every user, then
+    every state, in canonical order."""
     for a, user in enumerate(g.net.users):
         for qi, m in enumerate(g.states):
             label = g.move_label(a, qi, profile.move(a, qi))
-            lines.append(f"strategy {user}: {format_marking(m)} -> "
-                         f"{label if label is not None else 'pass'}")
-    return "\n".join(lines) + "\n"
+            yield user, format_marking(m), label if label is not None else "pass"
+
+
+def format_profile(g: GameStructure, profile: GameProfile) -> str:
+    """``strategy <user>: <marking> -> <transition|pass>`` lines."""
+    return "\n".join(f"strategy {user}: {marking} -> {move}"
+                     for user, marking, move in _profile_moves(g, profile)) + "\n"
 
 
 def parse_profile(g: GameStructure, text: str) -> GameProfile:

@@ -75,16 +75,6 @@ class BranchingProcess:
     def __contains__(self, x: str) -> bool:
         return x in self.conditions or x in self.events
 
-    def label(self, x: str) -> str:
-        if x in self.conditions:
-            return self.conditions[x].label
-        if x in self.events:
-            return self.events[x].label
-        raise InputError(f"unknown element {x!r}")
-
-    def size(self) -> int:
-        return len(self.conditions) + len(self.events)
-
     def mu(self, cut: Iterable[str]) -> Marking:
         """Marking corresponding to a set of conditions."""
         return frozenset(self.conditions[c].label for c in cut)

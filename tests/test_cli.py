@@ -294,3 +294,46 @@ def test_unfold_honours_max_states(tmp_path):
         assert "reachability graph exceeds 10 states" in out
         code, _ = invoke(argv)
         assert code == 0
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("net", ["validate", "{missing}"]),
+    ("formula", ["check", "{f4}", "--formula-file", "{missing}"]),
+    ("play", ["translate", "{f4}", "--play", "{missing}"]),
+    ("lasso", ["translate", "{f4}", "--lasso", "{missing}"]),
+])
+def test_unreadable_file_errors_are_pinned(f4_path, tmp_path, kind, argv):
+    missing = str(tmp_path / "missing")
+    code, out = invoke([a.format(f4=f4_path, missing=missing) for a in argv])
+    assert code == 2
+    assert out == (f"error: cannot read {kind} file: "
+                   f"[Errno 2] No such file or directory: {missing!r}\n")
+
+
+def test_unwritable_output_error_is_pinned(f4_path, tmp_path):
+    target = str(tmp_path / "no-such-dir" / "game.dot")
+    code, out = invoke(["export", f4_path, "--what", "game", "--out", target])
+    assert code == 2
+    assert out == (f"error: cannot write output file: "
+                   f"[Errno 2] No such file or directory: {target!r}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("pass@nobody\n", "unknown player in token 'pass@nobody'"),
+    ("pass@scheduler\n", "unknown player in token 'pass@scheduler'"),
+    ("pass@env\n", "player env has no idle move at {p0,p2}"),
+    ("t1\n", "transition t1 is not a move of env at {p0,p2}"),
+    ("t0 t0\n", "transition t0 is not a move of env at {p1,p2}"),
+    ("cycle: t3 t5 t1\n", "transition t1 is not a move of env at {p0,p2}"),
+    ("t0+t3\n", "lasso files take one move per step"),
+    # two rejections in one file: the first in file order is reported
+    ("t1 t0+t3\n", "transition t1 is not a move of env at {p0,p2}"),
+    ("t0+t3 pass@nobody\n", "lasso files take one move per step"),
+    ("t0\ncycle: pass@nobody t1+t0\n", "unknown player in token 'pass@nobody'"),
+])
+def test_lasso_file_rejections_are_pinned(f4_path, tmp_path, text, message):
+    lasso = tmp_path / "bad.lasso"
+    lasso.write_text(text)
+    code, out = invoke(["translate", f4_path, "--lasso", str(lasso)])
+    assert code == 2
+    assert out == f"error: {message}\n"

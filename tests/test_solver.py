@@ -102,6 +102,25 @@ def test_verify_rejects_unknown_state(g4, fc4):
         verify_profile(g4, fc4, example_profile(g4), REACH_EITHER, q0=99)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, fcs, q0: verify_profile(g, fcs, example_profile(g), REACH_EITHER, q0),
+    lambda g, fcs, q0: synthesize_enumerate(g, fcs, REACH_EITHER, q0),
+    lambda g, fcs, q0: synthesize_fixpoint(g, fcs, REACH_EITHER, q0),
+    lambda g, fcs, q0: model_check(g, fcs, parse_formula(
+        "<<u>> F ((p0 & p3) | (p1 & p4))"), q0, engine="enumerate"),
+    lambda g, fcs, q0: model_check(g, fcs, parse_formula(
+        "<<u>> F ((p0 & p3) | (p1 & p4))"), q0, engine="fixpoint"),
+    lambda g, fcs, q0: model_check(g, fcs, parse_formula(
+        "<<u>> F ((p0 & p3) | (p1 & p4))"), q0, engine="both"),
+], ids=["verify_profile", "synthesize_enumerate", "synthesize_fixpoint",
+        "model_check-enumerate", "model_check-fixpoint", "model_check-both"])
+@pytest.mark.parametrize("where", ["minus-one", "past-the-end"])
+def test_every_entry_point_rejects_an_out_of_range_start(g4, fc4, call, where):
+    q0 = -1 if where == "minus-one" else len(g4.states)
+    with pytest.raises(InputError, match=f"^unknown state index {q0}$"):
+        call(g4, fc4, q0)
+
+
 def test_vacuous_profile_detected():
     # a user that refuses to move in a user-only net admits no fair
     # computation: not a winning profile, with a telling reason
