@@ -28,7 +28,6 @@ from .game import (
     dot_game,
     fairness_table,
     format_lasso,
-    lasso_is_fair,
     parse_lasso,
     play_to_computations,
 )
@@ -219,7 +218,7 @@ def _read(path: str, kind: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {kind} file: {err}")
 
 
@@ -347,8 +346,7 @@ def _translate(config: RunConfig, report: Report, net) -> int:
                                       bound=config.bound)
         report.say(f"{len(lassos)} computation(s)")
         report.record("computations", len(lassos))
-        for i, lam in enumerate(lassos):
-            fair = lasso_is_fair(g, constraints, lam).fair
+        for i, (lam, fair) in enumerate(zip(lassos, lassos.fair)):
             report.say(f"-- computation {i}{' (fair)' if fair else ''}")
             report.say(format_lasso(g, lam).rstrip("\n"))
             report.record(f"fair.{i}", fair)

@@ -71,6 +71,9 @@ class GameStructure:
         #: environment ``a`` is scheduled at ``qi`` and plays move ``j``
         self.successors = tuple(tuple(per_state) for per_state in successors)
         self.single_user_simplification = single_user_simplification
+        #: per state, on first use: every non-scheduler player's idle move,
+        #: or 0 where it has none
+        self._idle_vectors: list = [None] * len(self.states)
 
     # -- basic queries -----------------------------------------------------
 
@@ -118,15 +121,11 @@ class GameStructure:
     def vector_for(self, qi: int, player: int, j: int) -> tuple:
         """Canonical full vector: the scheduled player plays ``j``, users
         idle where possible and the environment picks its first move."""
-        vec = []
-        for a in range(self.player_count - 1):
-            if a == player:
-                vec.append(j)
-            else:
-                idle = self.idle_move(a, qi)
-                vec.append(idle if idle is not None else 0)
-        vec.append(player)
-        return tuple(vec)
+        idle = self._idle_vectors[qi]
+        if idle is None:
+            idle = self._idle_vectors[qi] = tuple(
+                self.idle_move(a, qi) or 0 for a in range(self.player_count - 1))
+        return idle[:player] + (j,) + idle[player + 1:] + (player,)
 
     def edges(self, qi: int):
         """All (scheduled player, move index, successor) triples at a state."""
@@ -153,15 +152,18 @@ def build_game(net: NetSystem, single_user_simplification: bool = False,
     player_of[net.env] = k
     owner = {t: player_of[net.location_of(t)] for t in net.transitions}
 
+    # the search's own successor lists, renumbered through ``_rank`` here:
+    # ``graph.out`` would build a canonical copy of every edge first
+    rank = graph._rank
     moves: list[list[tuple]] = [[] for _ in range(k + 1)]
     successors: list[list[tuple]] = [[] for _ in range(k + 1)]
-    for qi, succ in enumerate(graph.out):
+    for qi, b in enumerate(graph._order):
         labels = [[] for _ in range(k + 1)]
         targets = [[] for _ in range(k + 1)]
-        for t, qj in succ:
+        for t, j in graph._succ[b]:
             a = owner[t]
             labels[a].append(t)
-            targets[a].append(qj)
+            targets[a].append(rank[j])
         uncontrollable = bool(labels[k])
         for a in range(k):
             if single_user_simplification and k == 1 and labels[a] \
@@ -360,6 +362,10 @@ def _walk(g: GameStructure, qi: int, tokens: Iterable, encode=_transition_step) 
     return tuple(steps), qi
 
 
+class _Computations(tuple):
+    """The computations of a play, with ``fair``: the fairness of each."""
+
+
 def play_to_computations(net: NetSystem, g: GameStructure,
                          constraints: Iterable[FairnessConstraint],
                          play: Play,
@@ -370,7 +376,9 @@ def play_to_computations(net: NetSystem, g: GameStructure,
 
     At least one returned computation is fair: when no plain
     linearisation is, the first one is repaired by appending idle steps
-    for every player the cycle never schedules.
+    for every player the cycle never schedules.  The returned tuple's
+    ``fair`` attribute holds each computation's fairness, decided once by
+    :func:`lasso_is_fair`.
     """
     constraints = tuple(constraints)
     needed = sum(len(s) for s in play.steps) + len(play.cycle) + len(play.trailing)
@@ -389,26 +397,43 @@ def play_to_computations(net: NetSystem, g: GameStructure,
                                                max(bound, 0))]
                    for fired in mat.step_events[: mat.cycle_starts_at]]
 
-    def build(choice) -> LassoComputation:
-        prefix, qi = _walk(g, g.initial_state(), itertools.chain.from_iterable(choice))
-        if play.cycle:
-            cycle, _ = _walk(g, qi, play.cycle)
-        else:
-            cycle = ((qi, g.vector_for(qi, g.env_player, g.idle_move(g.env_player, qi))),)
-        return LassoComputation(prefix, cycle)
-
+    # a gap's steps depend only on its order and the state it starts
+    # from, and the cycle only on its start: each is walked once and
+    # shared by every computation that reaches it
+    walks: dict = {}     # (gap, order, start state) -> (steps, end state)
+    cycles: dict = {}    # start state -> cycle steps
     computations = []
-    for choice in itertools.product(*gap_choices):
+    for choice in itertools.product(*(range(len(orders)) for orders in gap_choices)):
         if len(computations) >= bound:
             break
-        computations.append(build(choice))
+        prefix: list = []
+        qi = g.initial_state()
+        for gap, i in enumerate(choice):
+            walk = walks.get((gap, i, qi))
+            if walk is None:
+                walk = walks[gap, i, qi] = _walk(g, qi, gap_choices[gap][i])
+            steps, qi = walk
+            prefix += steps
+        cycle = cycles.get(qi)
+        if cycle is None:
+            if play.cycle:
+                cycle, _ = _walk(g, qi, play.cycle)
+            else:
+                idle = g.idle_move(g.env_player, qi)
+                cycle = ((qi, g.vector_for(qi, g.env_player, idle)),)
+            cycles[qi] = cycle
+        computations.append(LassoComputation(tuple(prefix), cycle))
     if not computations:
         raise BoundExceeded(
             f"no computation within linearisation bound {bound}", bound)
 
-    if not any(lasso_is_fair(g, constraints, lam).fair for lam in computations):
+    fair = [lasso_is_fair(g, constraints, lam).fair for lam in computations]
+    if not any(fair):
         computations.append(_repair_fairness(g, computations[0]))
-    return tuple(computations)
+        fair.append(lasso_is_fair(g, constraints, computations[-1]).fair)
+    result = _Computations(computations)
+    result.fair = tuple(fair)
+    return result
 
 
 def _repair_fairness(g: GameStructure, lasso: LassoComputation) -> LassoComputation:
@@ -500,22 +525,34 @@ def dot_game(g: GameStructure) -> str:
 
 def fairness_table(g: GameStructure, constraints: Iterable[FairnessConstraint]) -> str:
     """Tabular dump of move counts and fairness constraints."""
+    def text(labels: tuple, picked: Iterable[int]) -> str:
+        return ",".join("pass" if labels[j] is None else str(labels[j]) for j in picked)
+
     lines = [f"players: {' '.join(g.player_names)}", "moves:"]
     state_labels = [format_marking(m) for m in g.states]
+    # games repeat a few move tuples and allowed sets across many states,
+    # so every cell and every allowed-move text is formatted once
+    cells: list = [{} for _ in g.player_names]   # per player: moves -> cell
     for qi, label in enumerate(state_labels):
-        cells = []
+        row = []
         for a, name in enumerate(g.player_names):
-            text = ",".join("pass" if x is None else str(x) for x in g.moves[a][qi])
-            cells.append(f"{name}=[{text}]")
-        lines.append(f"  {label}: " + " ".join(cells))
+            labels = g.moves[a][qi]
+            cell = cells[a].get(labels)
+            if cell is None:
+                cell = cells[a][labels] = f"{name}=[{text(labels, range(len(labels)))}]"
+            row.append(cell)
+        lines.append(f"  {label}: " + " ".join(row))
     lines.append("fairness:")
+    heads = [f"    {label}: " for label in state_labels]
+    texts: dict = {}                              # (moves, allowed) -> text
     for fc in constraints:
         lines.append(f"  {fc.name} (player {g.player_names[fc.player]})")
         moves = g.moves[fc.player]
         for qi, allowed in sorted(fc.moves.items()):
             if allowed:
-                labels = moves[qi]
-                text = ",".join("pass" if labels[j] is None else str(labels[j])
-                                for j in sorted(allowed))
-                lines.append(f"    {state_labels[qi]}: " + text)
+                key = (moves[qi], allowed)
+                line = texts.get(key)
+                if line is None:
+                    line = texts[key] = text(moves[qi], sorted(allowed))
+                lines.append(heads[qi] + line)
     return "\n".join(lines) + "\n"

@@ -11,11 +11,17 @@ The token game has one implementation, the net's :class:`FiringKernel`
 order and keeps every transition, in sorted order, with its pre- and
 post-set as integer bitmasks, so that "pre-set marked and post-set
 token-free" is two ``&`` tests and firing is ``(m ^ pre) | post``.
-:func:`reachability_graph` runs its breadth-first search on such integer
-markings, turns each reachable one into a frozenset once, and records the
-canonically first contact witness on the way; :func:`enabled_set`,
-:func:`fire`, the game structure and the strategy checks all go through
-the same kernel.  Public structures keep markings as frozensets.
+One breadth-first search, :func:`_explore`, runs on such integer
+markings and notes the least contact transition of every marking where
+one exists.  :func:`reachability_graph` puts its result in canonical
+order: it turns each reachable marking into a frozenset once and sorts
+the states, while the canonical successor lists (``out``) and edge
+triples are built from the search's own lists on first read.
+:func:`check_contact_free` decides contact from the same search without
+any canonical order, decoding only the markings that have contact.
+:func:`enabled_set`, :func:`fire`, the game structure and the strategy
+checks all go through the same kernel.  Public structures keep markings
+as frozensets.
 """
 
 from __future__ import annotations
@@ -192,21 +198,33 @@ class ReachabilityGraph:
 
     ``states`` are sorted by :func:`marking_key`; ``out[i]`` lists the
     ``(transition, target index)`` pairs of state ``i`` by transition;
-    ``edges`` spells the same edges out, on first use, as ``(marking,
-    transition, marking)`` triples, sorted by source marking, then
-    transition.
-    ``contact`` is the least ``(marking, transition)`` in that order whose
-    transition has its pre-set marked and its post-set not token-free, or
-    None for a contact-free net.
+    ``edges`` spells the same edges out as ``(marking, transition,
+    marking)`` triples, sorted by source marking, then transition.  Both
+    are built on first read from the search's successor lists: ``_succ[b]``
+    lists the ``(transition, search index)`` pairs of the ``b``-th marking
+    the search found, ``_order[i]`` is the search index of state ``i`` and
+    ``_rank`` is the inverse of ``_order``.
+    ``contact`` is the least ``(marking, transition)`` in canonical order
+    whose transition has its pre-set marked and its post-set not
+    token-free, or None for a contact-free net.
     """
 
-    def __init__(self, states: Sequence[Marking], out: Sequence[tuple],
-                 initial: Marking, contact: Optional[tuple] = None):
+    def __init__(self, states: Sequence[Marking], succ: Sequence[Sequence[tuple]],
+                 order: Sequence[int], initial: Marking, contact: Optional[tuple] = None):
         self.states = tuple(states)
-        self.out = tuple(out)
+        self._succ = succ
+        self._order = order
+        rank = self._rank = [0] * len(order)
+        for i, b in enumerate(order):
+            rank[b] = i
         self.initial = initial
         self.contact = contact
         self.index = {m: i for i, m in enumerate(self.states)}
+
+    @functools.cached_property
+    def out(self) -> tuple:
+        rank = self._rank
+        return tuple(tuple((t, rank[j]) for t, j in self._succ[b]) for b in self._order)
 
     @functools.cached_property
     def edges(self) -> tuple:
@@ -284,9 +302,11 @@ def fire(net: NetSystem, m: Marking, t: str) -> Marking:
     return frozenset(kernel.decode(kernel.fire(kernel.encode(m), t)))
 
 
-def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
+def _explore(net: NetSystem, max_states: int) -> tuple:
     """BFS over the token game from the initial marking, on the net's
-    kernel; also finds the canonically first contact witness."""
+    kernel: the reachable integer markings in search order, each one's
+    ``(transition, search index)`` successors, and the least contact
+    transition of every search index that has one."""
     require_valid(net)
     kernel = net.kernel
     arcs = kernel.arcs
@@ -312,20 +332,27 @@ def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) ->
                 found.append(m2)
             succ.append((t, j))
         out.append(succ)
+    return found, out, contact
 
+
+def _least_contact(kernel: FiringKernel, found: list, contact: dict) -> Optional[tuple]:
+    """The contact ``(marking, transition)`` whose marking has the least
+    ``marking_key``, or None."""
+    if not contact:
+        return None
+    key, i = min((kernel.decode(found[i]), i) for i in contact)
+    return frozenset(key), contact[i]
+
+
+def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
+    """The reachable markings of the net in canonical order, with the
+    canonically first contact witness."""
+    found, succ, contact = _explore(net, max_states)
+    kernel = net.kernel
     keys = [kernel.decode(m) for m in found]
     order = sorted(range(len(found)), key=keys.__getitem__)
-    rank = [0] * len(found)
-    for r, i in enumerate(order):
-        rank[i] = r
-    states = [frozenset(keys[i]) for i in order]
-    witness = None
-    if contact:
-        first = min(contact, key=rank.__getitem__)
-        witness = (states[rank[first]], contact[first])
-    return ReachabilityGraph(
-        states, [tuple((t, rank[j]) for t, j in out[i]) for i in order],
-        net.initial, witness)
+    return ReachabilityGraph([frozenset(keys[i]) for i in order], succ, order,
+                             net.initial, _least_contact(kernel, found, contact))
 
 
 def check_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND,
@@ -334,10 +361,19 @@ def check_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND,
 
     Returns ``(True, None)`` or ``(False, (marking, transition))`` with the
     first witness in canonical order: a reachable marking covering some
-    pre-set while the corresponding post-set is not token-free.
+    pre-set while the corresponding post-set is not token-free.  The
+    search's markings are never put in canonical order.
     """
-    witness = reachability_graph(net, max_states=max_states).contact
+    found, _, contact = _explore(net, max_states)
+    witness = _least_contact(net.kernel, found, contact)
     return witness is None, witness
+
+
+def _contact_error(witness: tuple) -> InputError:
+    m, t = witness
+    return InputError(
+        f"net is not contact-free: transition {t} has a marked post-set "
+        f"at reachable marking {format_marking(m)}")
 
 
 def require_contact_free(net: NetSystem,
@@ -345,10 +381,7 @@ def require_contact_free(net: NetSystem,
     """The reachability graph of a contact-free net; InputError otherwise."""
     graph = reachability_graph(net, max_states=max_states)
     if graph.contact is not None:
-        m, t = graph.contact
-        raise InputError(
-            f"net is not contact-free: transition {t} has a marked post-set "
-            f"at reachable marking {format_marking(m)}")
+        raise _contact_error(graph.contact)
     return graph
 
 

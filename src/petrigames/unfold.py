@@ -29,9 +29,10 @@ from .nets import (
     DEFAULT_STATE_BOUND,
     Marking,
     NetSystem,
+    _contact_error,
+    check_contact_free,
     enabled_set,
     format_marking,
-    require_contact_free,
     require_valid,
 )
 
@@ -163,14 +164,18 @@ def unfold_prefix(net: NetSystem, depth: int,
                   max_size: int = DEFAULT_PREFIX_BOUND,
                   max_states: int = DEFAULT_STATE_BOUND) -> BranchingProcess:
     """The prefix of the unfolding containing all events of causal depth
-    <= ``depth`` (and their conditions); the contact-freeness check that
-    precedes it explores at most ``max_states`` markings.
+    <= ``depth`` (and their conditions).  The contact-freeness check that
+    precedes it explores at most ``max_states`` markings and reads only
+    its verdict and witness, so the state space is never put in canonical
+    order.
 
     Layer k adds, in ``(t, sorted pre-set)`` order, an event for every
     co-set labelled by some ``pre(t)`` that has none yet; such a co-set
     holds a condition of layer k - 1, so the search starts from those.
     """
-    require_contact_free(net, max_states=max_states)
+    free, witness = check_contact_free(net, max_states=max_states)
+    if not free:
+        raise _contact_error(witness)
     if depth < 0:
         raise InputError("depth must be >= 0")
     occ = _OccurrenceNet(net)

@@ -337,3 +337,18 @@ def test_lasso_file_rejections_are_pinned(f4_path, tmp_path, text, message):
     code, out = invoke(["translate", f4_path, "--lasso", str(lasso)])
     assert code == 2
     assert out == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("net", ["validate", "{bad}"]),
+    ("formula", ["check", "{f4}", "--formula-file", "{bad}"]),
+    ("play", ["translate", "{f4}", "--play", "{bad}"]),
+    ("lasso", ["translate", "{f4}", "--lasso", "{bad}"]),
+])
+def test_non_utf8_file_errors_are_pinned(f4_path, tmp_path, kind, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"net x\xff\n")
+    code, out = invoke([a.format(f4=f4_path, bad=str(bad)) for a in argv])
+    assert code == 2
+    assert out == (f"error: cannot read {kind} file: 'utf-8' codec can't decode "
+                   f"byte 0xff in position 5: invalid start byte\n")
