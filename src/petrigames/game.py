@@ -282,23 +282,25 @@ class FairnessReport:
 
 def lasso_is_fair(g: GameStructure, constraints: Iterable[FairnessConstraint],
                   lasso: LassoComputation) -> FairnessReport:
-    """Check every weak fairness constraint on the cycle: disabled at some
-    position, or taken at some step (with the right scheduler choice)."""
+    """Validate the lasso, then apply :func:`_cycle_fairness`; no solver."""
     validate_lasso(g, lasso)
+    return _cycle_fairness(g, constraints, lasso.cycle)
+
+
+def _cycle_fairness(g: GameStructure, constraints: Iterable[FairnessConstraint],
+                    cycle: tuple) -> FairnessReport:
+    """The weak fairness rule on the cycle of a valid lasso: each
+    constraint is disabled at some position, or taken at some step (with
+    the right scheduler choice)."""
     violated = []
     for fc in constraints:
-        ok = False
-        for qi, vec in lasso.cycle:
+        for qi, vec in cycle:
             allowed = fc.at(qi)
-            if not allowed:
-                ok = True
+            if not allowed or (vec[fc.player] in allowed and
+                               (fc.player == g.scheduler_player or
+                                vec[g.scheduler_player] == fc.player)):
                 break
-            if vec[fc.player] in allowed and \
-                    (fc.player == g.scheduler_player or
-                     vec[g.scheduler_player] == fc.player):
-                ok = True
-                break
-        if not ok:
+        else:
             violated.append(fc.name)
     return FairnessReport(not violated, tuple(violated))
 
@@ -378,7 +380,7 @@ def play_to_computations(net: NetSystem, g: GameStructure,
     linearisation is, the first one is repaired by appending idle steps
     for every player the cycle never schedules.  The returned tuple's
     ``fair`` attribute holds each computation's fairness, decided once by
-    :func:`lasso_is_fair`.
+    :func:`_cycle_fairness`: ``tau`` built them, so none is validated.
     """
     constraints = tuple(constraints)
     needed = sum(len(s) for s in play.steps) + len(play.cycle) + len(play.trailing)
@@ -427,10 +429,10 @@ def play_to_computations(net: NetSystem, g: GameStructure,
         raise BoundExceeded(
             f"no computation within linearisation bound {bound}", bound)
 
-    fair = [lasso_is_fair(g, constraints, lam).fair for lam in computations]
+    fair = [_cycle_fairness(g, constraints, lam.cycle).fair for lam in computations]
     if not any(fair):
         computations.append(_repair_fairness(g, computations[0]))
-        fair.append(lasso_is_fair(g, constraints, computations[-1]).fair)
+        fair.append(_cycle_fairness(g, constraints, computations[-1].cycle).fair)
     result = _Computations(computations)
     result.fair = tuple(fair)
     return result

@@ -23,11 +23,15 @@ reaches, and plays the fair game on these rows.  ``model_check`` shares
 one such arena among all the states it labels for a coalition.
 
 Under ``enumerate`` and ``both``, ``model_check`` synthesizes at every
-state.  Under ``fixpoint`` only the printed root verdict comes from a
-full synthesis; every other state is decided exactly by the cheapest of
-three answers: it lies in the adversary's full-memory winning region
-(one fair game solve for all start states), an earlier witness wins
-there, or a slot search run at that state.
+state.  Under ``fixpoint`` every state, ``q0`` first, is decided exactly
+by the cheapest of three answers: it lies in the adversary's full-memory
+winning region (one fair game solve for all start states), an earlier
+witness wins there, or a slot search run at that state.
+
+Inside the solver a memoryless profile is one flat vector of move
+indices: slot ``a * n + qi`` holds user ``a``'s move at state ``qi`` of
+``n`` (:func:`_slot_sizes`).  A :class:`GameProfile` exists only at the
+API edge.
 
 Verification of one profile restricts the rows to the profile's user
 moves, numbered as integers, and looks for a reachable strongly connected
@@ -43,6 +47,7 @@ Every entry point resolves its start state ``q0`` once, with ``_start``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -147,34 +152,41 @@ def validate_game_profile(g: GameStructure, profile: GameProfile) -> None:
         if len(per_state) != len(g.states):
             raise InputError("profile must assign a move at every state")
         for qi, j in enumerate(per_state):
+            if not isinstance(j, int):
+                raise InputError(
+                    f"move {j!r} of user {g.player_names[a]} at "
+                    f"{format_marking(g.states[qi])} is not a move index")
             if not 0 <= j < g.d(a, qi):
                 raise InputError(
                     f"move {j} out of range for user {g.player_names[a]} at "
                     f"{format_marking(g.states[qi])}")
 
 
+def _slot_sizes(g: GameStructure) -> list:
+    """Every slot's number of moves, in slot order: slot ``a * n + qi`` of
+    a flat profile vector holds user ``a``'s move at state ``qi``, for
+    ``n`` states.  Users are major, so the vectors' lexicographic order is
+    the canonical profile order and ``flat[qi::n]`` lists the users' moves
+    at ``qi``."""
+    return [len(moves) for per_state in g.moves[:g.user_count] for moves in per_state]
+
+
 def profile_space(g: GameStructure) -> int:
-    space = 1
-    for a in range(g.user_count):
-        for qi in range(len(g.states)):
-            space *= g.d(a, qi)
-    return space
+    return math.prod(_slot_sizes(g))
 
 
 def iter_profiles(g: GameStructure):
     """All profiles in canonical order: users major, states minor, move
     indices ascending."""
-    ranges = [range(g.d(a, qi))
-              for a in range(g.user_count) for qi in range(len(g.states))]
-    for flat in itertools.product(*ranges):
+    for flat in itertools.product(*map(range, _slot_sizes(g))):
         yield _profile(g, flat)
 
 
 def _profile(g: GameStructure, flat: tuple) -> GameProfile:
-    """The profile in which user ``a`` plays ``flat[a * n + qi]`` at state
-    ``qi``, for ``n`` states."""
+    """The :class:`GameProfile` of the flat slot vector ``flat``, built
+    only where a profile leaves the solver."""
     n = len(g.states)
-    return GameProfile(tuple(flat[a * n:(a + 1) * n] for a in range(g.user_count)))
+    return GameProfile(tuple(flat[start:start + n] for start in range(0, len(flat), n)))
 
 
 def _start(g: GameStructure, q0: Optional[int]) -> int:
@@ -195,14 +207,11 @@ class Verdict:
     state_sets: dict = field(default_factory=dict)
 
 
+@dataclass
 class VerifyOutcome:
-    __slots__ = ("ok", "counterexample", "reason")
-
-    def __init__(self, ok: bool, counterexample: Optional[LassoComputation],
-                 reason: str):
-        self.ok = ok
-        self.counterexample = counterexample
-        self.reason = reason
+    ok: bool
+    counterexample: Optional[LassoComputation]
+    reason: str
 
 
 def _edge_taken(g: GameStructure, fc: FairnessConstraint,
@@ -212,11 +221,10 @@ def _edge_taken(g: GameStructure, fc: FairnessConstraint,
     return scheduled == fc.player and j in fc.at(qi)
 
 
-def _profile_vector(g: GameStructure, profile: GameProfile,
+def _profile_vector(g: GameStructure, flat: Sequence[int],
                     qi: int, scheduled: int, j: int) -> tuple:
-    vec = []
-    for a in range(g.user_count):
-        vec.append(j if a == scheduled else profile.move(a, qi))
+    vec = [j if a == scheduled else move
+           for a, move in enumerate(flat[qi::len(g.states)])]
     vec.append(j if scheduled == g.env_player else 0)
     vec.append(scheduled)
     return tuple(vec)
@@ -231,14 +239,19 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     On failure returns a fair violating lasso, or a reason when the
     profile admits no fair computation at all.  ``pf`` may also be a
     :class:`_FairGame` on ``g``, whose rows are then read, not rebuilt.
-    :func:`_refute` decides on integer-numbered rows; the
-    ``(target, player, move)`` edges the lasso needs are rebuilt only for
-    a refuted profile.
     """
     validate_game_profile(g, profile)
     q0 = _start(g, q0)
-    game = _arena(g, constraints, pf)
-    refutation = _refute(game, profile, game.start(q0))
+    flat = tuple(j for per_state in profile.moves for j in per_state)
+    return _check(_arena(g, constraints, pf), flat, q0)
+
+
+def _check(game: _FairGame, flat: Sequence[int], q0: int) -> VerifyOutcome:
+    """:func:`verify_profile` on a flat profile.  :func:`_refute` decides on
+    integer-numbered rows; the ``(target, player, move)`` edges the lasso
+    needs are rebuilt only for a refuted profile."""
+    g = game.g
+    refutation = _refute(game, flat, game.start(q0))
     if refutation is None:
         return VerifyOutcome(True, None, "")
     rows, root, component = refutation
@@ -249,17 +262,16 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     adjacency = {}
     for qi, mon in rows:
         row = game.row(qi, mon)
-        edges = [(row[a][moves[qi]], a, moves[qi])
-                 for a, moves in enumerate(profile.moves)]
+        edges = [(row[a][j], a, j) for a, j in enumerate(flat[qi::len(g.states)])]
         edges.extend((target, g.env_player, j)
                      for j, target in enumerate(row[g.env_player]))
         adjacency[(qi, mon)] = sorted(edges)
-    lasso = _extract_lasso(g, profile, game.constraints, adjacency, root, component)
+    lasso = _extract_lasso(g, flat, game.constraints, adjacency, root, component)
     return VerifyOutcome(False, lasso, "fair violating computation found")
 
 
-def _refute(game: _FairGame, profile: GameProfile, root: tuple) -> Optional[tuple]:
-    """The answer-only part of :func:`verify_profile`: None when the profile
+def _refute(game: _FairGame, flat: Sequence[int], root: tuple) -> Optional[tuple]:
+    """The answer-only part of :func:`_check`: None when the flat profile
     wins from the row ``root``, otherwise ``(rows, root, component)``: the
     rows the profile reaches, and the first fair violating strongly
     connected component (the one holding the least row) as a frozenset of
@@ -274,13 +286,13 @@ def _refute(game: _FairGame, profile: GameProfile, root: tuple) -> Optional[tupl
     its rows is met by that row's internal edges, and a single row with no
     self-loop has none."""
     env = game.g.env_player
+    n = len(game.g.states)
     local = {root: 0}
     rows = [root]
     succ = []
     for qi, mon in rows:        # grows while it is read
         row, labels = game.row(qi, mon), game.labels(qi)
-        edges = [(row[a][moves[qi]], labels[a][moves[qi]])
-                 for a, moves in enumerate(profile.moves)]
+        edges = [(row[a][j], labels[a][j]) for a, j in enumerate(flat[qi::n])]
         edges.extend(zip(row[env], labels[env]))
         out = []
         for target, mask in edges:
@@ -348,7 +360,7 @@ def _strongly_connected_components(succ: Sequence) -> list:
     return component
 
 
-def _extract_lasso(g: GameStructure, profile: GameProfile,
+def _extract_lasso(g: GameStructure, flat: Sequence[int],
                    constraints: Sequence[FairnessConstraint],
                    adjacency: Mapping, root, component: frozenset
                    ) -> LassoComputation:
@@ -410,7 +422,7 @@ def _extract_lasso(g: GameStructure, profile: GameProfile,
         tour.extend(bfs(pos, lambda n: n == anchor, allowed=component))
 
     def steps(edge_list):
-        return tuple((node[0], _profile_vector(g, profile, node[0], a, j))
+        return tuple((node[0], _profile_vector(g, flat, node[0], a, j))
                      for node, (target, a, j) in edge_list)
 
     return LassoComputation(steps(prefix_edges), steps(tour))
@@ -432,11 +444,11 @@ def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstra
     q0 = _start(g, q0)
     game = _arena(g, constraints, pf)
     root = game.start(q0)
-    for profile in iter_profiles(g):
-        if _refute(game, profile, root) is None:
-            return Verdict(True, witness=profile)
+    for flat in itertools.product(*map(range, _slot_sizes(g))):
+        if _refute(game, flat, root) is None:
+            return Verdict(True, witness=_profile(g, flat))
     # every user has a move at every state, so the sweep saw a profile
-    last = verify_profile(g, constraints, profile, game, q0)
+    last = _check(game, flat, q0)
     return Verdict(False, counterexample=last.counterexample, reason=last.reason)
 
 
@@ -506,7 +518,7 @@ class _FairGame:
 
     def _build_options(self, node: tuple) -> tuple:
         """The adversary's options at a row, built once: ``choices``, the
-        slot and ``(target, mask)`` moves of each user with more than one
+        user and ``(target, mask)`` moves of each user with more than one
         move, and ``static``, one-move options for the other users and for
         every environment move.  The masks are :meth:`labels`, whose top
         bit stands for the monitor alone; a step from a row whose monitor
@@ -520,7 +532,7 @@ class _FairGame:
             moves = tuple((target, mask if violating else 0)
                           for target, mask in zip(targets, masks))
             if a != g.env_player and len(moves) > 1:
-                choices.append((a * len(g.states) + qi, moves))
+                choices.append((a, moves))
             else:
                 static.extend((move,) for move in moves)
         options = self._options[node] = (choices, static)
@@ -531,13 +543,15 @@ class _FairGame:
         renumbered from 0 in discovery order (the roots first): each row's
         options as lists of ``(target, mask)``, as
         :func:`_adversary_region` reads them."""
+        n = len(self.g.states)
         local = {root: i for i, root in enumerate(roots)}
         order = list(roots)
         options = []
         for node in order:
             choices, static = self._options.get(node) or self._build_options(node)
-            row = [moves if fixed[slot] is None else (moves[fixed[slot]],)
-                   for slot, moves in choices]
+            here = fixed[node[0]::n]
+            row = [moves if here[a] is None else (moves[here[a]],)
+                   for a, moves in choices]
             row.extend(static)
             renumbered = []
             for moves in row:
@@ -553,10 +567,10 @@ class _FairGame:
         return options
 
     def solve(self, fixed: Sequence, root: tuple) -> bool:
-        """True iff the adversary wins from the row ``root`` when user
-        ``a`` plays move ``fixed[a * len(g.states) + qi]`` at state ``qi``
-        wherever that is not None (a free slot lets the user choose at each
-        visit, with unrestricted memory)."""
+        """True iff the adversary wins from the row ``root`` against the
+        flat slot vector ``fixed`` (:func:`_slot_sizes`), where a free
+        slot, None, lets the user choose at each visit, with unrestricted
+        memory."""
         return _adversary_region(self._walk(fixed, [root]), self._goals, watch=0)[0]
 
     def region(self) -> frozenset:
@@ -566,7 +580,7 @@ class _FairGame:
         so no memoryless profile wins."""
         g = self.g
         n = len(g.states)
-        won = _adversary_region(self._walk([None] * (g.user_count * n),
+        won = _adversary_region(self._walk([None] * len(_slot_sizes(g)),
                                            [self.start(qi) for qi in range(n)]),
                                 self._goals)
         return frozenset(qi for qi in range(n) if won[qi])
@@ -632,19 +646,24 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
     """
     q0 = _start(g, q0)
     game = _arena(g, constraints, pf)
-    witness = _search(game, q0)
+    return _fixpoint_verdict(game, q0, _search(game, q0))
+
+
+def _fixpoint_verdict(game: _FairGame, q0: int, witness: Optional[tuple]) -> Verdict:
+    """:func:`synthesize_fixpoint`'s verdict from the flat witness the slot
+    search found at ``q0``, or None."""
+    g = game.g
     if witness is not None:
-        return Verdict(True, witness=witness)
-    fallback = verify_profile(g, game.constraints, next(iter_profiles(g)),
-                              game, q0)
+        return Verdict(True, witness=_profile(g, witness))
+    fallback = _check(game, (0,) * len(_slot_sizes(g)), q0)
     return Verdict(False, counterexample=fallback.counterexample,
                    reason="adversary defeats every memoryless profile "
                           "(fixed-point search exhausted)")
 
 
-def _search(game: _FairGame, q0: int) -> Optional[GameProfile]:
-    """The canonically first memoryless profile that wins from ``q0``, or
-    None.
+def _search(game: _FairGame, q0: int) -> Optional[tuple]:
+    """The canonically first memoryless profile that wins from ``q0``, as a
+    flat slot vector, or None.
 
     A depth-first sweep fixes user moves slot by slot in canonical order;
     a branch is cut as soon as the adversary wins the fair game against
@@ -654,13 +673,10 @@ def _search(game: _FairGame, q0: int) -> Optional[GameProfile]:
     enumerative engine's.  The sweep keeps its own slot stack, so its
     depth is not bounded by recursion.
     """
-    g = game.g
-    n = len(g.states)
     root = game.start(q0)
-    # slot a * n + qi holds user a's move at state qi; None while free
-    sizes = [g.d(a, qi) for a in range(g.user_count) for qi in range(n)]
+    sizes = _slot_sizes(game.g)
     slots = [slot for slot, size in enumerate(sizes) if size > 1]
-    fixed = [None] * len(sizes)
+    fixed = [None] * len(sizes)     # None while a slot is free
     depth = 0     # slots[:depth] are fixed
     while True:
         if not game.solve(fixed, root):
@@ -670,9 +686,9 @@ def _search(game: _FairGame, q0: int) -> Optional[GameProfile]:
                 continue
             # the leaf solve is exact on a full profile, so the exact check
             # on the same arena adds only non-vacuity (a fair computation)
-            profile = _profile(g, tuple(j or 0 for j in fixed))
-            if _refute(game, profile, root) is None:
-                return profile
+            flat = tuple(j or 0 for j in fixed)
+            if _refute(game, flat, root) is None:
+                return flat
         # backtrack to the deepest slot with an untried move
         while depth:
             depth -= 1
@@ -719,9 +735,9 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     subformulas decided at every state.  All states of one coalition
     subformula are labelled on one arena, which is dropped when the call
     returns.  ``enumerate`` and ``both`` run a synthesis at every state;
-    ``fixpoint`` runs one at ``q0`` for the outermost coalition, whose
-    verdict is returned, and labels the rest with
-    :func:`_label_fixpoint`.  Every engine gives the same state sets."""
+    ``fixpoint`` labels every state with :func:`_label_fixpoint` and
+    builds the outermost coalition's verdict from its answer at ``q0``.
+    Every engine gives the same state sets."""
     violations = check_fragment(formula, g.net)
     if violations:
         raise InputError("formula outside the checkable fragment: "
@@ -730,9 +746,10 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     constraints = tuple(constraints)
     all_states = frozenset(range(len(g.states)))
     state_sets: dict = {}
-    verdict_cache: dict = {}
+    root = Verdict(False)       # the outermost coalition's verdict, if any
 
     def states_of(node) -> frozenset:
+        nonlocal root
         key = format_formula(node)
         if key in state_sets:
             return state_sets[key]
@@ -753,57 +770,42 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
             game = _FairGame(g, constraints, PathObjective.from_state_sets(
                 g, node.op, left, right))
             if engine == "fixpoint":
-                root = None
+                result, witness = _label_fixpoint(game, q0)
                 if node is formula:     # the only verdict that is printed
-                    root = verdict_cache[(key, q0)] = synthesize_fixpoint(
-                        g, constraints, game, q0)
-                result = _label_fixpoint(game, q0, root)
+                    root = _fixpoint_verdict(game, q0, witness)
             else:
-                winning = set()
-                for qi in sorted(all_states):
-                    verdict = synthesize(g, constraints, game, qi,
-                                         engine=engine, max_profiles=max_profiles)
-                    verdict_cache[(key, qi)] = verdict
-                    if verdict.satisfied:
-                        winning.add(qi)
-                result = frozenset(winning)
+                verdicts = [synthesize(g, constraints, game, qi, engine=engine,
+                                       max_profiles=max_profiles)
+                            for qi in range(len(g.states))]
+                result = frozenset(qi for qi, v in enumerate(verdicts) if v.satisfied)
+                if node is formula:
+                    root = verdicts[q0]
         else:
             raise InputError(f"not a formula node: {node!r}")
         state_sets[key] = result
         return result
 
-    holds = states_of(formula)
-    verdict = Verdict(q0 in holds)
-    if isinstance(formula, Coalition):
-        root = verdict_cache[(format_formula(formula), q0)]
-        verdict.witness = root.witness
-        verdict.counterexample = root.counterexample
-        verdict.reason = root.reason
-    verdict.state_sets = {
+    root.satisfied = q0 in states_of(formula)
+    root.state_sets = {
         key: tuple(sorted((g.states[qi] for qi in states), key=marking_key))
         for key, states in sorted(state_sets.items())}
-    return verdict
+    return root
 
 
-def _label_fixpoint(game: _FairGame, q0: int, root: Optional[Verdict]) -> frozenset:
-    """The states from which some memoryless profile wins on ``game``.
+def _label_fixpoint(game: _FairGame, q0: int) -> tuple:
+    """The states from which some memoryless profile wins on ``game``, and
+    the flat witness found at ``q0``, or None when ``q0`` is lost.
 
-    ``q0`` comes first, then the other states in sorted order; ``root``,
-    when given, is the verdict already found at ``q0``.  A state in the
-    all-states region (:meth:`_FairGame.region`) is lost.  Otherwise it is
-    won if a witness found so far, tried in the order found, passes the
-    exact profile check there; only when none does is the slot search run,
-    and its witness kept.  Every bit is exact, and no lasso is built.
+    ``q0`` comes first, then the other states in sorted order.  A state in
+    the all-states region (:meth:`_FairGame.region`) is lost.  Otherwise
+    it is won if a witness found so far, tried in the order found, passes
+    the exact profile check there; only when none does is the slot search
+    run, and its witness kept (at ``q0``, the first).  Every bit is exact,
+    and no lasso is built.
     """
     lost = game.region()
     witnesses, winning = [], set()
-    todo = [qi for qi in range(len(game.g.states)) if qi != q0]
-    if root is None:
-        todo.insert(0, q0)
-    elif root.satisfied:
-        witnesses.append(root.witness)
-        winning.add(q0)
-    for qi in todo:
+    for qi in [q0] + [qi for qi in range(len(game.g.states)) if qi != q0]:
         if qi in lost:
             continue
         root = game.start(qi)
@@ -813,7 +815,7 @@ def _label_fixpoint(game: _FairGame, q0: int, root: Optional[Verdict]) -> frozen
                 continue
             witnesses.append(witness)
         winning.add(qi)
-    return frozenset(winning)
+    return frozenset(winning), witnesses[0] if q0 in winning else None
 
 
 def check_net(net: NetSystem, formula: Formula, engine: str = "enumerate",
@@ -952,7 +954,8 @@ def format_profile(g: GameStructure, profile: GameProfile) -> str:
 
 
 def parse_profile(g: GameStructure, text: str) -> GameProfile:
-    moves = [[None] * len(g.states) for _ in range(g.user_count)]
+    moves = [[g.idle_move(a, qi) or 0 for qi in range(len(g.states))]
+             for a in range(g.user_count)]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -976,9 +979,4 @@ def parse_profile(g: GameStructure, text: str) -> GameProfile:
         if label not in labels:
             raise InputError(f"move {move!r} not available on line {lineno}")
         moves[a][qi] = labels.index(label)
-    for a in range(g.user_count):
-        for qi in range(len(g.states)):
-            if moves[a][qi] is None:
-                idle = g.idle_move(a, qi)
-                moves[a][qi] = idle if idle is not None else 0
     return GameProfile(tuple(tuple(per) for per in moves))

@@ -16,8 +16,10 @@ from petrigames import fixtures
 from petrigames import game as game_module
 from petrigames import nets as nets_module
 from petrigames.cli import build_parser, config_from_args, run
-from petrigames.nets import check_contact_free, format_net, reachability_graph, validate_net
+from petrigames.nets import check_contact_free, format_net, parse_net, reachability_graph, \
+    validate_net
 from petrigames.randnet import _draw, random_net
+from petrigames.unfold import parse_play
 
 #: Commands pinned on every net below.
 COMMANDS = {
@@ -429,18 +431,38 @@ def test_unfold_never_builds_canonical_states(tmp_path, monkeypatch, argv):
     assert built == []
 
 
-def test_translate_play_decides_fairness_once_per_computation(tmp_path, monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    original = game_module.lasso_is_fair
+    original = getattr(game_module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(game_module, "lasso_is_fair", counted)
+    monkeypatch.setattr(game_module, name, counted)
+    return calls
+
+
+def test_translate_play_decides_fairness_once_per_computation(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, "_cycle_fairness")
     code, out = invoke(tmp_path, ["translate", "{net}", "--play", "{play}"],
                        chain_net(4), undo_play(4))
     assert code == 0
     printed = out.count("-- computation ")
     assert printed == 25                  # 4! orders plus the repaired one
     assert len(calls) == printed
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_play_computations_are_not_validated_again(monkeypatch, k):
+    # play_to_computations builds each computation with tau, so it applies
+    # only the fairness rule; lasso_is_fair, which validates first, agrees
+    net = parse_net(chain_net(k))
+    g = game_module.build_game(net)
+    fcs = game_module.build_fairness(net, g)
+    validated = count_calls(monkeypatch, "validate_lasso")
+    lassos = game_module.play_to_computations(net, g, fcs, parse_play(undo_play(k)))
+    assert validated == []
+    assert lassos.fair == tuple(game_module.lasso_is_fair(g, fcs, lam).fair
+                                for lam in lassos)
+    assert len(validated) == len(lassos)

@@ -102,6 +102,18 @@ def test_verify_rejects_unknown_state(g4, fc4):
         verify_profile(g4, fc4, example_profile(g4), REACH_EITHER, q0=99)
 
 
+def test_verify_rejects_a_move_that_is_not_an_integer(g4, fc4):
+    floats = GameProfile((tuple(0.0 for _ in g4.states),))
+    with pytest.raises(InputError, match="is not a move index"):
+        verify_profile(g4, fc4, floats, REACH_EITHER)
+
+
+def test_verify_accepts_a_profile_of_lists(g4, fc4):
+    lists = GameProfile([list(per_state) for per_state in example_profile(g4).moves])
+    assert verify_profile(g4, fc4, lists, REACH_EITHER).ok
+    assert not verify_profile(g4, fc4, lists, REACH_BOTH).ok
+
+
 @pytest.mark.parametrize("call", [
     lambda g, fcs, q0: verify_profile(g, fcs, example_profile(g), REACH_EITHER, q0),
     lambda g, fcs, q0: synthesize_enumerate(g, fcs, REACH_EITHER, q0),
@@ -380,8 +392,13 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
             assert labelled.witness == exhaustive.witness, (seed, pf)
 
 
-def _violating_component(game, profile, root):
-    refutation = solver._refute(game, profile, root)
+def _flat(profile):
+    """The solver's flat slot vector of a profile: users major, states minor."""
+    return tuple(j for per_state in profile.moves for j in per_state)
+
+
+def _violating_component(game, flat, root):
+    refutation = solver._refute(game, flat, root)
     return refutation is not None and refutation[2] is not None
 
 
@@ -396,15 +413,14 @@ def test_arena_solve_matches_exact_profile_check(fair):
         g = build_game(net)
         fcs = build_fairness(net, g) if fair else ()
         n = len(g.states)
-        profiles = [(p, [j for per_state in p.moves for j in per_state])
-                    for p in iter_profiles(g)]
+        profiles = [_flat(p) for p in iter_profiles(g)]
         for pf in formula_pool(net):
             game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
             lost = game.region()
             for qi in range(n):
                 root = game.start(qi)
-                refuted = [_violating_component(game, p, root) for p, _ in profiles]
-                for (_, full), violated in zip(profiles, refuted):
+                refuted = [_violating_component(game, full, root) for full in profiles]
+                for full, violated in zip(profiles, refuted):
                     assert game.solve(full, root) == violated, (seed, pf, qi, full)
                 assert qi not in lost or all(refuted), (seed, pf, qi)
                 for _ in range(4):
@@ -413,7 +429,7 @@ def test_arena_solve_matches_exact_profile_check(fair):
                     if not game.solve(fixed, root):
                         continue
                     partial_wins += 1
-                    for (_, full), violated in zip(profiles, refuted):
+                    for full, violated in zip(profiles, refuted):
                         if all(j in (None, k) for j, k in zip(fixed, full)):
                             assert violated, (seed, pf, qi, fixed, full)
     assert partial_wins > 0
@@ -447,7 +463,7 @@ def test_refute_matches_independent_profile_check(fair):
             for qi in range(len(g.states)):
                 for profile in profiles:
                     expected = refute_profile(g, fcs, pf, profile, qi)
-                    refutation = solver._refute(game, profile, game.start(qi))
+                    refutation = solver._refute(game, _flat(profile), game.start(qi))
                     if refutation is None:
                         got = None
                     elif refutation[2] is None:
@@ -509,6 +525,23 @@ def test_enumerate_builds_only_the_returned_lasso(monkeypatch):
             returned += verdict.counterexample is not None
     assert returned > 0
     assert len(built) == returned
+
+
+def test_enumerate_builds_a_game_profile_only_for_the_witness(monkeypatch):
+    # the sweep runs on flat slot vectors; a GameProfile is built only
+    # for the witness of a satisfied verdict
+    built = _count_calls(monkeypatch, "GameProfile")
+    satisfied = unsatisfied = 0
+    for seed in range(1, 41):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for pf in formula_pool(net):
+            verdict = synthesize_enumerate(g, fcs, pf)
+            satisfied += verdict.satisfied
+            unsatisfied += not verdict.satisfied
+    assert satisfied > 0 and unsatisfied > 0
+    assert len(built) == satisfied
 
 
 def test_enumerate_labels_each_move_once(monkeypatch):
