@@ -42,7 +42,7 @@ from .nets import (
     format_marking,
     require_contact_free,
 )
-from .unfold import Play, interleavings, materialise_play, parse_play, validate_play
+from .unfold import Play, _validate_play, interleavings, parse_play
 
 SCHEDULER_NAME = "scheduler"
 DEFAULT_LINEARISATION_BOUND = 1000
@@ -384,11 +384,9 @@ def play_to_computations(net: NetSystem, g: GameStructure,
     """
     constraints = tuple(constraints)
     needed = sum(len(s) for s in play.steps) + len(play.cycle) + len(play.trailing)
-    diags = validate_play(net, play, horizon=needed)
+    diags, mat = _validate_play(net, play, horizon=needed)
     if diags:
         raise PreconditionError("not a valid play: " + "; ".join(diags))
-
-    mat = materialise_play(net, play, passes=1)
     bp = mat.bp
 
     # linear extensions per prefix gap, under the gap's causal order; the

@@ -3,18 +3,22 @@ structure.
 
 Two engines answer the same question -- does the grand coalition have a
 memoryless profile under which every fair computation satisfies the path
-formula (and at least one fair computation exists)?
+formula (and at least one fair computation exists)?  Each only finds the
+canonically first winning profile:
 
-* ``synthesize_enumerate`` sweeps all profiles in canonical order and
-  checks each one exactly; it is the correctness oracle.
-* ``synthesize_fixpoint`` prunes the same search by solving the
+* ``enumerate`` (:func:`_sweep`) checks every profile exactly, in
+  canonical order; it is the correctness oracle.
+* ``fixpoint`` (:func:`_search`) prunes the same search by solving the
   two-player fair game: a partial profile is abandoned as soon as the
   adversary (environment plus scheduler) can force a fair violating
   computation even against users with full memory.  Weak fairness makes
   this a generalized Buechi game, solved by the Emerson-Lei nested
   fixpoint on the (state, monitor) rows.  Complete survivors are checked
-  exactly, so both engines return identical verdicts and witnesses
-  wherever both run.
+  exactly, so both engines find identical witnesses.
+
+:func:`_verdict` builds every :class:`Verdict`: the witness, or else the
+lasso and reason of the canonically first profile (every move 0), so an
+unsatisfied goal prints the same evidence under every engine.
 
 Both engines read one product of the game with a monitor automaton for
 the path formula (2 states for G, 3 for U): ``_FairGame`` builds, lazily
@@ -22,11 +26,8 @@ and once, a row per (state, monitor) node listing the node each move
 reaches, and plays the fair game on these rows.  ``model_check`` shares
 one such arena among all the states it labels for a coalition.
 
-Under ``enumerate`` and ``both``, ``model_check`` synthesizes at every
-state.  Under ``fixpoint`` every state, ``q0`` first, is decided exactly
-by the cheapest of three answers: it lies in the adversary's full-memory
-winning region (one fair game solve for all start states), an earlier
-witness wins there, or a slot search run at that state.
+Under ``fixpoint``, ``model_check`` decides each state by the cheapest
+exact answer (:func:`_label_fixpoint`).
 
 Inside the solver a memoryless profile is one flat vector of move
 indices: slot ``a * n + qi`` holds user ``a``'s move at state ``qi`` of
@@ -128,10 +129,7 @@ class PathObjective:
 
 def _arena(g: GameStructure, constraints: Sequence[FairnessConstraint],
            pf) -> "_FairGame":
-    """The product arena of ``pf``: a path formula, an objective, or a
-    :class:`_FairGame` already built on ``g`` and ``constraints``."""
-    if isinstance(pf, _FairGame):
-        return pf
+    """The product arena of ``pf``, a path formula or an objective."""
     return _FairGame(g, constraints, pf if isinstance(pf, PathObjective)
                      else PathObjective.from_path_formula(g, pf))
 
@@ -237,8 +235,7 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
     and every one of them satisfies the path formula.
 
     On failure returns a fair violating lasso, or a reason when the
-    profile admits no fair computation at all.  ``pf`` may also be a
-    :class:`_FairGame` on ``g``, whose rows are then read, not rebuilt.
+    profile admits no fair computation at all.
     """
     validate_game_profile(g, profile)
     q0 = _start(g, q0)
@@ -430,26 +427,21 @@ def _extract_lasso(g: GameStructure, flat: Sequence[int],
 
 # -- enumerative engine ---------------------------------------------------------
 
-def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstraint],
-                         pf, q0: Optional[int] = None,
-                         max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
-    """Try every profile in canonical order on one arena; the first winning
-    one is the witness.  Unsatisfied verdicts carry the last profile's
-    counterexample, the only lasso built."""
-    space = profile_space(g)
+def _sweep(game: _FairGame, q0: int, max_profiles: int) -> Optional[tuple]:
+    """The enumerative witness finder, the correctness oracle: every
+    profile in canonical order, checked exactly on one arena.  Returns the
+    first that wins from ``q0``, as a flat slot vector, or None."""
+    sizes = _slot_sizes(game.g)
+    space = math.prod(sizes)
     if space > max_profiles:
         raise BoundExceeded(
             f"profile space of size {space} exceeds the enumeration bound "
             f"{max_profiles}; use the fixpoint engine", max_profiles)
-    q0 = _start(g, q0)
-    game = _arena(g, constraints, pf)
     root = game.start(q0)
-    for flat in itertools.product(*map(range, _slot_sizes(g))):
+    for flat in itertools.product(*map(range, sizes)):
         if _refute(game, flat, root) is None:
-            return Verdict(True, witness=_profile(g, flat))
-    # every user has a move at every state, so the sweep saw a profile
-    last = _check(game, flat, q0)
-    return Verdict(False, counterexample=last.counterexample, reason=last.reason)
+            return flat
+    return None
 
 
 # -- fixed-point engine -----------------------------------------------------------
@@ -635,32 +627,6 @@ def _adversary_region(options: Sequence, goals: int,
         alive = kept
 
 
-def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstraint],
-                        pf, q0: Optional[int] = None) -> Verdict:
-    """Fair-game-pruned search over profiles (:func:`_search`).  An
-    unsatisfied verdict carries the canonically first profile's
-    counterexample.
-
-    ``pf`` may also be a :class:`_FairGame` built on ``g`` and
-    ``constraints``; its arena is then grown and reused, not rebuilt.
-    """
-    q0 = _start(g, q0)
-    game = _arena(g, constraints, pf)
-    return _fixpoint_verdict(game, q0, _search(game, q0))
-
-
-def _fixpoint_verdict(game: _FairGame, q0: int, witness: Optional[tuple]) -> Verdict:
-    """:func:`synthesize_fixpoint`'s verdict from the flat witness the slot
-    search found at ``q0``, or None."""
-    g = game.g
-    if witness is not None:
-        return Verdict(True, witness=_profile(g, witness))
-    fallback = _check(game, (0,) * len(_slot_sizes(g)), q0)
-    return Verdict(False, counterexample=fallback.counterexample,
-                   reason="adversary defeats every memoryless profile "
-                          "(fixed-point search exhausted)")
-
-
 def _search(game: _FairGame, q0: int) -> Optional[tuple]:
     """The canonically first memoryless profile that wins from ``q0``, as a
     flat slot vector, or None.
@@ -702,27 +668,58 @@ def _search(game: _FairGame, q0: int) -> Optional[tuple]:
             return None
 
 
+# -- verdicts ---------------------------------------------------------------------
+
 ENGINES = ("enumerate", "fixpoint", "both")
+
+
+def _witness(game: _FairGame, q0: int, engine: str, max_profiles: int) -> Optional[tuple]:
+    """The canonically first flat profile that wins from ``q0``, or None,
+    found by ``engine``; ``both`` runs the two finders and raises
+    :class:`EngineDisagreement` unless they agree."""
+    if engine == "enumerate":
+        return _sweep(game, q0, max_profiles)
+    if engine == "fixpoint":
+        return _search(game, q0)
+    if engine == "both":
+        left, right = _sweep(game, q0, max_profiles), _search(game, q0)
+        if (left is None) != (right is None):
+            raise EngineDisagreement(
+                f"engines disagree: enumerate={left is not None} "
+                f"fixpoint={right is not None}")
+        if left != right:
+            raise EngineDisagreement("engines disagree on the witness profile")
+        return left
+    raise InputError(f"unknown engine {engine!r}")
+
+
+def _verdict(game: _FairGame, q0: int, witness: Optional[tuple]) -> Verdict:
+    """Every :class:`Verdict`: the witness a finder returned at ``q0``, or
+    else the canonically first profile's lasso and reason (:func:`_check`)."""
+    g = game.g
+    if witness is not None:
+        return Verdict(True, witness=_profile(g, witness))
+    first = _check(game, (0,) * len(_slot_sizes(g)), q0)
+    return Verdict(False, counterexample=first.counterexample, reason=first.reason)
 
 
 def synthesize(g: GameStructure, constraints: Sequence[FairnessConstraint], pf,
                q0: Optional[int] = None, engine: str = "enumerate",
                max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
-    if engine == "enumerate":
-        return synthesize_enumerate(g, constraints, pf, q0, max_profiles)
-    if engine == "fixpoint":
-        return synthesize_fixpoint(g, constraints, pf, q0)
-    if engine == "both":
-        left = synthesize_enumerate(g, constraints, pf, q0, max_profiles)
-        right = synthesize_fixpoint(g, constraints, pf, q0)
-        if left.satisfied != right.satisfied:
-            raise EngineDisagreement(
-                f"engines disagree: enumerate={left.satisfied} "
-                f"fixpoint={right.satisfied}")
-        if left.witness != right.witness:
-            raise EngineDisagreement("engines disagree on the witness profile")
-        return left
-    raise InputError(f"unknown engine {engine!r}")
+    q0 = _start(g, q0)
+    game = _arena(g, constraints, pf)
+    return _verdict(game, q0, _witness(game, q0, engine, max_profiles))
+
+
+def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstraint],
+                         pf, q0: Optional[int] = None,
+                         max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
+    return synthesize(g, constraints, pf, q0, "enumerate", max_profiles)
+
+
+def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstraint],
+                        pf, q0: Optional[int] = None) -> Verdict:
+    return synthesize(g, constraints, pf, q0, "fixpoint")
 
 
 # -- model checking -----------------------------------------------------------------
@@ -734,10 +731,10 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     """Bottom-up labelling: boolean connectives as set operations, coalition
     subformulas decided at every state.  All states of one coalition
     subformula are labelled on one arena, which is dropped when the call
-    returns.  ``enumerate`` and ``both`` run a synthesis at every state;
-    ``fixpoint`` labels every state with :func:`_label_fixpoint` and
-    builds the outermost coalition's verdict from its answer at ``q0``.
-    Every engine gives the same state sets."""
+    returns.  ``enumerate`` and ``both`` look for a witness at every
+    state, and ``fixpoint`` labels with :func:`_label_fixpoint`.  Every
+    engine gives the same state sets, and one :func:`_verdict`, for the
+    outermost coalition at ``q0``, builds the only lasso."""
     violations = check_fragment(formula, g.net)
     if violations:
         raise InputError("formula outside the checkable fragment: "
@@ -771,15 +768,13 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
                 g, node.op, left, right))
             if engine == "fixpoint":
                 result, witness = _label_fixpoint(game, q0)
-                if node is formula:     # the only verdict that is printed
-                    root = _fixpoint_verdict(game, q0, witness)
             else:
-                verdicts = [synthesize(g, constraints, game, qi, engine=engine,
-                                       max_profiles=max_profiles)
-                            for qi in range(len(g.states))]
-                result = frozenset(qi for qi, v in enumerate(verdicts) if v.satisfied)
-                if node is formula:
-                    root = verdicts[q0]
+                witnesses = [_witness(game, qi, engine, max_profiles)
+                             for qi in range(len(g.states))]
+                result = frozenset(qi for qi, w in enumerate(witnesses) if w is not None)
+                witness = witnesses[q0]
+            if node is formula:     # the only verdict that is printed
+                root = _verdict(game, q0, witness)
         else:
             raise InputError(f"not a formula node: {node!r}")
         state_sets[key] = result
@@ -940,7 +935,8 @@ def _prefer(new, old) -> bool:
 
 def _profile_moves(g: GameStructure, profile: GameProfile):
     """``(user, marking text, transition or "pass")`` for every user, then
-    every state, in canonical order."""
+    every state, in canonical order, once ``profile`` is validated."""
+    validate_game_profile(g, profile)
     for a, user in enumerate(g.net.users):
         for qi, m in enumerate(g.states):
             label = g.move_label(a, qi, profile.move(a, qi))

@@ -477,6 +477,11 @@ def validate_play(net: NetSystem, play: Play, horizon: int) -> list[str]:
     (1) no uncontrollable event can be added to the run; (2) a finite play
     ends in a deadlock; (3) every event precedes some recorded cut.
     """
+    return _validate_play(net, play, horizon)[0]
+
+
+def _validate_play(net: NetSystem, play: Play, horizon: int) -> tuple:
+    """:func:`validate_play`'s diagnostics and the two-pass run they read."""
     if play.trailing and play.cycle:
         raise InputError("trailing events are only meaningful for finite plays")
     needed = sum(len(s) for s in play.steps) + len(play.cycle) + len(play.trailing)
@@ -496,7 +501,7 @@ def validate_play(net: NetSystem, play: Play, horizon: int) -> list[str]:
                 diags.append(f"controllable event {t} addable at the final cut")
     for t in play.trailing:
         diags.append(f"event {t} not covered by any cut")
-    return diags
+    return diags, mat
 
 
 # -- strategies on the net side ----------------------------------------------

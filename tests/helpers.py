@@ -4,8 +4,8 @@ import random
 import sys
 
 from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, TrueConst, \
-    holds_in
-from petrigames.game import LassoComputation
+    holds_in, path_satisfies
+from petrigames.game import LassoComputation, lasso_is_fair
 from petrigames.nets import enabled_set, fire, reachability_graph
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut
 
@@ -495,3 +495,16 @@ def some_consistent_play_refutes(net, bp, strategies, pf, viable, horizon=8):
     if bp.mu(start) not in viable:
         return False
     return walk(start, monitor_start(pf, bp.mu(start)), horizon)
+
+
+def check_first_profile_lasso(g, constraints, pf, lasso, q0):
+    """An unsatisfied goal's evidence, checked without the solver: a lasso
+    from ``q0`` that is fair, violates the path formula ``pf``, and follows
+    the canonically first profile (every user plays move 0 at every step,
+    scheduled or not)."""
+    steps = lasso.prefix + lasso.cycle
+    assert steps[0][0] == q0
+    assert lasso_is_fair(g, constraints, lasso).fair
+    assert not path_satisfies([g.w(qi) for qi, _ in lasso.prefix],
+                              [g.w(qi) for qi, _ in lasso.cycle], pf)
+    assert all(vec[a] == 0 for _, vec in steps for a in range(g.user_count))

@@ -3,11 +3,13 @@ import sys
 
 import pytest
 
-from helpers import chain_net, stack_depth
+from helpers import chain_net, check_first_profile_lasso, formula_pool, stack_depth
 from petrigames import fixtures, solver
 from petrigames.cli import build_parser, config_from_args, main, run
-from petrigames.formulas import MAX_NESTING
-from petrigames.solver import GameProfile
+from petrigames.formulas import MAX_NESTING, Coalition, format_formula
+from petrigames.game import build_fairness, build_game, format_lasso
+from petrigames.nets import format_net
+from petrigames.randnet import random_net
 
 GOAL_EITHER = "<<u>> F ((p0 & p3) | (p1 & p4))"
 GOAL_BOTH = "<<u>> F (p0 & p3)"
@@ -177,20 +179,46 @@ def test_machine_witness_keys_keep_arrows_in_names(tmp_path):
 
 
 def test_engine_both_compares_witnesses(f4_path, monkeypatch):
-    fixpoint = solver.synthesize_fixpoint
+    search = solver._search
 
-    def other_witness(*args, **kwargs):
-        verdict = fixpoint(*args, **kwargs)
-        if verdict.witness is not None:
-            verdict.witness = GameProfile(((),))
-        return verdict
+    def other_witness(game, q0):
+        return None if search(game, q0) is None else ()
 
     code, _ = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
     assert code == 0
-    monkeypatch.setattr(solver, "synthesize_fixpoint", other_witness)
+    monkeypatch.setattr(solver, "_search", other_witness)
     code, out = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
     assert code == 4
     assert "engines disagree on the witness profile" in out
+
+
+def test_unsatisfied_evidence_is_the_same_under_every_engine(tmp_path):
+    # every engine prints the first profile's lasso and reason; the lasso
+    # is checked without the solver
+    unsatisfied = 0
+    for seed in range(1, 41):
+        net = random_net(seed)
+        path = tmp_path / f"random{seed}.net"
+        path.write_text(format_net(net))
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for pf in formula_pool(net):
+            args = (pf.left,) if pf.op == "G" else (pf.left, pf.right)
+            goal = Coalition(tuple(net.users), pf.op, args)
+            reports = {}
+            for engine in solver.ENGINES:
+                code, out = invoke(["check", str(path), "--machine", "--engine", engine,
+                                    "--formula", format_formula(goal)])
+                reports[engine] = (code, out.replace(f"engine: {engine}\n", ""))
+            if reports["enumerate"][0] != 1:
+                continue
+            unsatisfied += 1
+            assert reports["fixpoint"] == reports["enumerate"] == reports["both"]
+            lasso = solver.model_check(g, fcs, goal).counterexample
+            assert "fair counterexample lasso:\n" + format_lasso(g, lasso) \
+                in reports["enumerate"][1]
+            check_first_profile_lasso(g, fcs, pf, lasso, g.initial_state())
+    assert unsatisfied > 40
 
 
 def test_export_game_dot(f4_path, tmp_path):

@@ -95,7 +95,7 @@ GOLDEN = {
     "F4:export-fairness": "ee3bd36a0f476c734e73256cc357e59c32175241e7fc0d68348e8ffbdc46bf4b",
     "F4:unfold": "6785a7d3afa86681311f06f0480ef9af6ec5ea9bab9d106fbd0f0d3918a5d9c1",
     "F4:check0": "f1c98d2400b7602b5c7a502d232632934a2343714bfd7f1003aeea1d13f2f8c5",
-    "F4:check1": "9cd53f9be90d0e47695de7377e4d25a369327bb7455bc07630fe472c2013c05e",
+    "F4:check1": "1fbd672d5473fdf4c10c9c5f8689e13ff23a515f6ce7bae4bfd04cdb9ca55ad7",
     "F4:check2": "d4eced672cca6660c005de115ce7059bbb0a36bf75587650a58c8272a9f0a9d8",
     "chain2:reach": "16ec4da05fd378f2c66f4818da2fcb0098856d7bc8d30dcfc63fa948a7ebf00a",
     "chain2:build-game": "6ecfdc39a19d3ce739fcd151a6681dbab09c4af271c1b0be86d748f5b26ae46f",
@@ -103,7 +103,7 @@ GOLDEN = {
     "chain2:export-fairness": "4d9ba6e0ea1087e3a765e6f9b3f63728c619ff80c3eec7cfb56df1429a9f1c9f",
     "chain2:unfold": "4b80b0dde2c9b35be02a74ac7b0b08ff859416008373eb32936c0009dcd36a3b",
     "chain2:check0": "2718c1367aeacd735b066fa110b3dd24f397773928e0df428b987cc130cac8ba",
-    "chain2:check1": "c4ce652513335043744809ed68ef98fe4975894c86258a01f264a0036f022c36",
+    "chain2:check1": "b4af0a6a88115d7ae04c55ec1f4471c6d4cd50343451321a48a5db66f8dc52fe",
     "chain2:check2": "70d3ef5ccfc5a570c568556b9181714398d975ee5425596e0a7ceb5b0ffb0afb",
     "chain2:check3": "438b80b1cf3193781f00b6fc55ddf72aade2d85b041665769bc0feb2528e36de",
     "F4:build-game-simplified": "03fe04a0eb28d6341812a9cbd4536d70965a71a540abe78002177f90fd6e46c4",

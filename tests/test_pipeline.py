@@ -15,6 +15,7 @@ from helpers import chain_net
 from petrigames import fixtures
 from petrigames import game as game_module
 from petrigames import nets as nets_module
+from petrigames import unfold as unfold_module
 from petrigames.cli import build_parser, config_from_args, run
 from petrigames.nets import check_contact_free, format_net, parse_net, reachability_graph, \
     validate_net
@@ -451,6 +452,22 @@ def test_translate_play_decides_fairness_once_per_computation(tmp_path, monkeypa
     printed = out.count("-- computation ")
     assert printed == 25                  # 4! orders plus the repaired one
     assert len(calls) == printed
+
+
+def test_translate_play_materialises_once(tmp_path, monkeypatch):
+    # validation's two-pass run also gives the linearised prefix gaps
+    built = []
+    init = unfold_module.MaterialisedPlay.__init__
+
+    def counted(mat, *args, **kwargs):
+        built.append(mat)
+        init(mat, *args, **kwargs)
+
+    monkeypatch.setattr(unfold_module.MaterialisedPlay, "__init__", counted)
+    code, _ = invoke(tmp_path, ["translate", "{net}", "--play", "{play}"],
+                     chain_net(4), undo_play(4))
+    assert code == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -108,6 +108,22 @@ def test_verify_rejects_a_move_that_is_not_an_integer(g4, fc4):
         verify_profile(g4, fc4, floats, REACH_EITHER)
 
 
+def test_format_profile_rejects_a_move_that_is_not_an_integer(g4):
+    floats = GameProfile((tuple(0.0 for _ in g4.states),))
+    with pytest.raises(InputError, match="is not a move index"):
+        format_profile(g4, floats)
+    with pytest.raises(InputError, match="is not a move index"):
+        list(solver._profile_moves(g4, floats))
+
+
+def test_format_profile_rejects_a_profile_missing_states(g4):
+    short = GameProfile(((0,),))
+    with pytest.raises(InputError, match="must assign a move at every state"):
+        format_profile(g4, short)
+    with pytest.raises(InputError, match="must assign a move at every state"):
+        list(solver._profile_moves(g4, short))
+
+
 def test_verify_accepts_a_profile_of_lists(g4, fc4):
     lists = GameProfile([list(per_state) for per_state in example_profile(g4).moves])
     assert verify_profile(g4, fc4, lists, REACH_EITHER).ok
@@ -525,6 +541,24 @@ def test_enumerate_builds_only_the_returned_lasso(monkeypatch):
             returned += verdict.counterexample is not None
     assert returned > 0
     assert len(built) == returned
+
+
+@pytest.mark.parametrize("engine", solver.ENGINES)
+def test_model_check_builds_at_most_one_lasso(monkeypatch, engine):
+    # only the outermost coalition's verdict at q0 carries a lasso
+    built = _count_calls(monkeypatch, "_extract_lasso")
+    unsatisfied = 0
+    for seed in range(1, 21):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for formula in [_pool_goal(net, pf) for pf in formula_pool(net)] \
+                + list(nested_goals(net)):
+            before = len(built)
+            verdict = model_check(g, fcs, formula, engine=engine)
+            unsatisfied += not verdict.satisfied
+            assert len(built) - before == (verdict.counterexample is not None)
+    assert unsatisfied > 0
 
 
 def test_enumerate_builds_a_game_profile_only_for_the_witness(monkeypatch):
