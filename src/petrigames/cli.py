@@ -225,8 +225,9 @@ def _read(path: str, kind: str) -> str:
 def _load_formula(config: RunConfig):
     if config.formula is not None:
         return parse_formula(config.formula)
-    lines = [line for line in _read(config.formula_file, "formula").splitlines()
-             if line.split("#", 1)[0].strip()]
+    lines = [line.split("#", 1)[0].strip()
+             for line in _read(config.formula_file, "formula").splitlines()]
+    lines = [line for line in lines if line]
     if len(lines) != 1:
         raise InputError("formula file must hold exactly one formula")
     return parse_formula(lines[0])
@@ -386,10 +387,8 @@ def _export(config: RunConfig, report: Report, net) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
     except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT

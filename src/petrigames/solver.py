@@ -13,8 +13,10 @@ canonically first winning profile:
   adversary (environment plus scheduler) can force a fair violating
   computation even against users with full memory.  Weak fairness makes
   this a generalized Buechi game, solved by the Emerson-Lei nested
-  fixpoint on the (state, monitor) rows.  Complete survivors are checked
-  exactly, so both engines find identical witnesses.
+  fixpoint on the (state, monitor) rows.  The least completion of a
+  surviving partial profile is checked exactly, and only slots whose
+  state it can reach are branched on, so both engines find identical
+  witnesses.
 
 :func:`_verdict` builds every :class:`Verdict`: the witness, or else the
 lasso and reason of the canonically first profile (every move 0), so an
@@ -530,11 +532,11 @@ class _FairGame:
         options = self._options[node] = (choices, static)
         return options
 
-    def _walk(self, fixed: Sequence, roots: Sequence) -> list:
+    def _walk(self, fixed: Sequence, roots: Sequence) -> tuple:
         """The part of the arena masked by ``fixed`` that ``roots`` reach,
         renumbered from 0 in discovery order (the roots first): each row's
         options as lists of ``(target, mask)``, as
-        :func:`_adversary_region` reads them."""
+        :func:`_adversary_region` reads them, and the rows in that order."""
         n = len(self.g.states)
         local = {root: i for i, root in enumerate(roots)}
         order = list(roots)
@@ -556,14 +558,19 @@ class _FairGame:
                     option.append((i, mask))
                 renumbered.append(option)
             options.append(renumbered)
-        return options
+        return options, order
 
-    def solve(self, fixed: Sequence, root: tuple) -> bool:
-        """True iff the adversary wins from the row ``root`` against the
-        flat slot vector ``fixed`` (:func:`_slot_sizes`), where a free
-        slot, None, lets the user choose at each visit, with unrestricted
-        memory."""
-        return _adversary_region(self._walk(fixed, [root]), self._goals, watch=0)[0]
+    def solve(self, fixed: Sequence, root: tuple) -> tuple:
+        """``(won, reached)``: ``won`` is True iff the adversary wins from
+        the row ``root`` against the flat slot vector ``fixed``
+        (:func:`_slot_sizes`), where a free slot, None, lets the user
+        choose at each visit, with unrestricted memory; ``reached`` holds
+        the states of the rows the masked walk reaches.  A free slot takes
+        every move there, so no completion of ``fixed`` reaches any other
+        state."""
+        options, order = self._walk(fixed, [root])
+        return (_adversary_region(options, self._goals, watch=0)[0],
+                {qi for qi, _ in order})
 
     def region(self) -> frozenset:
         """The states whose root lies in the adversary's winning region
@@ -573,7 +580,7 @@ class _FairGame:
         g = self.g
         n = len(g.states)
         won = _adversary_region(self._walk([None] * len(_slot_sizes(g)),
-                                           [self.start(qi) for qi in range(n)]),
+                                           [self.start(qi) for qi in range(n)])[0],
                                 self._goals)
         return frozenset(qi for qi in range(n) if won[qi])
 
@@ -631,37 +638,57 @@ def _search(game: _FairGame, q0: int) -> Optional[tuple]:
     """The canonically first memoryless profile that wins from ``q0``, as a
     flat slot vector, or None.
 
-    A depth-first sweep fixes user moves slot by slot in canonical order;
-    a branch is cut as soon as the adversary wins the fair game against
-    users with unrestricted memory on the remaining slots (sound: the
-    restriction only weakens the users).  Complete assignments are
-    checked exactly, including non-vacuity, so the witness matches the
-    enumerative engine's.  The sweep keeps its own slot stack, so its
-    depth is not bounded by recursion.
+    A depth-first sweep fixes user moves slot by slot in canonical order,
+    and cuts a branch as soon as the adversary wins the fair game against
+    users with unrestricted memory on the free slots (sound: the
+    restriction only weakens the users).  Where it does not, the node's
+    least completion (every free slot at move 0) is checked exactly if it
+    changed since the last check, at the root or after a backtrack moved a
+    slot; a winning one is the witness, since every earlier subtree is
+    refuted.  The sweep branches only on slots whose state the node's
+    masked walk reaches: no completion reaches the others, so their slots
+    stay 0 until the sweep backtracks past them.  It keeps its own slot
+    stack, so its depth is not bounded by recursion.
     """
     root = game.start(q0)
+    n = len(game.g.states)
     sizes = _slot_sizes(game.g)
     slots = [slot for slot, size in enumerate(sizes) if size > 1]
     fixed = [None] * len(sizes)     # None while a slot is free
-    depth = 0     # slots[:depth] are fixed
+    skipped = [False] * len(slots)  # fixed to 0 without branching
+    depth = 0       # slots[:depth] are fixed
+    probe = True    # the least completion changed since the last check
     while True:
-        if not game.solve(fixed, root):
-            if depth < len(slots):
-                fixed[slots[depth]] = 0
+        won, reached = game.solve(fixed, root)
+        if not won:
+            if probe:
+                flat = tuple(j or 0 for j in fixed)
+                if _refute(game, flat, root) is None:
+                    return flat
+                probe = False
+            # fix slots to 0 in order, branching on the first reached one,
+            # up to the next reached one
+            branched = False
+            while depth < len(slots):
+                slot = slots[depth]
+                skipped[depth] = slot % n not in reached
+                if not skipped[depth]:
+                    if branched:
+                        break
+                    branched = True
+                fixed[slot] = 0
                 depth += 1
+            if depth < len(slots):
                 continue
-            # the leaf solve is exact on a full profile, so the exact check
-            # on the same arena adds only non-vacuity (a fair computation)
-            flat = tuple(j or 0 for j in fixed)
-            if _refute(game, flat, root) is None:
-                return flat
-        # backtrack to the deepest slot with an untried move
+            # every slot is fixed: the vector is the last, refuted check's
+        # backtrack to the deepest branched slot with an untried move
         while depth:
             depth -= 1
             slot = slots[depth]
-            if fixed[slot] + 1 < sizes[slot]:
+            if not skipped[depth] and fixed[slot] + 1 < sizes[slot]:
                 fixed[slot] += 1
                 depth += 1
+                probe = True
                 break
             fixed[slot] = None
         else:

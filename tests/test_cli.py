@@ -94,9 +94,11 @@ def test_check_fragment_violation_exits_2(f4_path):
 
 def test_check_formula_file(f4_path, tmp_path):
     ff = tmp_path / "goal.atl"
-    ff.write_text("# the reachability goal\n" + GOAL_EITHER + "\n")
-    code, out = invoke(["check", f4_path, "--formula-file", str(ff)])
-    assert code == 0
+    for text in ("# the reachability goal\n" + GOAL_EITHER + "\n",
+                 GOAL_EITHER + "   # reach either pair\n"):
+        ff.write_text(text)
+        code, out = invoke(["check", f4_path, "--formula-file", str(ff)])
+        assert code == 0, (text, out)
 
 
 def test_synthesize_requires_coalition_root(f4_path):
@@ -299,6 +301,13 @@ def test_env_var_overrides_bounds(f4_path, monkeypatch):
     from petrigames.errors import InputError
     with pytest.raises(InputError):
         build_parser()
+
+
+def test_malformed_env_bound_exits_2(f4_path, monkeypatch, capsys):
+    monkeypatch.setenv("PETRIGAMES_MAX_STATES", "abc")
+    assert main(["check", f4_path, "--formula", GOAL_EITHER]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: environment variable PETRIGAMES_MAX_STATES must be an integer\n"
 
 
 @pytest.mark.parametrize("extra", ["net again", "locations env u",

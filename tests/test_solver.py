@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -406,6 +407,11 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
             assert labelled.state_sets == exhaustive.state_sets, (seed, pf)
             assert labelled.satisfied == exhaustive.satisfied, (seed, pf)
             assert labelled.witness == exhaustive.witness, (seed, pf)
+            # the slot search's witness at every state, not only at q0
+            game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
+            for qi in range(len(g.states)):
+                assert solver._search(game, qi) == solver._sweep(
+                    game, qi, solver.DEFAULT_PROFILE_BOUND), (seed, pf, qi)
 
 
 def _flat(profile):
@@ -436,18 +442,22 @@ def test_arena_solve_matches_exact_profile_check(fair):
             for qi in range(n):
                 root = game.start(qi)
                 refuted = [_violating_component(game, full, root) for full in profiles]
+                walks = []
                 for full, violated in zip(profiles, refuted):
-                    assert game.solve(full, root) == violated, (seed, pf, qi, full)
+                    won, reached = game.solve(full, root)
+                    assert won == violated, (seed, pf, qi, full)
+                    walks.append(reached)
                 assert qi not in lost or all(refuted), (seed, pf, qi)
                 for _ in range(4):
                     fixed = [rng.randrange(g.d(a, q)) if rng.random() < 0.5 else None
                              for a in range(g.user_count) for q in range(n)]
-                    if not game.solve(fixed, root):
-                        continue
-                    partial_wins += 1
-                    for full, violated in zip(profiles, refuted):
+                    won, reached = game.solve(fixed, root)
+                    partial_wins += won
+                    # no completion reaches a state the masked walk misses
+                    for full, violated, walk in zip(profiles, refuted, walks):
                         if all(j in (None, k) for j, k in zip(fixed, full)):
-                            assert violated, (seed, pf, qi, fixed, full)
+                            assert walk <= reached, (seed, pf, qi, fixed, full)
+                            assert violated or not won, (seed, pf, qi, fixed, full)
     assert partial_wins > 0
 
 
@@ -592,6 +602,23 @@ def test_enumerate_labels_each_move_once(monkeypatch):
             before = len(taken)
             synthesize_enumerate(g, fcs, pf)
             assert len(taken) - before <= len(fcs) * moves, (seed, pf)
+
+
+def test_fixpoint_probes_the_least_completion_first(monkeypatch):
+    # chain(4)'s all-zero profile wins, so the search stops at its root
+    # instead of solving once per slot; the witness is pinned as the sha256
+    # of its strategy lines
+    g, fcs = _game(chain_net(4))
+    calls = []
+    solve = solver._FairGame.solve
+    monkeypatch.setattr(solver._FairGame, "solve",
+                        lambda self, *args: calls.append(args) or solve(self, *args))
+    verdict = model_check(g, fcs, parse_formula("<<u0,u1,u2,u3>> F x0"),
+                          engine="fixpoint")
+    assert verdict.satisfied
+    assert len(calls) <= 2
+    assert hashlib.sha256(format_profile(g, verdict.witness).encode()).hexdigest() \
+        == "f0d0d2e928ba9cc41404c4f1bffa4c848618f43f0b812daaebabb2475294e778"
 
 
 def test_fixpoint_slot_search_is_not_bounded_by_recursion():
