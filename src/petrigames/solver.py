@@ -7,7 +7,8 @@ formula (and at least one fair computation exists)?  Each only finds the
 canonically first winning profile:
 
 * ``enumerate`` (:func:`_sweep`) checks every profile exactly, in
-  canonical order; it is the correctness oracle.
+  canonical order, at every start state still undecided; it is the
+  correctness oracle.
 * ``fixpoint`` (:func:`_search`) prunes the same search by solving the
   two-player fair game: a partial profile is abandoned as soon as the
   adversary (environment plus scheduler) can force a fair violating
@@ -26,7 +27,8 @@ Both engines read one product of the game with a monitor automaton for
 the path formula (2 states for G, 3 for U): ``_FairGame`` builds, lazily
 and once, a row per (state, monitor) node listing the node each move
 reaches, and plays the fair game on these rows.  ``model_check`` shares
-one such arena among all the states it labels for a coalition.
+one such arena among all the states it labels for a coalition, and one
+label table (:func:`_label_table`) among all its arenas.
 
 Under ``fixpoint``, ``model_check`` decides each state by the cheapest
 exact answer (:func:`_label_fixpoint`).
@@ -36,13 +38,15 @@ indices: slot ``a * n + qi`` holds user ``a``'s move at state ``qi`` of
 ``n`` (:func:`_slot_sizes`).  A :class:`GameProfile` exists only at the
 API edge.
 
-Verification of one profile restricts the rows to the profile's user
-moves, numbered as integers, and looks for a reachable strongly connected
-component that contains a violating cycle satisfying every weak fairness
-constraint (disabled at some position or taken at some step).  Weak
-fairness makes this a generalized Buechi condition, so SCC inspection is
-exact: each step carries the arena's constraint mask, and a component
-holds a fair cycle iff the OR of its internal steps' masks has every bit.
+Verification of a profile restricts the rows to the profile's user
+moves, numbered as integers from its start rows (:func:`_product`), and
+looks for strongly connected components holding a cycle that satisfies
+every weak fairness constraint (disabled at some position or taken at
+some step).  Weak fairness makes this a generalized Buechi condition, so
+SCC inspection is exact: each step carries its label-table mask, and a
+component holds a fair cycle iff the OR of its internal steps' masks has
+every bit.  A start row wins iff it reaches a fair component and no fair
+violating one, so one Tarjan pass decides every start row (:func:`_winners`).
 
 Every entry point resolves its start state ``q0`` once, with ``_start``.
 """
@@ -214,13 +218,6 @@ class VerifyOutcome:
     reason: str
 
 
-def _edge_taken(g: GameStructure, fc: FairnessConstraint,
-                qi: int, scheduled: int, j: int) -> bool:
-    if fc.player == g.scheduler_player:
-        return scheduled in fc.at(qi)
-    return scheduled == fc.player and j in fc.at(qi)
-
-
 def _profile_vector(g: GameStructure, flat: Sequence[int],
                     qi: int, scheduled: int, j: int) -> tuple:
     vec = [j if a == scheduled else move
@@ -265,7 +262,7 @@ def _check(game: _FairGame, flat: Sequence[int], q0: int) -> VerifyOutcome:
         edges.extend((target, g.env_player, j)
                      for j, target in enumerate(row[g.env_player]))
         adjacency[(qi, mon)] = sorted(edges)
-    lasso = _extract_lasso(g, flat, game.constraints, adjacency, root, component)
+    lasso = _extract_lasso(game, flat, adjacency, root, component)
     return VerifyOutcome(False, lasso, "fair violating computation found")
 
 
@@ -275,39 +272,8 @@ def _refute(game: _FairGame, flat: Sequence[int], root: tuple) -> Optional[tuple
     rows the profile reaches, and the first fair violating strongly
     connected component (the one holding the least row) as a frozenset of
     rows, or None in its place when the profile admits no fair
-    computation.  Builds no lasso.
-
-    The reached rows are numbered from 0 in discovery order, each with its
-    ``(target, mask)`` edges: each user's profile move, then every
-    environment move, masked by :meth:`_FairGame.labels`.  Every mask has
-    the top bit, so a component holds a fair cycle iff the OR of its
-    internal edges' masks has every bit: a constraint disabled at one of
-    its rows is met by that row's internal edges, and a single row with no
-    self-loop has none."""
-    env = game.g.env_player
-    n = len(game.g.states)
-    local = {root: 0}
-    rows = [root]
-    succ = []
-    for qi, mon in rows:        # grows while it is read
-        row, labels = game.row(qi, mon), game.labels(qi)
-        edges = [(row[a][j], labels[a][j]) for a, j in enumerate(flat[qi::n])]
-        edges.extend(zip(row[env], labels[env]))
-        out = []
-        for target, mask in edges:
-            t = local.get(target)
-            if t is None:
-                t = local[target] = len(rows)
-                rows.append(target)
-            out.append((t, mask))
-        succ.append(out)
-    component = _strongly_connected_components(succ)
-    met = [0] * len(succ)       # per component, the OR of its internal edges
-    for v, edges in enumerate(succ):
-        c = component[v]
-        for t, mask in edges:
-            if component[t] == c:
-                met[c] |= mask
+    computation.  Builds no lasso."""
+    rows, _, component, met = _product(game, flat, [root])
     first, any_fair = None, False
     for v, node in enumerate(rows):
         if met[component[v]] != game._goals:
@@ -323,49 +289,114 @@ def _refute(game: _FairGame, flat: Sequence[int], root: tuple) -> Optional[tuple
     return None if any_fair else (rows, root, None)
 
 
-def _strongly_connected_components(succ: Sequence) -> list:
+def _winners(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
+    """``(won, lost)``: the rows of ``roots`` from which the flat profile
+    wins, as ``_refute(game, flat, root) is None`` answers, and the rest,
+    from one product graph and one Tarjan pass for all of them.  Tarjan
+    numbers a component after every component it reaches, so one sweep in
+    that order carries down the condensation whether a component reaches a
+    fair violating component (bit 1) or a fair one (bit 2)."""
+    rows, succ, component, met = _product(game, flat, roots)
+    reach = [0] * len(met)
+    for v in sorted(range(len(rows)), key=component.__getitem__):
+        c = component[v]
+        if met[c] == game._goals:
+            reach[c] |= 1 if rows[v][1] in game._violating else 2
+        for t, _ in succ[v]:
+            reach[c] |= reach[component[t]]
+    won = [reach[component[i]] == 2 for i in range(len(roots))]
+    return [r for r, w in zip(roots, won) if w], [r for r, w in zip(roots, won) if not w]
+
+
+def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
+    """The graph of the rows the flat profile reaches from ``roots``, as
+    ``(rows, succ, component, met)``.  The rows are numbered from 0 in
+    discovery order, the roots first, and ``succ`` lists each one's
+    ``(target, mask)`` edges: each user's profile move, then every
+    environment move, masked by the label table.  ``component`` numbers
+    every row's strongly connected component, and ``met`` holds each
+    component's OR of its internal edges' masks.  Every mask has the top
+    bit, so a component holds a fair cycle iff its ``met`` has every bit:
+    a constraint disabled at one of its rows is met by that row's internal
+    edges, and a single row with no self-loop has none."""
+    env = game.g.env_player
+    n = len(game.g.states)
+    local = {root: i for i, root in enumerate(roots)}
+    rows = list(roots)
+    succ = []
+    for qi, mon in rows:        # grows while it is read
+        row, labels = game.row(qi, mon), game.labels[qi]
+        edges = [(row[a][j], labels[a][j]) for a, j in enumerate(flat[qi::n])]
+        edges.extend(zip(row[env], labels[env]))
+        out = []
+        for target, mask in edges:
+            t = local.get(target)
+            if t is None:
+                t = local[target] = len(rows)
+                rows.append(target)
+            out.append((t, mask))
+        succ.append(out)
+    component = _strongly_connected_components(succ, range(len(roots)))
+    met = [0] * len(succ)       # per component, the OR of its internal edges
+    for v, edges in enumerate(succ):
+        c = component[v]
+        for t, mask in edges:
+            if component[t] == c:
+                met[c] |= mask
+    return rows, succ, component, met
+
+
+def _strongly_connected_components(succ: Sequence, roots: Iterable) -> list:
     """Iterative Tarjan on the nodes ``0..n-1`` of ``succ``, all reachable
-    from node 0, where ``succ[v]`` lists ``(target, mask)`` edges.  Returns
-    every node's component number, numbered in the order found."""
+    from the nodes ``roots``, where ``succ[v]`` lists ``(target, mask)``
+    edges.  Returns every node's component number, numbered in the order
+    found: a component's number exceeds those of all it reaches."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     component = [-1] * n        # -1 while unvisited or on the stack
-    index[0] = 0
-    stack, work = [0], [(0, iter(succ[0]))]
-    counter, found = 1, 0
-    while work:
-        v, edges = work[-1]
-        for t, _ in edges:
-            if index[t] < 0:
-                index[t] = low[t] = counter
-                counter += 1
-                stack.append(t)
-                work.append((t, iter(succ[t])))
-                break
-            if component[t] < 0 and index[t] < low[v]:
-                low[v] = index[t]
-        else:
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    component[w] = found
-                    if w == v:
-                        break
-                found += 1
+    stack, counter, found = [], 0, 0
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for t, _ in edges:
+                if index[t] < 0:
+                    index[t] = low[t] = counter
+                    counter += 1
+                    stack.append(t)
+                    work.append((t, iter(succ[t])))
+                    break
+                if component[t] < 0 and index[t] < low[v]:
+                    low[v] = index[t]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = found
+                        if w == v:
+                            break
+                    found += 1
     return component
 
 
-def _extract_lasso(g: GameStructure, flat: Sequence[int],
-                   constraints: Sequence[FairnessConstraint],
+def _extract_lasso(game: _FairGame, flat: Sequence[int],
                    adjacency: Mapping, root, component: frozenset
                    ) -> LassoComputation:
     """Deterministic counterexample: shortest path to the component, then a
     tour visiting a witness (disabled position or taken edge) for every
-    constraint, closed back to its anchor."""
+    constraint, closed back to its anchor.  Where a constraint is enabled
+    at every row of the component, its label-table bit marks the edges
+    that take it."""
+    g = game.g
 
     def bfs(source, goal_test, allowed=None):
         # returns the edge list of a shortest path; ties broken by edge order
@@ -396,21 +427,23 @@ def _extract_lasso(g: GameStructure, flat: Sequence[int],
 
     tour = []
     pos = anchor
-    for fc in constraints:
+    for i, fc in enumerate(game.constraints):
         if any(not fc.enabled(n[0]) for n in component):
             segment = bfs(pos, lambda n: not fc.enabled(n[0]), allowed=component)
             tour.extend(segment)
             pos = segment[-1][1][0] if segment else pos
             continue
-        taken_sources = {
-            n for n in component
-            if any(t in component and _edge_taken(g, fc, n[0], a, j)
-                   for t, a, j in adjacency[n])}
+
+        def takes(node, edge):
+            target, a, j = edge
+            return target in component and game.labels[node[0]][a][j] >> i & 1
+
+        taken_sources = {n for n in component
+                         if any(takes(n, edge) for edge in adjacency[n])}
         segment = bfs(pos, lambda n: n in taken_sources, allowed=component)
         tour.extend(segment)
         pos = segment[-1][1][0] if segment else pos
-        edge = next(e for e in adjacency[pos]
-                    if e[0] in component and _edge_taken(g, fc, pos[0], e[1], e[2]))
+        edge = next(e for e in adjacency[pos] if takes(pos, e))
         tour.append((pos, edge))
         pos = edge[0]
     if pos != anchor or not tour:
@@ -429,21 +462,26 @@ def _extract_lasso(g: GameStructure, flat: Sequence[int],
 
 # -- enumerative engine ---------------------------------------------------------
 
-def _sweep(game: _FairGame, q0: int, max_profiles: int) -> Optional[tuple]:
+def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> list:
     """The enumerative witness finder, the correctness oracle: every
-    profile in canonical order, checked exactly on one arena.  Returns the
-    first that wins from ``q0``, as a flat slot vector, or None."""
+    profile in canonical order, checked exactly on one arena against every
+    state of ``states`` it has not yet won from, all in one pass
+    (:func:`_winners`).  Returns each state's first winning profile, as a
+    flat slot vector, or None."""
     sizes = _slot_sizes(game.g)
     space = math.prod(sizes)
     if space > max_profiles:
         raise BoundExceeded(
             f"profile space of size {space} exceeds the enumeration bound "
             f"{max_profiles}; use the fixpoint engine", max_profiles)
-    root = game.start(q0)
+    witnesses = dict.fromkeys(states)
+    pending = [game.start(qi) for qi in states]
     for flat in itertools.product(*map(range, sizes)):
-        if _refute(game, flat, root) is None:
-            return flat
-    return None
+        won, pending = _winners(game, flat, pending)
+        witnesses.update((root[0], flat) for root in won)
+        if not pending:
+            break
+    return [witnesses[qi] for qi in states]
 
 
 # -- fixed-point engine -----------------------------------------------------------
@@ -453,31 +491,31 @@ class _FairGame:
     an arena shared by every slot assignment and every start state.
 
     :meth:`row` lists, once per ``(qi, mon)``, the ``(qj, mon')`` each move
-    of each user and of the environment reaches, and :meth:`labels`, once
-    per ``qi``, the weak fairness constraints each move meets (disabled at
-    ``qi``, or taken by the step), as a bitmask that depends only on the
-    player, ``qi`` and the move.  This one label table serves both readers:
-    :func:`_refute` restricts the rows to one profile and tests a
-    component's masks, and the game is played on the same rows.  At a row
+    of each user and of the environment reaches, and ``labels`` is the
+    game's label table (:func:`_label_table`), given when arenas share it:
+    the weak fairness constraints each move meets.  This one table serves
+    every reader: :func:`_product` restricts the rows to one
+    profile and tests a component's masks, the game is played on the same
+    rows, and :func:`_extract_lasso` finds taken edges in it.  At a row
     the adversary (scheduler and environment) picks one environment move,
     or a user: that user's fixed move, or any of its moves while its slot
     is free, since the user chooses.  The monitor is eventually constant
     on a play, so "the monitor violates" is folded into every constraint:
     the adversary wins by forcing a play that meets each constraint
     infinitely often from violating rows, a generalized Buechi condition
-    solved by :func:`_adversary_region`.  The rows' moves and labels are
-    built once, lazily from each new start state.
+    solved by :func:`_adversary_region`.  The rows are built once, lazily
+    from each new start state.
     """
 
     def __init__(self, g: GameStructure, constraints: Sequence[FairnessConstraint],
-                 objective: PathObjective):
+                 objective: PathObjective, labels: Optional[list] = None):
         self.g = g
         self.constraints = tuple(constraints)
         self.objective = objective
+        self.labels = labels or _label_table(g, self.constraints)
         self._violating = objective.violating_monitors()
         self._goals = (2 << len(self.constraints)) - 1   # all mask bits
         self._rows: dict = {}       # (qi, mon) -> per player, per move (qj, mon')
-        self._labels: dict = {}     # qi -> per player, per move constraint mask
         self._options: dict = {}    # (qi, mon) -> (choices, static)
 
     def row(self, qi: int, mon: int) -> tuple:
@@ -494,32 +532,16 @@ class _FairGame:
     def start(self, q0: int) -> tuple:
         return q0, self.objective.monitor_step(_PENDING, q0)
 
-    def labels(self, qi: int) -> tuple:
-        """For each user, then the environment, the mask of the weak
-        fairness constraints each of its moves at ``qi`` meets (bit ``i``:
-        constraint ``i`` is disabled at ``qi`` or taken by the move), with
-        the top bit always set; built once per state."""
-        labels = self._labels.get(qi)
-        if labels is None:
-            g = self.g
-            top = 1 << len(self.constraints)
-            labels = self._labels[qi] = tuple(
-                tuple(top | sum(1 << i for i, fc in enumerate(self.constraints)
-                                if not fc.enabled(qi) or _edge_taken(g, fc, qi, a, j))
-                      for j in range(len(per_state[qi])))
-                for a, per_state in enumerate(g.successors))
-        return labels
-
     def _build_options(self, node: tuple) -> tuple:
         """The adversary's options at a row, built once: ``choices``, the
         user and ``(target, mask)`` moves of each user with more than one
         move, and ``static``, one-move options for the other users and for
-        every environment move.  The masks are :meth:`labels`, whose top
+        every environment move.  The masks are the label table's, whose top
         bit stands for the monitor alone; a step from a row whose monitor
         does not violate meets nothing."""
         qi, mon = node
         g = self.g
-        labels = self.labels(qi)
+        labels = self.labels[qi]
         violating = mon in self._violating
         choices, static = [], []
         for a, (targets, masks) in enumerate(zip(self.row(qi, mon), labels)):
@@ -583,6 +605,36 @@ class _FairGame:
                                            [self.start(qi) for qi in range(n)])[0],
                                 self._goals)
         return frozenset(qi for qi in range(n) if won[qi])
+
+
+def _label_table(g: GameStructure, constraints: Sequence[FairnessConstraint]) -> list:
+    """For every state, for each user and then the environment, the mask of
+    the weak fairness constraints each of its moves meets there (bit ``i``:
+    constraint ``i`` is disabled at the state or taken by the move), with
+    the top bit always set: a state's disabled bits OR'd with each move's
+    taken bits, read from the constraints' own move sets.  A key naming no
+    state is ignored; an entry naming no player or move of the game is
+    never taken, though it still enables its constraint at its state."""
+    states, players = range(len(g.states)), range(len(g.successors))
+    disabled = [(2 << len(constraints)) - 1] * len(states)
+    taken = [[[0] * len(per_state[qi]) for per_state in g.successors] for qi in states]
+    for i, fc in enumerate(constraints):
+        bit = 1 << i
+        for qi, chosen in fc.moves.items():
+            if qi not in states or not chosen:
+                continue
+            disabled[qi] &= ~bit
+            if fc.player == g.scheduler_player:     # every move of a chosen player
+                for a in chosen:
+                    if a in players:
+                        taken[qi][a] = [move | bit for move in taken[qi][a]]
+            elif fc.player in players:
+                moves = taken[qi][fc.player]
+                for j in chosen:
+                    if j in range(len(moves)):
+                        moves[j] |= bit
+    return [tuple(tuple(disabled[qi] | move for move in moves) for moves in taken[qi])
+            for qi in states]
 
 
 def _adversary_region(options: Sequence, goals: int,
@@ -700,24 +752,26 @@ def _search(game: _FairGame, q0: int) -> Optional[tuple]:
 ENGINES = ("enumerate", "fixpoint", "both")
 
 
-def _witness(game: _FairGame, q0: int, engine: str, max_profiles: int) -> Optional[tuple]:
-    """The canonically first flat profile that wins from ``q0``, or None,
-    found by ``engine``; ``both`` runs the two finders and raises
-    :class:`EngineDisagreement` unless they agree."""
-    if engine == "enumerate":
-        return _sweep(game, q0, max_profiles)
+def _witnesses(game: _FairGame, states: Sequence[int], engine: str,
+               max_profiles: int) -> list:
+    """The canonically first flat profile that wins from each state of
+    ``states``, or None, found by ``engine``; ``both`` runs the two finders
+    and raises :class:`EngineDisagreement` at the first state where they
+    differ."""
+    if engine not in ENGINES:
+        raise InputError(f"unknown engine {engine!r}")
     if engine == "fixpoint":
-        return _search(game, q0)
+        return [_search(game, qi) for qi in states]
+    witnesses = _sweep(game, states, max_profiles)
     if engine == "both":
-        left, right = _sweep(game, q0, max_profiles), _search(game, q0)
-        if (left is None) != (right is None):
-            raise EngineDisagreement(
-                f"engines disagree: enumerate={left is not None} "
-                f"fixpoint={right is not None}")
-        if left != right:
-            raise EngineDisagreement("engines disagree on the witness profile")
-        return left
-    raise InputError(f"unknown engine {engine!r}")
+        for left, right in zip(witnesses, [_search(game, qi) for qi in states]):
+            if (left is None) != (right is None):
+                raise EngineDisagreement(
+                    f"engines disagree: enumerate={left is not None} "
+                    f"fixpoint={right is not None}")
+            if left != right:
+                raise EngineDisagreement("engines disagree on the witness profile")
+    return witnesses
 
 
 def _verdict(game: _FairGame, q0: int, witness: Optional[tuple]) -> Verdict:
@@ -735,7 +789,7 @@ def synthesize(g: GameStructure, constraints: Sequence[FairnessConstraint], pf,
                max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
     q0 = _start(g, q0)
     game = _arena(g, constraints, pf)
-    return _verdict(game, q0, _witness(game, q0, engine, max_profiles))
+    return _verdict(game, q0, _witnesses(game, [q0], engine, max_profiles)[0])
 
 
 def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -758,16 +812,18 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     """Bottom-up labelling: boolean connectives as set operations, coalition
     subformulas decided at every state.  All states of one coalition
     subformula are labelled on one arena, which is dropped when the call
-    returns.  ``enumerate`` and ``both`` look for a witness at every
-    state, and ``fixpoint`` labels with :func:`_label_fixpoint`.  Every
-    engine gives the same state sets, and one :func:`_verdict`, for the
-    outermost coalition at ``q0``, builds the only lasso."""
+    returns, and every arena reads one label table, built once.
+    ``enumerate`` and ``both`` label every state from one profile sweep
+    (:func:`_sweep`), and ``fixpoint`` labels with :func:`_label_fixpoint`.
+    Every engine gives the same state sets, and one :func:`_verdict`, for
+    the outermost coalition at ``q0``, builds the only lasso."""
     violations = check_fragment(formula, g.net)
     if violations:
         raise InputError("formula outside the checkable fragment: "
                          + "; ".join(violations))
     q0 = _start(g, q0)
     constraints = tuple(constraints)
+    labels = _label_table(g, constraints)
     all_states = frozenset(range(len(g.states)))
     state_sets: dict = {}
     root = Verdict(False)       # the outermost coalition's verdict, if any
@@ -792,12 +848,11 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
             right = states_of(node.args[1]) if node.op == "U" else None
             # one arena for the objective, shared by every state labelled
             game = _FairGame(g, constraints, PathObjective.from_state_sets(
-                g, node.op, left, right))
+                g, node.op, left, right), labels)
             if engine == "fixpoint":
                 result, witness = _label_fixpoint(game, q0)
             else:
-                witnesses = [_witness(game, qi, engine, max_profiles)
-                             for qi in range(len(g.states))]
+                witnesses = _witnesses(game, range(len(g.states)), engine, max_profiles)
                 result = frozenset(qi for qi, w in enumerate(witnesses) if w is not None)
                 witness = witnesses[q0]
             if node is formula:     # the only verdict that is printed
@@ -819,24 +874,24 @@ def _label_fixpoint(game: _FairGame, q0: int) -> tuple:
     the flat witness found at ``q0``, or None when ``q0`` is lost.
 
     ``q0`` comes first, then the other states in sorted order.  A state in
-    the all-states region (:meth:`_FairGame.region`) is lost.  Otherwise
-    it is won if a witness found so far, tried in the order found, passes
-    the exact profile check there; only when none does is the slot search
-    run, and its witness kept (at ``q0``, the first).  Every bit is exact,
-    and no lasso is built.
+    the all-states region (:meth:`_FairGame.region`) is lost.  The slot
+    search runs at the first state still pending, and a witness it finds
+    is checked exactly against every later pending state in one pass
+    (:func:`_winners`), which retires the states it wins from.  So a state
+    is searched only when no witness found at an earlier state wins there.
+    Every bit is exact, and no lasso is built.
     """
     lost = game.region()
+    order = [q0] + [qi for qi in range(len(game.g.states)) if qi != q0]
+    pending = [game.start(qi) for qi in order if qi not in lost]
     witnesses, winning = [], set()
-    for qi in [q0] + [qi for qi in range(len(game.g.states)) if qi != q0]:
-        if qi in lost:
-            continue
-        root = game.start(qi)
-        if not any(_refute(game, w, root) is None for w in witnesses):
-            witness = _search(game, qi)
-            if witness is None:
-                continue
+    while pending:
+        root = pending.pop(0)
+        witness = _search(game, root[0])
+        if witness is not None:
+            won, pending = _winners(game, witness, pending)
             witnesses.append(witness)
-        winning.add(qi)
+            winning.update(node[0] for node in [root, *won])
     return frozenset(winning), witnesses[0] if q0 in winning else None
 
 
@@ -979,6 +1034,7 @@ def format_profile(g: GameStructure, profile: GameProfile) -> str:
 def parse_profile(g: GameStructure, text: str) -> GameProfile:
     moves = [[g.idle_move(a, qi) or 0 for qi in range(len(g.states))]
              for a in range(g.user_count)]
+    first: dict = {}    # (user, state) -> the line that set its move
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -996,6 +1052,9 @@ def parse_profile(g: GameStructure, text: str) -> GameProfile:
             raise InputError(
                 f"unknown state {format_marking(marking)} on line {lineno}")
         qi = g.state_index[marking]
+        if first.setdefault((a, qi), lineno) != lineno:
+            raise InputError(f"repeated state {format_marking(marking)} for user {user} "
+                             f"on line {lineno}, first set on line {first[a, qi]}")
         move = move_text.strip()
         labels = g.moves[a][qi]
         label = None if move == "pass" else move

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 
@@ -10,7 +11,8 @@ from petrigames import fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, format_formula, holds_in, \
     parse_formula
-from petrigames.game import build_fairness, build_game, lasso_is_fair, stutter_remove
+from petrigames.game import FairnessConstraint, build_fairness, build_game, lasso_is_fair, \
+    stutter_remove
 from petrigames.nets import marking_key, parse_net
 from petrigames.randnet import random_net
 from petrigames.solver import (
@@ -218,6 +220,27 @@ def test_single_state_deadlock_game():
     assert not synthesize_fixpoint(g, fcs, target).satisfied
 
 
+def test_constraint_entries_outside_the_game_are_ignored(g4, fc4):
+    # a constraint entry naming no state, player or move of the game is
+    # never taken, and a set holding only such entries still enables its
+    # constraint at its state
+    n = len(g4.states)
+    sched = g4.scheduler_player
+    for extra in [FairnessConstraint(0, "odd", {0: {-1}, n: {0}}),
+                  FairnessConstraint(sched, "self", {0: {sched}})]:
+        for synthesize_with in (synthesize_enumerate, synthesize_fixpoint):
+            verdict = synthesize_with(g4, fc4 + (extra,), REACH_EITHER)
+            assert verdict.satisfied, (extra, synthesize_with)
+            assert verdict.witness.moves == ((1, 0, 0, 0, 0, 0),)
+    # enabled everywhere and never taken: no computation is fair
+    for extra in [FairnessConstraint(sched, "self", dict.fromkeys(range(n), {sched, -1})),
+                  FairnessConstraint(0, "odd", dict.fromkeys(range(n), {-1, 99}))]:
+        for synthesize_with in (synthesize_enumerate, synthesize_fixpoint):
+            verdict = synthesize_with(g4, fc4 + (extra,), REACH_EITHER)
+            assert not verdict.satisfied
+            assert verdict.reason == "profile admits no fair computation from the initial state"
+
+
 def test_engine_both_mode(g4, fc4):
     verdict = synthesize(g4, fc4, REACH_EITHER, engine="both")
     assert verdict.satisfied
@@ -409,9 +432,10 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
             assert labelled.witness == exhaustive.witness, (seed, pf)
             # the slot search's witness at every state, not only at q0
             game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
-            for qi in range(len(g.states)):
-                assert solver._search(game, qi) == solver._sweep(
-                    game, qi, solver.DEFAULT_PROFILE_BOUND), (seed, pf, qi)
+            states = range(len(g.states))
+            swept = solver._sweep(game, states, solver.DEFAULT_PROFILE_BOUND)
+            for qi in states:
+                assert solver._search(game, qi) == swept[qi], (seed, pf, qi)
 
 
 def _flat(profile):
@@ -589,19 +613,88 @@ def test_enumerate_builds_a_game_profile_only_for_the_witness(monkeypatch):
 
 
 def test_enumerate_labels_each_move_once(monkeypatch):
-    # the arena's label table tests each constraint against each move once,
-    # however many profiles and product rows revisit it; the printed
-    # lasso's own tests stay within the same bound
-    taken = _count_calls(monkeypatch, "_edge_taken")
+    # one label table per call, with one mask per move: each (constraint,
+    # move) is labelled once, however many profiles and product rows
+    # revisit it, and the printed lasso reads the same table
+    built = _count_calls(monkeypatch, "_label_table")
     for seed in range(1, 21):
         net = random_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
-        moves = sum(1 for qi in range(len(g.states)) for _ in g.edges(qi))
+        moves = sum(len(per_state[qi]) for per_state in g.successors
+                    for qi in range(len(g.states)))
+        assert sum(map(len, itertools.chain(*solver._label_table(g, fcs)))) == moves
         for pf in formula_pool(net):
-            before = len(taken)
+            before = len(built)
             synthesize_enumerate(g, fcs, pf)
-            assert len(taken) - before <= len(fcs) * moves, (seed, pf)
+            assert len(built) - before == 1, (seed, pf)
+
+
+def test_model_check_builds_the_label_table_once(monkeypatch):
+    # every coalition's arena, nested ones too, shares one table per call
+    built = _count_calls(monkeypatch, "_label_table")
+    for seed in range(1, 11):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for formula in [_pool_goal(net, pf) for pf in formula_pool(net)] \
+                + list(nested_goals(net)):
+            for engine in solver.ENGINES:
+                before = len(built)
+                model_check(g, fcs, formula, engine=engine)
+                assert len(built) - before == 1, (seed, formula, engine)
+
+
+def test_enumerate_labelling_builds_one_product_graph_per_profile(monkeypatch):
+    # random_net(1)'s third pool goal holds at q0 and is lost at 3 of 7
+    # states, so the sweep tries every profile; one product graph per
+    # profile serves every state still undecided (the parent built one
+    # per state and profile)
+    net = random_net(1)
+    g = build_game(net)
+    fcs = build_fairness(net, g)
+    formula = _pool_goal(net, formula_pool(net)[2])
+    built = _count_calls(monkeypatch, "_product")
+    verdict = model_check(g, fcs, formula)
+    assert verdict.satisfied
+    assert len(g.states) - len(verdict.state_sets[format_formula(formula)]) >= 2
+    assert 0 < len(built) <= profile_space(g)
+
+
+@pytest.mark.parametrize("fair", [True, False])
+def test_enumerate_witness_at_every_state_matches_independent_check(fair):
+    # every state's witness is the first profile in canonical order that
+    # the independent check of tests/helpers.py finds winning there
+    checked = won = 0
+    for seed in range(1, 41):
+        net = random_net(seed)
+        g = build_game(net)
+        if profile_space(g) > 64:
+            continue
+        fcs = build_fairness(net, g) if fair else ()
+        profiles = list(iter_profiles(g))
+        states = range(len(g.states))
+        for pf in formula_pool(net):
+            game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
+            swept = solver._sweep(game, states, solver.DEFAULT_PROFILE_BOUND)
+            for qi in states:
+                expected = next((_flat(p) for p in profiles
+                                 if refute_profile(g, fcs, pf, p, qi) is None), None)
+                assert swept[qi] == expected, (seed, pf, qi)
+                checked += 1
+                won += expected is not None
+    assert 0 < won < checked
+
+
+def test_engines_label_nested_goals_alike():
+    for seed in range(1, 41):
+        net = random_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for formula in nested_goals(net):
+            sets = [model_check(g, fcs, formula, engine=engine).state_sets
+                    for engine in solver.ENGINES]
+            assert sets[0] == sets[1] == sets[2], (seed, formula)
 
 
 def test_fixpoint_probes_the_least_completion_first(monkeypatch):
@@ -699,6 +792,13 @@ def test_profile_round_trip_through_text(g4):
     text = format_profile(g4, profile)
     assert "strategy u: {p0,p2} -> t3" in text
     assert parse_profile(g4, text) == profile
+
+
+def test_parse_profile_rejects_a_repeated_state(g4):
+    text = "strategy u: {p0,p2} -> t3\n# a comment\nstrategy u: {p0,p2} -> pass\n"
+    with pytest.raises(InputError, match=r"repeated state \{p0,p2\} for user u on line 3, "
+                                         r"first set on line 1"):
+        parse_profile(g4, text)
 
 
 def test_cut_keyed_strategy_conversion(g4):
