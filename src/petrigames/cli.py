@@ -8,6 +8,7 @@ Every command reads a net in the text format of :mod:`petrigames.nets`;
 Default bounds can be overridden with the environment variables
 ``PETRIGAMES_MAX_STATES``, ``PETRIGAMES_MAX_PREFIX``,
 ``PETRIGAMES_MAX_PROFILES`` and ``PETRIGAMES_MAX_LINEARISATIONS``.
+A parse builds only the parser of the subcommand that argv names.
 """
 
 from __future__ import annotations
@@ -82,70 +83,80 @@ def _env_int(name: str, fallback: int) -> int:
         raise InputError(f"environment variable {name} must be an integer")
 
 
+#: (flag, variable, fallback), read by every ``build_parser()`` in this order
+_BOUNDS = (("--max-states", "PETRIGAMES_MAX_STATES", DEFAULT_STATE_BOUND),
+           ("--max-size", "PETRIGAMES_MAX_PREFIX", DEFAULT_PREFIX_BOUND),
+           ("--max-profiles", "PETRIGAMES_MAX_PROFILES", DEFAULT_PROFILE_BOUND),
+           ("--bound", "PETRIGAMES_MAX_LINEARISATIONS", DEFAULT_LINEARISATION_BOUND))
+#: ``add_argument`` keywords of the other flags; a flag not here takes none
+_FLAGS = {"net": {"help": "net file"},
+          "--machine": {"action": "store_true",
+                        "help": "append a machine-readable key: value block"},
+          "--depth": {"type": int, "default": 2},
+          "--dot": {"action": "store_true"},
+          "--single-user-simplification": {"action": "store_true"},
+          "--engine": {"choices": ENGINES, "default": "enumerate"},
+          "--play": {"dest": "play_path"}, "--lasso": {"dest": "lasso_path"},
+          "--what": {"choices": ("reach", "unfolding", "game", "fairness"),
+                     "required": True}}
+_COMMON = ("net", "--machine", "--max-states")
+_PREFIX = ("--depth", "--max-size", "--dot")
+_SOLVE = _COMMON + (("--formula", "--formula-file"), "--engine",
+                    "--single-user-simplification", "--max-profiles")
+#: command -> (help, arguments in usage order); a tuple of flags is a
+#: required mutually exclusive group
+_COMMANDS = {
+    "validate": ("check the net's structural rules", _COMMON),
+    "reach": ("explicit reachability graph", _COMMON + ("--dot",)),
+    "unfold": ("branching-process prefix", _COMMON + _PREFIX),
+    "build-game": ("turn-based asynchronous game structure",
+                   _COMMON + ("--single-user-simplification",)),
+    "check": ("model-check an ATL formula", _SOLVE),
+    "synthesize": ("synthesise a memoryless winning profile", _SOLVE),
+    "translate": ("translate plays to fair computations and back",
+                  _COMMON + (("--play", "--lasso"), "--bound")),
+    "export": ("write DOT or tabular artifacts",
+               _COMMON + ("--what",) + _PREFIX + ("--out",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Each parse registers only the command its first argument names, or
+    all of them when it names none (help, a missing or unknown command)."""
+
+    def __init__(self, flags: dict):
+        super().__init__(
+            prog="petrigames",
+            description="Games on distributed Petri net unfoldings: build the "
+                        "fair turn-based game structure, check ATL goals, "
+                        "synthesise memoryless strategies.")
+        self.flags = flags
+        self.commands = self.add_subparsers(dest="command", required=True,
+                                            parser_class=argparse.ArgumentParser)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        names = [args[0]] if args and args[0] in _COMMANDS else list(_COMMANDS)
+        # forget an earlier parse's commands; a lone command's usage lists all
+        self.commands.choices.clear()
+        self.commands._choices_actions.clear()
+        self.commands.metavar = None if len(names) > 1 else "{%s}" % ",".join(_COMMANDS)
+        for name in names:
+            help_text, arguments = _COMMANDS[name]
+            p = self.commands.add_parser(name, help=help_text)
+            for entry in arguments:
+                group = isinstance(entry, tuple)
+                target = p.add_mutually_exclusive_group(required=True) if group else p
+                for flag in entry if group else (entry,):
+                    target.add_argument(flag, **self.flags.get(flag, {}))
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="petrigames",
-        description="Games on distributed Petri net unfoldings: build the "
-                    "fair turn-based game structure, check ATL goals, "
-                    "synthesise memoryless strategies.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("net", help="net file")
-        p.add_argument("--machine", action="store_true",
-                       help="append a machine-readable key: value block")
-        p.add_argument("--max-states", type=int,
-                       default=_env_int("PETRIGAMES_MAX_STATES", DEFAULT_STATE_BOUND))
-
-    def prefix_options(p):
-        p.add_argument("--depth", type=int, default=2)
-        p.add_argument("--max-size", type=int,
-                       default=_env_int("PETRIGAMES_MAX_PREFIX", DEFAULT_PREFIX_BOUND))
-        p.add_argument("--dot", action="store_true")
-
-    p = sub.add_parser("validate", help="check the net's structural rules")
-    common(p)
-
-    p = sub.add_parser("reach", help="explicit reachability graph")
-    common(p)
-    p.add_argument("--dot", action="store_true")
-
-    p = sub.add_parser("unfold", help="branching-process prefix")
-    common(p)
-    prefix_options(p)
-
-    p = sub.add_parser("build-game", help="turn-based asynchronous game structure")
-    common(p)
-    p.add_argument("--single-user-simplification", action="store_true")
-
-    for name in ("check", "synthesize"):
-        p = sub.add_parser(name, help="model-check an ATL formula" if name == "check"
-                           else "synthesise a memoryless winning profile")
-        common(p)
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--formula")
-        group.add_argument("--formula-file")
-        p.add_argument("--engine", choices=ENGINES, default="enumerate")
-        p.add_argument("--single-user-simplification", action="store_true")
-        p.add_argument("--max-profiles", type=int,
-                       default=_env_int("PETRIGAMES_MAX_PROFILES", DEFAULT_PROFILE_BOUND))
-
-    p = sub.add_parser("translate",
-                       help="translate plays to fair computations and back")
-    common(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--play", dest="play_path")
-    group.add_argument("--lasso", dest="lasso_path")
-    p.add_argument("--bound", type=int,
-                   default=_env_int("PETRIGAMES_MAX_LINEARISATIONS", DEFAULT_LINEARISATION_BOUND))
-
-    p = sub.add_parser("export", help="write DOT or tabular artifacts")
-    common(p)
-    p.add_argument("--what", choices=("reach", "unfolding", "game", "fairness"),
-                   required=True)
-    prefix_options(p)
-    p.add_argument("--out")
-    return parser
+    """A fresh parser; a malformed bound variable raises ``InputError`` here."""
+    bounds = {flag: {"type": int, "default": _env_int(variable, fallback)}
+              for flag, variable, fallback in _BOUNDS}
+    return _Parser({**_FLAGS, **bounds})
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -266,8 +277,6 @@ def _dispatch(config: RunConfig, report: Report) -> int:
         return EXIT_OK
 
     if config.command == "unfold":
-        if config.depth < 0:
-            raise InputError("depth must be >= 0")
         bp = unfold_prefix(net, config.depth, max_size=config.max_prefix,
                            max_states=config.max_states)
         report.say(f"prefix of depth {config.depth}: {len(bp.conditions)} "

@@ -173,11 +173,11 @@ def unfold_prefix(net: NetSystem, depth: int,
     co-set labelled by some ``pre(t)`` that has none yet; such a co-set
     holds a condition of layer k - 1, so the search starts from those.
     """
+    if depth < 0:
+        raise InputError("depth must be >= 0")
     free, witness = check_contact_free(net, max_states=max_states)
     if not free:
         raise _contact_error(witness)
-    if depth < 0:
-        raise InputError("depth must be >= 0")
     occ = _OccurrenceNet(net)
     # with one input place per transition every co-set is a single
     # condition, and the co-relation is left empty

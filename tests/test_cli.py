@@ -389,3 +389,109 @@ def test_non_utf8_file_errors_are_pinned(f4_path, tmp_path, kind, argv):
     assert code == 2
     assert out == (f"error: cannot read {kind} file: 'utf-8' codec can't decode "
                    f"byte 0xff in position 5: invalid start byte\n")
+
+
+@pytest.mark.parametrize("fixture", ["CONTACT", "FIG4"])
+def test_negative_depth_is_rejected_before_the_contact_check(tmp_path, fixture):
+    path = tmp_path / "net.net"
+    path.write_text(getattr(fixtures, fixture))
+    for argv in (["unfold", str(path), "--depth", "-1"],
+                 ["export", str(path), "--what", "unfolding", "--depth", "-1"]):
+        assert invoke(argv) == (2, "error: depth must be >= 0\n")
+
+
+# -- the argument parser --------------------------------------------------------------
+
+COMMANDS = ["validate", "reach", "unfold", "build-game", "check", "synthesize",
+            "translate", "export"]
+ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
+
+
+def parse_exit(argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+def test_check_parse_builds_at_most_two_parsers(f4_path, monkeypatch):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    args = build_parser().parse_args(["check", f4_path, "--formula", GOAL_EITHER])
+    assert args.command == "check" and args.formula == GOAL_EITHER
+    assert len(built) <= 2
+
+
+def test_help_lists_every_command_in_order(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = parse_exit(["-h"], capsys)
+    assert code == 0
+    helps = {"validate": "check the net's structural rules",
+             "reach": "explicit reachability graph",
+             "unfold": "branching-process prefix",
+             "build-game": "turn-based asynchronous game structure",
+             "check": "model-check an ATL formula",
+             "synthesize": "synthesise a memoryless winning profile",
+             "translate": "translate plays to fair computations and back",
+             "export": "write DOT or tabular artifacts"}
+    rows = [line.split() for line in out.splitlines()]
+    listed = [(row[0], " ".join(row[1:])) for row in rows if row and row[0] in helps]
+    assert listed == list(helps.items())
+    assert ALL_COMMANDS in out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_exits_0(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = parse_exit([command, "-h"], capsys)
+    assert code == 0
+    assert out.startswith(f"usage: petrigames {command} [-h]")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "x.net"], ["chec"]])
+def test_missing_or_unknown_command_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, _, err = parse_exit(argv, capsys)
+    assert code == 2
+    assert ALL_COMMANDS in err
+    message = err.splitlines()[-1]
+    assert message.startswith("petrigames: error: ")
+    if argv:
+        assert "argument command: invalid choice" in message
+        choices = message.split("choose from", 1)[1]
+        assert sorted(COMMANDS, key=choices.index) == COMMANDS
+    else:
+        assert message.endswith("required: command")
+
+
+def test_unknown_argument_after_a_command_shows_every_command(f4_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, _, err = parse_exit(["check", f4_path, "--formula", GOAL_EITHER, "--bogus"],
+                              capsys)
+    assert code == 2
+    assert ALL_COMMANDS in err
+    assert err.splitlines()[-1] == "petrigames: error: unrecognized arguments: --bogus"
+
+
+def test_reused_parser_parses_as_fresh_ones(f4_path, capsys):
+    argvs = [["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"],
+             ["reach", f4_path, "--dot"],
+             ["export", f4_path, "--what", "unfolding", "--depth", "3"],
+             ["translate", f4_path, "--play", "p.play"],
+             ["check", f4_path, "--formula-file", "goal.atl"]]
+    parser = build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv) == build_parser().parse_args(argv)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["bogus"])
+    reused = capsys.readouterr().err
+    assert parse_exit(["bogus"], capsys)[2] == reused
