@@ -9,11 +9,15 @@ Default bounds can be overridden with the environment variables
 ``PETRIGAMES_MAX_STATES``, ``PETRIGAMES_MAX_PREFIX``,
 ``PETRIGAMES_MAX_PROFILES`` and ``PETRIGAMES_MAX_LINEARISATIONS``.
 A parse builds only the parser of the subcommand that argv names.
+:func:`run` writes each report line as soon as the command says it, the
+``--machine`` block last, and pauses the cyclic garbage collector while
+the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import dataclass
@@ -175,33 +179,50 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 class Report:
-    """Collects the human-readable report and the machine block."""
+    """Writes the human-readable report as it goes and keeps the machine
+    block for the end.  Once the reader has closed stdout, the rest of
+    the report is dropped and the command still runs to its exit code."""
 
-    def __init__(self, machine: bool):
-        self.lines: list[str] = []
+    def __init__(self, machine: bool, stdout):
+        self.stdout = stdout
         self.pairs: list[tuple[str, str]] = []
         self.machine = machine
+        self.said = False
 
     def say(self, text: str = "") -> None:
-        self.lines.append(text)
+        self.said = True
+        if self.stdout is None:
+            return
+        try:
+            self.stdout.write(text)
+            self.stdout.write("\n")
+        except BrokenPipeError:
+            self.stdout = None
 
     def record(self, key: str, value) -> None:
         if isinstance(value, bool):
             value = "true" if value else "false"
         self.pairs.append((key, str(value)))
 
-    def render(self) -> str:
-        out = list(self.lines)
+    def close(self) -> None:
+        """Write the machine block, or the empty line of a report that
+        said nothing."""
         if self.machine:
-            out.append("---")
-            out.extend(f"{k}: {v}" for k, v in self.pairs)
-        return "\n".join(out) + "\n"
+            self.say("---")
+            for k, v in self.pairs:
+                self.say(f"{k}: {v}")
+        elif not self.said:
+            self.say()
 
 
 def run(config: RunConfig, stdout=None) -> int:
-    """Execute one command; returns the exit code and prints the report."""
-    stdout = stdout or sys.stdout
-    report = Report(config.machine)
+    """Execute one command; returns the exit code and writes the report to
+    ``stdout`` as it goes.  The cyclic garbage collector is paused while
+    the command runs: what it builds is acyclic, so reference counting
+    frees it."""
+    report = Report(config.machine, stdout or sys.stdout)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = _dispatch(config, report)
     except InputError as err:
@@ -220,8 +241,11 @@ def run(config: RunConfig, stdout=None) -> int:
         report.say(f"error: {err}")
         report.record("error", str(err))
         code = EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
     report.record("exit", code)
-    stdout.write(report.render())
+    report.close()
     return code
 
 
@@ -401,7 +425,14 @@ def main(argv=None) -> int:
     except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
-    return run(config)
+    code = run(config)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes nowhere, so that
+        # the flush at exit neither fails nor changes the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -112,9 +112,3 @@ def _draw(rng: random.Random, max_places: int, max_transitions: int,
         initial = [rng.choice(places)]
     return NetSystem(f"rnd{rng.getrandbits(24)}", places, transitions, flow,
                      initial, locations, assignment)
-
-
-def corpus(count: int, start_seed: int = 1, **limits) -> tuple:
-    """The first ``count`` acceptable nets from consecutive seeds."""
-    return tuple(random_net(seed, **limits)
-                 for seed in range(start_seed, start_seed + count))

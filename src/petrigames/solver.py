@@ -862,7 +862,12 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
         state_sets[key] = result
         return result
 
-    root.satisfied = q0 in states_of(formula)
+    try:
+        root.satisfied = q0 in states_of(formula)
+    finally:
+        # a recursive closure is a reference cycle, which would keep the
+        # game and label table alive until the cyclic collector runs
+        del states_of
     root.state_sets = {
         key: tuple(sorted((g.states[qi] for qi in states), key=marking_key))
         for key, states in sorted(state_sets.items())}

@@ -1,4 +1,7 @@
+import gc
 import io
+import os
+import subprocess
 import sys
 
 import pytest
@@ -233,6 +236,15 @@ def test_export_game_dot(f4_path, tmp_path):
     assert text.startswith("digraph game {")
 
 
+def test_export_reach_is_the_dot_of_reach(f4_path):
+    code, exported = invoke(["export", f4_path, "--what", "reach"])
+    assert code == 0
+    code, reach = invoke(["reach", f4_path, "--dot"])
+    assert code == 0
+    assert exported.startswith("digraph reachability {")
+    assert reach[reach.index("digraph "):].rstrip("\n") + "\n" == exported
+
+
 def test_export_unfolding_depth(f4_path, tmp_path):
     out_path = tmp_path / "prefix.dot"
     code, _ = invoke(["export", f4_path, "--what", "unfolding", "--depth", "2",
@@ -277,6 +289,135 @@ def test_bounds_must_be_positive(f4_path):
 def test_main_entry(f4_path, capsys):
     assert main(["validate", f4_path]) == 0
     capsys.readouterr()
+
+
+class ClosingStdout(io.StringIO):
+    """A stdout whose reader leaves after ``limit`` characters."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("limit", [0, 30, 200])
+@pytest.mark.parametrize("argv, expected", [
+    (["reach", "--dot", "--machine"], 0),
+    (["check", "--formula", GOAL_BOTH, "--machine"], 1),
+], ids=["reach", "unsatisfied-check"])
+def test_closed_stdout_keeps_the_exit_code(f4_path, capsys, argv, expected, limit):
+    argv = argv[:1] + [f4_path] + argv[1:]
+    code, full = invoke(argv)
+    assert code == expected
+    out = ClosingStdout(limit)
+    assert run(config_from_args(build_parser().parse_args(argv)), stdout=out) == expected
+    assert full.startswith(out.getvalue())
+    assert len(out.getvalue()) <= limit < len(full)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_exits_quietly_when_the_reader_leaves(f4_path):
+    # the reader closes the pipe before the command writes anything; a
+    # buffered stdout meets the closed pipe only at the final flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    child = subprocess.Popen([sys.executable, "-m", "petrigames.cli", "check", f4_path,
+                              "--formula", GOAL_BOTH], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    assert child.wait() == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
+@pytest.fixture()
+def collector():
+    """Restores the cyclic collector's setting after the test."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("missing, expected", [(False, 0), (True, 2)],
+                         ids=["ok", "input-error"])
+def test_run_pauses_the_collector_and_restores_it(f4_path, monkeypatch, collector,
+                                                  enabled, missing, expected):
+    from petrigames import cli
+    dispatch, seen = cli._dispatch, []
+    monkeypatch.setattr(cli, "_dispatch",
+                        lambda *args: seen.append(gc.isenabled()) or dispatch(*args))
+    (gc.enable if enabled else gc.disable)()
+    code, _ = invoke(["reach", "/nonexistent.net" if missing else f4_path])
+    assert gc.isenabled() == enabled
+    assert code == expected
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_restored_after_an_escaping_exception(f4_path, monkeypatch, collector,
+                                                           enabled):
+    from petrigames import cli
+
+    def partial(config, report):
+        report.say("partial")
+        raise RuntimeError("escapes")
+
+    monkeypatch.setattr(cli, "_dispatch", partial)
+    out = io.StringIO()
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="escapes"):
+        run(config_from_args(build_parser().parse_args(["reach", f4_path])), stdout=out)
+    assert gc.isenabled() == enabled
+    # the escaping exception follows the lines already written
+    assert out.getvalue() == "partial\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--formula", GOAL_EITHER, "--engine", "both"],
+    ["check", "--formula", "<<u>> G <<u>> F p3", "--engine", "fixpoint"],
+    ["check", "--formula", GOAL_BOTH, "--max-profiles", "1"],
+    ["unfold", "--depth", "3", "--dot"],
+    ["export", "--what", "fairness"],
+    ["reach", "--max-states", "2"],
+], ids=["check-both", "check-nested", "check-bound", "unfold", "export", "reach-bound"])
+def test_commands_leave_no_cyclic_garbage(f4_path, collector, argv):
+    # the collector is paused while a command runs, so nothing it builds
+    # may need the collector to be freed
+    config = config_from_args(build_parser().parse_args(argv[:1] + [f4_path] + argv[1:]))
+    gc.collect()
+    gc.disable()
+    run(config, stdout=io.StringIO())
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("machine, expected", [(False, "\n"), (True, "---\nexit: 0\n")])
+def test_a_report_with_no_lines(f4_path, monkeypatch, machine, expected):
+    from petrigames import cli
+    monkeypatch.setattr(cli, "_dispatch", lambda config, report: 0)
+    code, out = invoke(["reach", f4_path] + ["--machine"] * machine)
+    assert (code, out) == (0, expected)
+
+
+def test_lines_said_before_an_error_come_first(f4_path, monkeypatch):
+    from petrigames import cli
+    from petrigames.errors import InputError
+
+    def failing(config, report):
+        report.say("first")
+        report.record("key", "value")
+        report.say("second")
+        raise InputError("bad input")
+
+    monkeypatch.setattr(cli, "_dispatch", failing)
+    code, out = invoke(["reach", f4_path, "--machine"])
+    assert code == 2
+    assert out == ("first\nsecond\nerror: bad input\n---\n"
+                   "key: value\nerror: bad input\nexit: 2\n")
 
 
 def test_engine_disagreement_exits_4(f4_path, monkeypatch):

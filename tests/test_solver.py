@@ -10,9 +10,9 @@ from helpers import chain_net, formula_pool, monitor_start, monitor_step, nested
 from petrigames import fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, format_formula, holds_in, \
-    parse_formula
+    parse_formula, path_satisfies
 from petrigames.game import FairnessConstraint, build_fairness, build_game, lasso_is_fair, \
-    stutter_remove
+    stutter_remove, validate_lasso
 from petrigames.nets import marking_key, parse_net
 from petrigames.randnet import random_net
 from petrigames.solver import (
@@ -799,6 +799,41 @@ def test_parse_profile_rejects_a_repeated_state(g4):
     with pytest.raises(InputError, match=r"repeated state \{p0,p2\} for user u on line 3, "
                                          r"first set on line 1"):
         parse_profile(g4, text)
+
+
+@pytest.mark.parametrize("net, goal", [
+    (fixtures.FIG4, "<<u>> F ((p0 & p3) | (p1 & p4))"),
+    (chain_net(2), "<<u0,u1>> F x0"),
+], ids=["F4", "chain2"])
+def test_witness_round_trips_through_text(net, goal):
+    g, fcs = _game(net)
+    witness = model_check(g, fcs, parse_formula(goal), engine="fixpoint").witness
+    assert witness is not None
+    assert parse_profile(g, format_profile(g, witness)) == witness
+
+
+@pytest.mark.parametrize("text, message", [
+    ("strategy u: {p0,p2} -> t3\nu: {p1,p2} -> t2\n", "strategy file error on line 2"),
+    ("strategy v: {p0,p2} -> t3\n", "unknown user 'v' on line 1"),
+    ("strategy u: {p0,p9} -> t3\n", r"unknown state \{p0,p9\} on line 1"),
+    ("strategy u: {p0,p2} -> t9\n", "move 't9' not available on line 1"),
+], ids=["no-keyword", "unknown-user", "unknown-state", "unavailable-move"])
+def test_parse_profile_rejections(g4, text, message):
+    with pytest.raises(InputError, match=message):
+        parse_profile(g4, text)
+
+
+def test_single_edge_cycle_lasso(g4):
+    # with no constraints the all-zero profile's violating component is
+    # one product node with an edge to itself: the lasso closes on that edge
+    pf = PathFormula.from_coalition(parse_formula("<<u>> G p0"))
+    zero = GameProfile((tuple(0 for _ in g4.states),))
+    outcome = verify_profile(g4, (), zero, pf)
+    assert not outcome.ok
+    lasso = outcome.counterexample
+    validate_lasso(g4, lasso)
+    assert not path_satisfies([g4.w(qi) for qi, _ in lasso.prefix],
+                              [g4.w(qi) for qi, _ in lasso.cycle], pf)
 
 
 def test_cut_keyed_strategy_conversion(g4):
