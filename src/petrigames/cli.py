@@ -20,8 +20,6 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import BoundExceeded, EngineDisagreement, InputError
 from .formulas import Coalition, format_formula, parse_formula
@@ -54,27 +52,6 @@ EXIT_UNSATISFIED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    net_path: str
-    formula: Optional[str] = None
-    formula_file: Optional[str] = None
-    depth: int = 2
-    max_states: int = DEFAULT_STATE_BOUND
-    max_prefix: int = DEFAULT_PREFIX_BOUND
-    max_profiles: int = DEFAULT_PROFILE_BOUND
-    bound: int = DEFAULT_LINEARISATION_BOUND
-    engine: str = "enumerate"
-    single_user_simplification: bool = False
-    machine: bool = False
-    what: Optional[str] = None
-    dot: bool = False
-    out: Optional[str] = None
-    play_path: Optional[str] = None
-    lasso_path: Optional[str] = None
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -163,19 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     return _Parser({**_FLAGS, **bounds})
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, net_path=args.net)
-    for name in ("formula", "formula_file", "depth", "max_states", "max_profiles",
-                 "bound", "engine", "single_user_simplification", "machine",
-                 "what", "dot", "out", "play_path", "lasso_path"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "max_size"):
-        cfg.max_prefix = args.max_size
-    if cfg.bound <= 0 or cfg.max_states <= 0 or cfg.max_prefix <= 0 \
-            or cfg.max_profiles <= 0:
-        raise InputError("bounds must be positive")
-    return cfg
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed arguments, once every bound the command takes is
+    positive; ``InputError`` otherwise."""
+    for flag, _, _ in _BOUNDS:
+        if getattr(args, flag[2:].replace("-", "_"), 1) <= 0:
+            raise InputError("bounds must be positive")
+    return args
 
 
 class Report:
@@ -215,7 +186,7 @@ class Report:
             self.say()
 
 
-def run(config: RunConfig, stdout=None) -> int:
+def run(config: argparse.Namespace, stdout=None) -> int:
     """Execute one command; returns the exit code and writes the report to
     ``stdout`` as it goes.  The cyclic garbage collector is paused while
     the command runs: what it builds is acyclic, so reference counting
@@ -257,7 +228,7 @@ def _read(path: str, kind: str) -> str:
         raise InputError(f"cannot read {kind} file: {err}")
 
 
-def _load_formula(config: RunConfig):
+def _load_formula(config: argparse.Namespace):
     if config.formula is not None:
         return parse_formula(config.formula)
     lines = [line.split("#", 1)[0].strip()
@@ -268,8 +239,8 @@ def _load_formula(config: RunConfig):
     return parse_formula(lines[0])
 
 
-def _dispatch(config: RunConfig, report: Report) -> int:
-    net = parse_net(_read(config.net_path, "net"))
+def _dispatch(config: argparse.Namespace, report: Report) -> int:
+    net = parse_net(_read(config.net, "net"))
     report.record("command", config.command)
     report.record("net", net.name)
 
@@ -301,7 +272,7 @@ def _dispatch(config: RunConfig, report: Report) -> int:
         return EXIT_OK
 
     if config.command == "unfold":
-        bp = unfold_prefix(net, config.depth, max_size=config.max_prefix,
+        bp = unfold_prefix(net, config.depth, max_size=config.max_size,
                            max_states=config.max_states)
         report.say(f"prefix of depth {config.depth}: {len(bp.conditions)} "
                    f"conditions, {len(bp.events)} events")
@@ -336,7 +307,7 @@ def _dispatch(config: RunConfig, report: Report) -> int:
     raise InputError(f"unknown command {config.command!r}")
 
 
-def _check(config: RunConfig, report: Report, net) -> int:
+def _check(config: argparse.Namespace, report: Report, net) -> int:
     formula = _load_formula(config)
     if config.command == "synthesize" and not isinstance(formula, Coalition):
         raise InputError("synthesize needs a formula with an outermost "
@@ -371,7 +342,7 @@ def _check(config: RunConfig, report: Report, net) -> int:
     return EXIT_OK if verdict.satisfied else EXIT_UNSATISFIED
 
 
-def _translate(config: RunConfig, report: Report, net) -> int:
+def _translate(config: argparse.Namespace, report: Report, net) -> int:
     g = build_game(net, max_states=config.max_states)
     constraints = build_fairness(net, g)
     if config.play_path is not None:
@@ -393,12 +364,12 @@ def _translate(config: RunConfig, report: Report, net) -> int:
     return EXIT_OK
 
 
-def _export(config: RunConfig, report: Report, net) -> int:
+def _export(config: argparse.Namespace, report: Report, net) -> int:
     if config.what == "reach":
         graph = reachability_graph(net, max_states=config.max_states)
         payload = dot_reachability(graph)
     elif config.what == "unfolding":
-        bp = unfold_prefix(net, config.depth, max_size=config.max_prefix,
+        bp = unfold_prefix(net, config.depth, max_size=config.max_size,
                            max_states=config.max_states)
         payload = dot_prefix(bp, initial_cut(bp))
     else:

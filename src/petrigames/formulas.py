@@ -238,16 +238,20 @@ def format_formula(f: Formula) -> str:
     raise InputError(f"not a formula node: {f!r}")
 
 
-def subformulas(f: Formula):
-    yield f
+def operands(f: Formula) -> tuple:
+    """The direct subformulas of ``f``, in order."""
     if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, (Or, And)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Coalition):
-        for arg in f.args:
-            yield from subformulas(arg)
+        return (f.sub,)
+    if isinstance(f, (Or, And)):
+        return f.left, f.right
+    return f.args if isinstance(f, Coalition) else ()
+
+
+def subformulas(f: Formula):
+    """``f`` and its subformulas in pre-order: each before its operands."""
+    yield f
+    for arg in operands(f):
+        yield from subformulas(arg)
 
 
 def check_fragment(f: Formula, net: NetSystem) -> list[str]:

@@ -247,6 +247,8 @@ def validate_net(net: NetSystem) -> list[str]:
     overlap = net.places & net.transitions
     for x in sorted(overlap):
         diags.append(f"identifier {x!r} is both a place and a transition")
+    for x in sorted((net.places | net.transitions) & RESERVED_IDS):
+        diags.append(f"identifier {x!r} is reserved in the net text format")
     for a, b in sorted(net.flow):
         ok = (a in net.places and b in net.transitions) or \
              (a in net.transitions and b in net.places)
@@ -428,7 +430,12 @@ def structural_relation(net: NetSystem, t1: str, t2: str,
 #   place <id> @<location> [init]
 #   trans <id> @<location> pre <id>+ post <id>+
 #
-# '#' starts a comment, blank lines are ignored.
+# '#' starts a comment, blank lines are ignored.  The keywords 'pre' and
+# 'post' name no place or transition, so the lists they open are never
+# ambiguous.
+
+RESERVED_IDS = frozenset({"pre", "post"})
+
 
 def parse_net(text: str) -> NetSystem:
     name = None
@@ -469,6 +476,8 @@ def parse_net(text: str) -> NetSystem:
             if len(tokens) < 3 or not tokens[2].startswith("@"):
                 fail(lineno, "expected: place <id> @<location> [init]")
             pid, loc = tokens[1], tokens[2][1:]
+            if pid in RESERVED_IDS:
+                fail(lineno, f"{pid!r} is reserved and cannot name a place")
             rest = tokens[3:]
             if rest not in ([], ["init"]):
                 fail(lineno, f"unexpected tokens {rest} after place declaration")
@@ -481,12 +490,14 @@ def parse_net(text: str) -> NetSystem:
             if len(tokens) < 3 or not tokens[2].startswith("@"):
                 fail(lineno, "expected: trans <id> @<location> pre <id>+ post <id>+")
             tid, loc = tokens[1], tokens[2][1:]
-            try:
-                pre_at = tokens.index("pre")
-                post_at = tokens.index("post")
-            except ValueError:
+            if tid in RESERVED_IDS:
+                fail(lineno, f"{tid!r} is reserved and cannot name a transition")
+            if "pre" not in tokens or "post" not in tokens:
                 fail(lineno, "transition needs both a 'pre' and a 'post' list")
-            pre_ids = tokens[pre_at + 1:post_at]
+            if tokens[3] != "pre":
+                fail(lineno, "'pre' must follow the transition's location")
+            post_at = tokens.index("post", 4)
+            pre_ids = tokens[4:post_at]
             post_ids = tokens[post_at + 1:]
             if not pre_ids or not post_ids:
                 fail(lineno, "empty pre or post list")
@@ -507,7 +518,9 @@ def parse_net(text: str) -> NetSystem:
 
 
 def format_net(net: NetSystem) -> str:
-    """Canonical text form; parse(format(net)) reproduces the net."""
+    """Canonical text form; parse(format(net)) reproduces every net that
+    :func:`validate_net` accepts and whose names hold no whitespace or
+    '#'."""
     lines = [f"net {net.name}", "locations " + " ".join(net.locations)]
     for p in sorted(net.places):
         init = " init" if p in net.initial else ""

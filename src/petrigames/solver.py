@@ -26,9 +26,10 @@ unsatisfied goal prints the same evidence under every engine.
 Both engines read one product of the game with a monitor automaton for
 the path formula (2 states for G, 3 for U): ``_FairGame`` builds, lazily
 and once, a row per (state, monitor) node listing the node each move
-reaches, and plays the fair game on these rows.  ``model_check`` shares
-one such arena among all the states it labels for a coalition, and one
-label table (:func:`_label_table`) among all its arenas.
+reaches, and one walk over these rows (:meth:`_FairGame._walk`) serves
+the exact check, the fair game's solve and its region.  ``model_check``
+shares one such arena among all the states it labels for a coalition,
+and one label table (:func:`_label_table`) among all its arenas.
 
 Under ``fixpoint``, ``model_check`` decides each state by the cheapest
 exact answer (:func:`_label_fixpoint`).
@@ -38,15 +39,15 @@ indices: slot ``a * n + qi`` holds user ``a``'s move at state ``qi`` of
 ``n`` (:func:`_slot_sizes`).  A :class:`GameProfile` exists only at the
 API edge.
 
-Verification of a profile restricts the rows to the profile's user
-moves, numbered as integers from its start rows (:func:`_product`), and
-looks for strongly connected components holding a cycle that satisfies
-every weak fairness constraint (disabled at some position or taken at
-some step).  Weak fairness makes this a generalized Buechi condition, so
-SCC inspection is exact: each step carries its label-table mask, and a
-component holds a fair cycle iff the OR of its internal steps' masks has
-every bit.  A start row wins iff it reaches a fair component and no fair
-violating one, so one Tarjan pass decides every start row (:func:`_winners`).
+Verification of a profile walks the rows with every slot fixed to the
+profile's moves (:func:`_product`), and looks for strongly connected
+components holding a cycle that satisfies every weak fairness constraint
+(disabled at some position or taken at some step).  Weak fairness makes
+this a generalized Buechi condition, so SCC inspection is exact: each
+step carries its label-table mask, and a component holds a fair cycle
+iff the OR of its internal steps' masks has every bit.  A start row wins
+iff it reaches a fair component and no fair violating one, so one Tarjan
+pass decides every start row (:func:`_winners`).
 
 Every entry point resolves its start state ``q0`` once, with ``_start``.
 """
@@ -61,7 +62,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import BoundExceeded, EngineDisagreement, InputError
 from .formulas import (
     And,
-    Coalition,
     Formula,
     Not,
     Or,
@@ -72,6 +72,8 @@ from .formulas import (
     check_fragment,
     format_formula,
     holds_in,
+    operands,
+    subformulas,
 )
 from .game import (
     FairnessConstraint,
@@ -310,32 +312,16 @@ def _winners(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
 
 def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
     """The graph of the rows the flat profile reaches from ``roots``, as
-    ``(rows, succ, component, met)``.  The rows are numbered from 0 in
-    discovery order, the roots first, and ``succ`` lists each one's
-    ``(target, mask)`` edges: each user's profile move, then every
-    environment move, masked by the label table.  ``component`` numbers
-    every row's strongly connected component, and ``met`` holds each
-    component's OR of its internal edges' masks.  Every mask has the top
-    bit, so a component holds a fair cycle iff its ``met`` has every bit:
-    a constraint disabled at one of its rows is met by that row's internal
-    edges, and a single row with no self-loop has none."""
-    env = game.g.env_player
-    n = len(game.g.states)
-    local = {root: i for i, root in enumerate(roots)}
-    rows = list(roots)
-    succ = []
-    for qi, mon in rows:        # grows while it is read
-        row, labels = game.row(qi, mon), game.labels[qi]
-        edges = [(row[a][j], labels[a][j]) for a, j in enumerate(flat[qi::n])]
-        edges.extend(zip(row[env], labels[env]))
-        out = []
-        for target, mask in edges:
-            t = local.get(target)
-            if t is None:
-                t = local[target] = len(rows)
-                rows.append(target)
-            out.append((t, mask))
-        succ.append(out)
+    ``(rows, succ, component, met)``: the masked walk
+    (:meth:`_FairGame._walk`) with every slot fixed, so that ``succ`` lists
+    each row's ``(target, mask)`` steps, one per user and one per
+    environment move, with the label table's raw masks.  ``component``
+    numbers every row's strongly connected component, and ``met`` holds
+    each component's OR of its internal edges' masks.  Every mask has the
+    top bit, so a component holds a fair cycle iff its ``met`` has every
+    bit: a constraint disabled at one of its rows is met by that row's
+    internal edges, and a single row with no self-loop has none."""
+    succ, _, rows = game._walk(flat, roots)
     component = _strongly_connected_components(succ, range(len(roots)))
     met = [0] * len(succ)       # per component, the OR of its internal edges
     for v, edges in enumerate(succ):
@@ -493,18 +479,18 @@ class _FairGame:
     :meth:`row` lists, once per ``(qi, mon)``, the ``(qj, mon')`` each move
     of each user and of the environment reaches, and ``labels`` is the
     game's label table (:func:`_label_table`), given when arenas share it:
-    the weak fairness constraints each move meets.  This one table serves
-    every reader: :func:`_product` restricts the rows to one
-    profile and tests a component's masks, the game is played on the same
-    rows, and :func:`_extract_lasso` finds taken edges in it.  At a row
-    the adversary (scheduler and environment) picks one environment move,
-    or a user: that user's fixed move, or any of its moves while its slot
-    is free, since the user chooses.  The monitor is eventually constant
-    on a play, so "the monitor violates" is folded into every constraint:
-    the adversary wins by forcing a play that meets each constraint
-    infinitely often from violating rows, a generalized Buechi condition
-    solved by :func:`_adversary_region`.  The rows are built once, lazily
-    from each new start state.
+    the weak fairness constraints each move meets.  :meth:`_walk` is the
+    only walk over these rows, with the table's raw masks: the exact check
+    (:func:`_product`, every slot fixed), the game solve and the region
+    read its result, and :func:`_extract_lasso` finds taken edges in the
+    same table.  At a row the adversary (scheduler and environment) picks
+    one environment move, or a user: that user's fixed move, or any of its
+    moves while its slot is free, since the user chooses.  The monitor is
+    eventually constant on a play, so "the monitor violates" is folded
+    into every constraint: the adversary wins by forcing a play that meets
+    each constraint infinitely often from violating rows, a generalized
+    Buechi condition solved by :func:`_adversary_region`.  The rows are
+    built once, lazily from each new start state.
     """
 
     def __init__(self, g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -533,54 +519,55 @@ class _FairGame:
         return q0, self.objective.monitor_step(_PENDING, q0)
 
     def _build_options(self, node: tuple) -> tuple:
-        """The adversary's options at a row, built once: ``choices``, the
-        user and ``(target, mask)`` moves of each user with more than one
-        move, and ``static``, one-move options for the other users and for
-        every environment move.  The masks are the label table's, whose top
-        bit stands for the monitor alone; a step from a row whose monitor
-        does not violate meets nothing."""
-        qi, mon = node
-        g = self.g
-        labels = self.labels[qi]
-        violating = mon in self._violating
+        """A row's moves as ``(target, mask)`` steps with the label table's
+        raw masks, built once: ``choices``, the user and steps of each user
+        with more than one move, and ``static``, the steps of the other
+        users and of every environment move."""
         choices, static = [], []
-        for a, (targets, masks) in enumerate(zip(self.row(qi, mon), labels)):
-            moves = tuple((target, mask if violating else 0)
-                          for target, mask in zip(targets, masks))
-            if a != g.env_player and len(moves) > 1:
+        for a, (targets, masks) in enumerate(zip(self.row(*node), self.labels[node[0]])):
+            moves = tuple(zip(targets, masks))
+            if a != self.g.env_player and len(moves) > 1:
                 choices.append((a, moves))
             else:
-                static.extend((move,) for move in moves)
+                static.extend(moves)
         options = self._options[node] = (choices, static)
         return options
 
     def _walk(self, fixed: Sequence, roots: Sequence) -> tuple:
-        """The part of the arena masked by ``fixed`` that ``roots`` reach,
-        renumbered from 0 in discovery order (the roots first): each row's
-        options as lists of ``(target, mask)``, as
-        :func:`_adversary_region` reads them, and the rows in that order."""
+        """The rows ``roots`` reach under the flat slot vector ``fixed``,
+        numbered from 0 in discovery order (the roots first), as ``(steps,
+        free, order)``: per row, the ``(target, mask)`` steps of each fixed
+        or only user move and of every environment move; the steps of each
+        free slot's user, one list per user; and the rows themselves."""
         n = len(self.g.states)
         local = {root: i for i, root in enumerate(roots)}
         order = list(roots)
-        options = []
+        steps, free = [], []
         for node in order:
-            choices, static = self._options.get(node) or self._build_options(node)
-            here = fixed[node[0]::n]
-            row = [moves if here[a] is None else (moves[here[a]],)
-                   for a, moves in choices]
-            row.extend(static)
+            choices, alone = self._options.get(node) or self._build_options(node)
+            row = [alone]           # then each free user's moves
+            if choices:
+                here = fixed[node[0]::n]
+                picked = []
+                for a, moves in choices:
+                    if here[a] is None:
+                        row.append(moves)
+                    else:
+                        picked.append(moves[here[a]])
+                row[0] = picked + alone
             renumbered = []
             for moves in row:
-                option = []
+                out = []
                 for target, mask in moves:
                     i = local.get(target)
                     if i is None:
                         i = local[target] = len(order)
                         order.append(target)
-                    option.append((i, mask))
-                renumbered.append(option)
-            options.append(renumbered)
-        return options, order
+                    out.append((i, mask))
+                renumbered.append(out)
+            steps.append(renumbered[0])
+            free.append(renumbered[1:])
+        return steps, free, order
 
     def solve(self, fixed: Sequence, root: tuple) -> tuple:
         """``(won, reached)``: ``won`` is True iff the adversary wins from
@@ -590,9 +577,9 @@ class _FairGame:
         the states of the rows the masked walk reaches.  A free slot takes
         every move there, so no completion of ``fixed`` reaches any other
         state."""
-        options, order = self._walk(fixed, [root])
-        return (_adversary_region(options, self._goals, watch=0)[0],
-                {qi for qi, _ in order})
+        walk = self._walk(fixed, [root])
+        return (_adversary_region(walk, self._violating, self._goals, watch=0)[0],
+                {qi for qi, _ in walk[2]})
 
     def region(self) -> frozenset:
         """The states whose root lies in the adversary's winning region
@@ -602,8 +589,8 @@ class _FairGame:
         g = self.g
         n = len(g.states)
         won = _adversary_region(self._walk([None] * len(_slot_sizes(g)),
-                                           [self.start(qi) for qi in range(n)])[0],
-                                self._goals)
+                                           [self.start(qi) for qi in range(n)]),
+                                self._violating, self._goals)
         return frozenset(qi for qi in range(n) if won[qi])
 
 
@@ -637,12 +624,15 @@ def _label_table(g: GameStructure, constraints: Sequence[FairnessConstraint]) ->
             for qi in states]
 
 
-def _adversary_region(options: Sequence, goals: int,
+def _adversary_region(walk: tuple, violating: frozenset, goals: int,
                       watch: Optional[int] = None) -> list:
-    """The adversary's winning region, as a membership list, for 'meet
-    every constraint bit of ``goals`` infinitely often'.  The adversary
-    picks an option at each row and the users pick its step, so a row
-    forces a set when some option has every step in it.
+    """The adversary's winning region on a :meth:`_FairGame._walk`, as a
+    membership list, for 'meet every constraint bit of ``goals`` infinitely
+    often'.  At row ``v`` the adversary picks a step of ``steps[v]`` or a
+    user of ``free[v]``, who picks the step, so a row forces a set when one
+    step, or every step of one free user, lies in it.  A step meets its
+    mask's bits from a row whose monitor is in ``violating``, and nothing
+    from any other row (``meets``).
 
     Emerson-Lei nested fixpoint: the greatest ``Z`` such that every row of
     ``Z`` forces, for each constraint, a step meeting it into ``Z``,
@@ -652,12 +642,13 @@ def _adversary_region(options: Sequence, goals: int,
     forcing every constraint until it is stable.  With ``watch``, the loop
     stops as soon as that row leaves ``Z``; the list is then exact only at
     ``watch``."""
-    n = len(options)
+    steps, free, order = walk
+    meets = [goals if mon in violating else 0 for _, mon in order]
+    n = len(steps)
     preds: list = [[] for _ in range(n)]
-    for v, row in enumerate(options):
-        for option in row:
-            for t, _ in option:
-                preds[t].append(v)
+    for v, row in enumerate(steps):
+        for t, _ in itertools.chain(row, *free[v]):
+            preds[t].append(v)
     alive = [True] * n
     while True:
         forced = [0] * n
@@ -666,11 +657,15 @@ def _adversary_region(options: Sequence, goals: int,
         while todo:
             v = todo.pop()
             queued[v] = False
+            meet = meets[v]
             value = 0
-            for option in options[v]:
+            for t, mask in steps[v]:
+                if alive[t]:
+                    value |= forced[t] | mask & meet
+            for moves in free[v]:
                 both = goals
-                for t, mask in option:
-                    both &= forced[t] | mask if alive[t] else 0
+                for t, mask in moves:
+                    both &= forced[t] | mask & meet if alive[t] else 0
                     if not both:
                         break
                 value |= both
@@ -809,7 +804,8 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
                 formula: Formula, q0: Optional[int] = None,
                 engine: str = "enumerate",
                 max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
-    """Bottom-up labelling: boolean connectives as set operations, coalition
+    """Bottom-up labelling, one subformula at a time with every operand
+    before its parent: boolean connectives as set operations, coalition
     subformulas decided at every state.  All states of one coalition
     subformula are labelled on one arena, which is dropped when the call
     returns, and every arena reads one label table, built once.
@@ -827,28 +823,25 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     all_states = frozenset(range(len(g.states)))
     state_sets: dict = {}
     root = Verdict(False)       # the outermost coalition's verdict, if any
-
-    def states_of(node) -> frozenset:
-        nonlocal root
+    for node in reversed(list(subformulas(formula))):   # operands first
         key = format_formula(node)
         if key in state_sets:
-            return state_sets[key]
+            continue
+        args = [state_sets[format_formula(arg)] for arg in operands(node)]
         if isinstance(node, Prop):
             result = frozenset(qi for qi in all_states if node.name in g.w(qi))
         elif isinstance(node, TrueConst):
             result = all_states
         elif isinstance(node, Not):
-            result = all_states - states_of(node.sub)
+            result = all_states - args[0]
         elif isinstance(node, Or):
-            result = states_of(node.left) | states_of(node.right)
+            result = args[0] | args[1]
         elif isinstance(node, And):
-            result = states_of(node.left) & states_of(node.right)
-        elif isinstance(node, Coalition):
-            left = states_of(node.args[0])
-            right = states_of(node.args[1]) if node.op == "U" else None
-            # one arena for the objective, shared by every state labelled
+            result = args[0] & args[1]
+        else:
+            # a coalition: one arena for the objective, shared by all states
             game = _FairGame(g, constraints, PathObjective.from_state_sets(
-                g, node.op, left, right), labels)
+                g, node.op, *args), labels)
             if engine == "fixpoint":
                 result, witness = _label_fixpoint(game, q0)
             else:
@@ -857,17 +850,8 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
                 witness = witnesses[q0]
             if node is formula:     # the only verdict that is printed
                 root = _verdict(game, q0, witness)
-        else:
-            raise InputError(f"not a formula node: {node!r}")
         state_sets[key] = result
-        return result
-
-    try:
-        root.satisfied = q0 in states_of(formula)
-    finally:
-        # a recursive closure is a reference cycle, which would keep the
-        # game and label table alive until the cyclic collector runs
-        del states_of
+    root.satisfied = q0 in state_sets[format_formula(formula)]
     root.state_sets = {
         key: tuple(sorted((g.states[qi] for qi in states), key=marking_key))
         for key, states in sorted(state_sets.items())}

@@ -9,6 +9,7 @@ import pytest
 from helpers import chain_net, check_first_profile_lasso, formula_pool, stack_depth
 from petrigames import fixtures, solver
 from petrigames.cli import build_parser, config_from_args, main, run
+from petrigames.errors import InputError
 from petrigames.formulas import MAX_NESTING, Coalition, format_formula
 from petrigames.game import build_fairness, build_game, format_lasso
 from petrigames.nets import format_net
@@ -278,12 +279,26 @@ def test_resource_bound_exit(f4_path):
     assert "bound" in out
 
 
-def test_bounds_must_be_positive(f4_path):
-    parser = build_parser()
-    args = parser.parse_args(["reach", f4_path, "--max-states", "0"])
-    from petrigames.errors import InputError
-    with pytest.raises(InputError):
-        config_from_args(args)
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["reach", "--max-states"],
+    ["unfold", "--max-size"],
+    ["check", "--formula", GOAL_BOTH, "--max-profiles"],
+    ["translate", "--play", "run.play", "--bound"],
+], ids=["max-states", "max-size", "max-profiles", "bound"])
+def test_bounds_must_be_positive(f4_path, argv, value, capsys):
+    argv = [argv[0], f4_path, *argv[1:], value]
+    with pytest.raises(InputError, match="^bounds must be positive$"):
+        config_from_args(build_parser().parse_args(argv))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: bounds must be positive\n")
+
+
+def test_a_bound_the_command_does_not_take_is_not_checked(f4_path, monkeypatch):
+    monkeypatch.setenv("PETRIGAMES_MAX_PROFILES", "0")
+    args = build_parser().parse_args(["reach", f4_path])
+    assert config_from_args(args) is args
+    assert invoke(["reach", f4_path])[0] == 0
 
 
 def test_main_entry(f4_path, capsys):
@@ -405,7 +420,6 @@ def test_a_report_with_no_lines(f4_path, monkeypatch, machine, expected):
 
 def test_lines_said_before_an_error_come_first(f4_path, monkeypatch):
     from petrigames import cli
-    from petrigames.errors import InputError
 
     def failing(config, report):
         report.say("first")
@@ -439,7 +453,6 @@ def test_env_var_overrides_bounds(f4_path, monkeypatch):
     code, out = invoke(["reach", f4_path])
     assert code == 3
     monkeypatch.setenv("PETRIGAMES_MAX_STATES", "nonsense")
-    from petrigames.errors import InputError
     with pytest.raises(InputError):
         build_parser()
 

@@ -218,3 +218,36 @@ def test_parse_rejects_duplicate_declarations(text, line, what):
 def test_place_and_transition_may_share_an_id_until_validation():
     net = parse_net(NET_HEAD + "trans p @env pre p post q\n")
     assert any("both a place and a transition" in d for d in validate_net(net))
+
+
+def _one_step_net(place, transition):
+    """``a -> transition -> place`` at user u: a well-formed net whatever
+    the two ids."""
+    return NetSystem("x", ["a", place], [transition],
+                     [("a", transition), (transition, place)], ["a"], ["env", "u"],
+                     {"a": "u", place: "u", transition: "u"})
+
+
+@pytest.mark.parametrize("place,transition,line,what", [
+    # formatted as 'trans t @u pre a post post', which has an empty post list
+    ("post", "t", 4, "'post' is reserved and cannot name a place"),
+    # formatted as 'trans pre @u pre a post b', once read as arcs (pre,pre), (@u,pre)
+    ("b", "pre", 5, "'pre' is reserved and cannot name a transition"),
+], ids=["place-post", "transition-pre"])
+def test_reserved_ids_fail_validation_and_parsing(place, transition, line, what):
+    net = _one_step_net(place, transition)
+    reserved = place if place == "post" else transition
+    assert validate_net(net) == [f"identifier {reserved!r} is reserved in the net text format"]
+    with pytest.raises(InputError) as err:
+        parse_net(format_net(net))
+    assert str(err.value) == f"net format error on line {line}: {what}"
+    renamed = _one_step_net("b", "t")
+    assert validate_net(renamed) == []
+    assert parse_net(format_net(renamed)) == renamed
+
+
+def test_parse_reads_pre_only_after_the_location():
+    with pytest.raises(InputError) as err:
+        parse_net(NET_HEAD + "trans t @env q pre p post q\n")
+    assert str(err.value) == \
+        "net format error on line 5: 'pre' must follow the transition's location"
