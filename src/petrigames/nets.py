@@ -247,8 +247,10 @@ def validate_net(net: NetSystem) -> list[str]:
     overlap = net.places & net.transitions
     for x in sorted(overlap):
         diags.append(f"identifier {x!r} is both a place and a transition")
-    for x in sorted((net.places | net.transitions) & RESERVED_IDS):
-        diags.append(f"identifier {x!r} is reserved in the net text format")
+    for x in sorted(net.places | net.transitions):
+        problem = _id_problem(x)
+        if problem:
+            diags.append(f"identifier {x!r} {problem} in the net text format")
     for a, b in sorted(net.flow):
         ok = (a in net.places and b in net.transitions) or \
              (a in net.transitions and b in net.places)
@@ -434,7 +436,21 @@ def structural_relation(net: NetSystem, t1: str, t2: str,
 # 'post' name no place or transition, so the lists they open are never
 # ambiguous.
 
-RESERVED_IDS = frozenset({"pre", "post"})
+RESERVED_IDS = frozenset({"pre", "post", "pass"})
+
+
+def _id_problem(ident: str) -> Optional[str]:
+    """Why ``ident`` cannot name a place or transition, or None: it is a
+    keyword or ``pass``, the idle move of strategy files, or it holds a
+    character some text format splits on (whitespace and ``#`` in all of
+    them, ``,`` in markings, ``+`` in play steps, ``@`` in locations and
+    ``pass@`` lasso tokens)."""
+    if ident in RESERVED_IDS:
+        return "is reserved"
+    for c in ident:
+        if c.isspace() or c in "#,+@":
+            return f"contains {c!r}, which is reserved"
+    return None
 
 
 def parse_net(text: str) -> NetSystem:
@@ -476,8 +492,9 @@ def parse_net(text: str) -> NetSystem:
             if len(tokens) < 3 or not tokens[2].startswith("@"):
                 fail(lineno, "expected: place <id> @<location> [init]")
             pid, loc = tokens[1], tokens[2][1:]
-            if pid in RESERVED_IDS:
-                fail(lineno, f"{pid!r} is reserved and cannot name a place")
+            problem = _id_problem(pid)
+            if problem:
+                fail(lineno, f"{pid!r} {problem} and cannot name a place")
             rest = tokens[3:]
             if rest not in ([], ["init"]):
                 fail(lineno, f"unexpected tokens {rest} after place declaration")
@@ -490,8 +507,9 @@ def parse_net(text: str) -> NetSystem:
             if len(tokens) < 3 or not tokens[2].startswith("@"):
                 fail(lineno, "expected: trans <id> @<location> pre <id>+ post <id>+")
             tid, loc = tokens[1], tokens[2][1:]
-            if tid in RESERVED_IDS:
-                fail(lineno, f"{tid!r} is reserved and cannot name a transition")
+            problem = _id_problem(tid)
+            if problem:
+                fail(lineno, f"{tid!r} {problem} and cannot name a transition")
             if "pre" not in tokens or "post" not in tokens:
                 fail(lineno, "transition needs both a 'pre' and a 'post' list")
             if tokens[3] != "pre":
@@ -519,8 +537,8 @@ def parse_net(text: str) -> NetSystem:
 
 def format_net(net: NetSystem) -> str:
     """Canonical text form; parse(format(net)) reproduces every net that
-    :func:`validate_net` accepts and whose names hold no whitespace or
-    '#'."""
+    :func:`validate_net` accepts and whose net name and location names
+    hold no whitespace or '#'."""
     lines = [f"net {net.name}", "locations " + " ".join(net.locations)]
     for p in sorted(net.places):
         init = " init" if p in net.initial else ""

@@ -9,16 +9,22 @@ canonically first winning profile:
 * ``enumerate`` (:func:`_sweep`) checks every profile exactly, in
   canonical order, at every start state still undecided; it is the
   correctness oracle.
-* ``fixpoint`` (:func:`_search`) prunes the same search by solving the
-  two-player fair game: a partial profile is abandoned as soon as the
-  adversary (environment plus scheduler) can force a fair violating
-  computation even against users with full memory.  Weak fairness makes
-  this a generalized Buechi game, solved by the Emerson-Lei nested
-  fixpoint on the (state, monitor) rows.  The least completion of a
-  surviving partial profile is checked exactly, and only slots whose
-  state it can reach are branched on, so both engines find identical
-  witnesses.
+* ``fixpoint`` (:func:`_label_fixpoint`) calls a state lost when the
+  adversary (environment plus scheduler) forces a fair violating
+  computation even against users with full memory (the region), and
+  otherwise runs a slot search (:func:`_search`) whose witness also
+  retires every other pending state it wins from.  The search abandons a
+  partial profile as soon as the adversary wins against full memory on
+  its free slots.  Weak fairness makes this a generalized Buechi game,
+  solved by the Emerson-Lei nested fixpoint on the (state, monitor)
+  rows.  The least completion of a surviving partial profile is checked
+  exactly, and only slots whose state it can reach are branched on, so
+  both engines find identical witnesses.
 
+One call, :func:`_label`, gives ``model_check`` (every state) and
+``synthesize`` (``q0`` alone) the won states and ``q0``'s witness under
+each engine; ``both`` runs the two labellings and compares their state
+sets and ``q0``'s witness, the only one a report prints.
 :func:`_verdict` builds every :class:`Verdict`: the witness, or else the
 lasso and reason of the canonically first profile (every move 0), so an
 unsatisfied goal prints the same evidence under every engine.
@@ -30,9 +36,6 @@ reaches, and one walk over these rows (:meth:`_FairGame._walk`) serves
 the exact check, the fair game's solve and its region.  ``model_check``
 shares one such arena among all the states it labels for a coalition,
 and one label table (:func:`_label_table`) among all its arenas.
-
-Under ``fixpoint``, ``model_check`` decides each state by the cheapest
-exact answer (:func:`_label_fixpoint`).
 
 Inside the solver a memoryless profile is one flat vector of move
 indices: slot ``a * n + qi`` holds user ``a``'s move at state ``qi`` of
@@ -68,7 +71,6 @@ from .formulas import (
     PathFormula,
     Prop,
     TrueConst,
-    canonical_lasso,
     check_fragment,
     format_formula,
     holds_in,
@@ -83,8 +85,7 @@ from .game import (
     build_game,
 )
 from .nets import DEFAULT_STATE_BOUND, NetSystem, format_marking, marking_key, parse_marking
-from .unfold import BranchingProcess, NetStrategy, cut_step, enabled_events, \
-    events_before_cut, initial_cut, interleavings
+from .unfold import NetStrategy
 
 DEFAULT_PROFILE_BOUND = 200_000
 
@@ -448,12 +449,12 @@ def _extract_lasso(game: _FairGame, flat: Sequence[int],
 
 # -- enumerative engine ---------------------------------------------------------
 
-def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> list:
+def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> dict:
     """The enumerative witness finder, the correctness oracle: every
     profile in canonical order, checked exactly on one arena against every
     state of ``states`` it has not yet won from, all in one pass
     (:func:`_winners`).  Returns each state's first winning profile, as a
-    flat slot vector, or None."""
+    flat slot vector, or None, keyed by the state."""
     sizes = _slot_sizes(game.g)
     space = math.prod(sizes)
     if space > max_profiles:
@@ -467,7 +468,7 @@ def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> list:
         witnesses.update((root[0], flat) for root in won)
         if not pending:
             break
-    return [witnesses[qi] for qi in states]
+    return witnesses
 
 
 # -- fixed-point engine -----------------------------------------------------------
@@ -581,17 +582,17 @@ class _FairGame:
         return (_adversary_region(walk, self._violating, self._goals, watch=0)[0],
                 {qi for qi, _ in walk[2]})
 
-    def region(self) -> frozenset:
-        """The states whose root lies in the adversary's winning region
-        with every slot free, from one solve over the arena all roots
-        reach: there the adversary beats users with unrestricted memory,
-        so no memoryless profile wins."""
-        g = self.g
-        n = len(g.states)
-        won = _adversary_region(self._walk([None] * len(_slot_sizes(g)),
-                                           [self.start(qi) for qi in range(n)]),
+    def region(self, states: Sequence[int]) -> frozenset:
+        """The states of ``states`` whose root lies in the adversary's
+        winning region with every slot free, from one solve over the arena
+        their roots reach: there the adversary beats users with
+        unrestricted memory, so no memoryless profile wins.  That arena
+        holds every row its rows step to, so each root's answer is the one
+        the whole arena gives."""
+        won = _adversary_region(self._walk([None] * len(_slot_sizes(self.g)),
+                                           [self.start(qi) for qi in states]),
                                 self._violating, self._goals)
-        return frozenset(qi for qi in range(n) if won[qi])
+        return frozenset(qi for qi, lost in zip(states, won) if lost)
 
 
 def _label_table(g: GameStructure, constraints: Sequence[FairnessConstraint]) -> list:
@@ -747,26 +748,32 @@ def _search(game: _FairGame, q0: int) -> Optional[tuple]:
 ENGINES = ("enumerate", "fixpoint", "both")
 
 
-def _witnesses(game: _FairGame, states: Sequence[int], engine: str,
-               max_profiles: int) -> list:
-    """The canonically first flat profile that wins from each state of
-    ``states``, or None, found by ``engine``; ``both`` runs the two finders
-    and raises :class:`EngineDisagreement` at the first state where they
-    differ."""
+def _require_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise InputError(f"unknown engine {engine!r}")
+
+
+def _label(game: _FairGame, q0: int, states: Sequence[int], engine: str,
+           max_profiles: int) -> tuple:
+    """The states of ``states`` from which some memoryless profile wins on
+    ``game``, and the canonically first flat witness at ``q0``, one of
+    ``states``, or None.  ``enumerate`` sweeps (:func:`_sweep`),
+    ``fixpoint`` labels with :func:`_label_fixpoint`, and ``both`` runs
+    the two and raises :class:`EngineDisagreement` where their state sets
+    differ, or else their witnesses at ``q0``, the only one printed."""
     if engine == "fixpoint":
-        return [_search(game, qi) for qi in states]
-    witnesses = _sweep(game, states, max_profiles)
+        return _label_fixpoint(game, q0, states)
+    swept = _sweep(game, states, max_profiles)
+    won = frozenset(qi for qi in states if swept[qi] is not None)
     if engine == "both":
-        for left, right in zip(witnesses, [_search(game, qi) for qi in states]):
-            if (left is None) != (right is None):
+        pruned, witness = _label_fixpoint(game, q0, states)
+        for qi in states:
+            if (qi in won) != (qi in pruned):
                 raise EngineDisagreement(
-                    f"engines disagree: enumerate={left is not None} "
-                    f"fixpoint={right is not None}")
-            if left != right:
-                raise EngineDisagreement("engines disagree on the witness profile")
-    return witnesses
+                    f"engines disagree: enumerate={qi in won} fixpoint={qi in pruned}")
+        if witness != swept[q0]:
+            raise EngineDisagreement("engines disagree on the witness profile")
+    return won, swept[q0]
 
 
 def _verdict(game: _FairGame, q0: int, witness: Optional[tuple]) -> Verdict:
@@ -782,9 +789,10 @@ def _verdict(game: _FairGame, q0: int, witness: Optional[tuple]) -> Verdict:
 def synthesize(g: GameStructure, constraints: Sequence[FairnessConstraint], pf,
                q0: Optional[int] = None, engine: str = "enumerate",
                max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
+    _require_engine(engine)
     q0 = _start(g, q0)
     game = _arena(g, constraints, pf)
-    return _verdict(game, q0, _witnesses(game, [q0], engine, max_profiles)[0])
+    return _verdict(game, q0, _label(game, q0, [q0], engine, max_profiles)[1])
 
 
 def synthesize_enumerate(g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -809,10 +817,10 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     subformulas decided at every state.  All states of one coalition
     subformula are labelled on one arena, which is dropped when the call
     returns, and every arena reads one label table, built once.
-    ``enumerate`` and ``both`` label every state from one profile sweep
-    (:func:`_sweep`), and ``fixpoint`` labels with :func:`_label_fixpoint`.
-    Every engine gives the same state sets, and one :func:`_verdict`, for
-    the outermost coalition at ``q0``, builds the only lasso."""
+    Each coalition is one :func:`_label` call over every state.  Every
+    engine gives the same state sets, and one :func:`_verdict`, for the
+    outermost coalition at ``q0``, builds the only lasso."""
+    _require_engine(engine)
     violations = check_fragment(formula, g.net)
     if violations:
         raise InputError("formula outside the checkable fragment: "
@@ -842,12 +850,8 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
             # a coalition: one arena for the objective, shared by all states
             game = _FairGame(g, constraints, PathObjective.from_state_sets(
                 g, node.op, *args), labels)
-            if engine == "fixpoint":
-                result, witness = _label_fixpoint(game, q0)
-            else:
-                witnesses = _witnesses(game, range(len(g.states)), engine, max_profiles)
-                result = frozenset(qi for qi, w in enumerate(witnesses) if w is not None)
-                witness = witnesses[q0]
+            result, witness = _label(game, q0, range(len(g.states)), engine,
+                                     max_profiles)
             if node is formula:     # the only verdict that is printed
                 root = _verdict(game, q0, witness)
         state_sets[key] = result
@@ -858,20 +862,21 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     return root
 
 
-def _label_fixpoint(game: _FairGame, q0: int) -> tuple:
-    """The states from which some memoryless profile wins on ``game``, and
-    the flat witness found at ``q0``, or None when ``q0`` is lost.
+def _label_fixpoint(game: _FairGame, q0: int, states: Sequence[int]) -> tuple:
+    """The states of ``states`` from which some memoryless profile wins on
+    ``game``, and the flat witness found at ``q0``, or None when ``q0`` is
+    lost.
 
-    ``q0`` comes first, then the other states in sorted order.  A state in
-    the all-states region (:meth:`_FairGame.region`) is lost.  The slot
+    ``q0`` comes first, then the other states in their order.  A state in
+    the region of ``states`` (:meth:`_FairGame.region`) is lost.  The slot
     search runs at the first state still pending, and a witness it finds
     is checked exactly against every later pending state in one pass
     (:func:`_winners`), which retires the states it wins from.  So a state
     is searched only when no witness found at an earlier state wins there.
     Every bit is exact, and no lasso is built.
     """
-    lost = game.region()
-    order = [q0] + [qi for qi in range(len(game.g.states)) if qi != q0]
+    lost = game.region(states)
+    order = [q0] + [qi for qi in states if qi != q0]
     pending = [game.start(qi) for qi in order if qi not in lost]
     witnesses, winning = [], set()
     while pending:
@@ -950,56 +955,6 @@ def net_strategies_from_profile(g: GameStructure, profile: GameProfile) -> tuple
                 choice[m] = frozenset({label})
         strategies.append(NetStrategy(user, choice))
     return tuple(strategies)
-
-
-def full_memory_from_cut_strategy(bp: BranchingProcess, g: GameStructure,
-                                  owner: str,
-                                  cut_choice: Mapping) -> dict:
-    """Cut-keyed to prefix-keyed conversion over a bounded prefix.
-
-    For every B-cut of the prefix, all interleavings of its past events
-    yield state sequences; each sequence (up to stutter removal) is mapped
-    to one transition arbitrarily-but-canonically chosen from the cut's
-    choice set.  Conflicting assignments keep the least transition.
-    """
-    if owner not in g.net.users:
-        raise InputError(f"{owner!r} is not a user location")
-    known_cuts = set()
-    queue = [initial_cut(bp)]
-    while queue:
-        cut = queue.pop()
-        if cut in known_cuts:
-            continue
-        known_cuts.add(cut)
-        for eid in enabled_events(bp, cut):
-            queue.append(cut_step(bp, cut, eid))
-    for cut in cut_choice:
-        if frozenset(cut) not in known_cuts:
-            raise InputError("cut-keyed strategy references an unknown cut")
-
-    mapping: dict = {}
-    for cut in sorted(known_cuts, key=lambda c: tuple(sorted(c))):
-        chosen = sorted(cut_choice.get(cut, cut_choice.get(frozenset(cut), ())))
-        value = chosen[0] if chosen else None
-        past = sorted(events_before_cut(bp, cut))
-        for extension in interleavings(bp, past):
-            seq = [bp.mu(initial_cut(bp))]
-            walking = initial_cut(bp)
-            for eid in extension:
-                walking = cut_step(bp, walking, eid)
-                seq.append(bp.mu(walking))
-            key = canonical_lasso(seq, ())[0]
-            if key not in mapping or _prefer(value, mapping[key]):
-                mapping[key] = value
-    return mapping
-
-
-def _prefer(new, old) -> bool:
-    if old is None:
-        return new is not None
-    if new is None:
-        return False
-    return new < old
 
 
 # -- strategy files ---------------------------------------------------------------

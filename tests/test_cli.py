@@ -188,7 +188,10 @@ def test_engine_both_compares_witnesses(f4_path, monkeypatch):
     search = solver._search
 
     def other_witness(game, q0):
-        return None if search(game, q0) is None else ()
+        # a valid flat vector, not the witness: the fixpoint labelling
+        # checks it against the other pending states
+        witness = search(game, q0)
+        return None if witness is None else (0,) * len(witness)
 
     code, _ = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
     assert code == 0
@@ -196,6 +199,23 @@ def test_engine_both_compares_witnesses(f4_path, monkeypatch):
     code, out = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
     assert code == 4
     assert "engines disagree on the witness profile" in out
+
+
+def test_engine_both_runs_the_fixpoint_region(f4_path, monkeypatch):
+    # 'both' labels through the same region as 'fixpoint': a region that
+    # calls every state lost flips the fixpoint verdict, and 'both' sees it
+    def everything_lost(self, states):
+        return frozenset(states)
+
+    argv = ["check", f4_path, "--formula", "<<u>> G <<u>> F p3"]
+    for engine in ("enumerate", "fixpoint", "both"):
+        assert invoke(argv + ["--engine", engine])[0] == 0
+    monkeypatch.setattr(solver._FairGame, "region", everything_lost)
+    assert invoke(argv + ["--engine", "enumerate"])[0] == 0
+    assert invoke(argv + ["--engine", "fixpoint"])[0] == 1
+    code, out = invoke(argv + ["--engine", "both"])
+    assert code == 4
+    assert "engines disagree: enumerate=True fixpoint=False" in out
 
 
 def test_unsatisfied_evidence_is_the_same_under_every_engine(tmp_path):

@@ -2,18 +2,23 @@ import pytest
 
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError, PreconditionError
+from petrigames.game import LassoComputation, build_game, format_lasso, parse_lasso
 from petrigames.nets import (
     NetSystem,
     check_contact_free,
     enabled_set,
     fire,
+    format_marking,
     format_net,
     marking_key,
+    parse_marking,
     parse_net,
     reachability_graph,
     structural_relation,
     validate_net,
 )
+from petrigames.solver import format_profile, iter_profiles, parse_profile
+from petrigames.unfold import Play, format_play, parse_play
 
 F4 = parse_net(fixtures.FIG4)
 
@@ -244,6 +249,62 @@ def test_reserved_ids_fail_validation_and_parsing(place, transition, line, what)
     renamed = _one_step_net("b", "t")
     assert validate_net(renamed) == []
     assert parse_net(format_net(renamed)) == renamed
+
+
+def _round_trips(net, fmt):
+    """Whether the text format ``fmt`` reads back what it writes for
+    ``net``, a one-step net (:func:`_one_step_net`)."""
+    if fmt == "net":
+        return parse_net(format_net(net)) == net
+    if fmt == "marking":
+        return parse_marking(format_marking(net.places)) == net.places
+    if fmt == "play":
+        play = Play.from_sequence(sorted(net.transitions))
+        return parse_play(format_play(play)) == play
+    g = build_game(net)
+    if fmt == "strategy":
+        return all(parse_profile(g, format_profile(g, p)) == p for p in iter_profiles(g))
+    # a lasso: the user fires its transition, then idles
+    (t,) = net.transitions
+    q0 = g.initial_state()
+    fired = (q0, g.vector_for(q0, 0, g.moves[0][q0].index(t)))
+    q1 = g.tau(*fired)
+    lasso = LassoComputation((fired,), ((q1, g.vector_for(q1, 0, g.idle_move(0, q1))),))
+    return parse_lasso(g, format_lasso(g, lasso)) == lasso
+
+
+@pytest.mark.parametrize("fmt,place,transition,problem,line,error", [
+    # '#' starts a comment, so the line reads 'place a'
+    ("net", "a#b", "t", "contains '#', which is reserved", 4,
+     "expected: place <id> @<location> [init]"),
+    # whitespace splits the id into two tokens
+    ("net", "a b", "t", "contains ' ', which is reserved", 4,
+     "expected: place <id> @<location> [init]"),
+    # '{a,x,y}' reads back as three places
+    ("marking", "x,y", "t", "contains ',', which is reserved", 4,
+     "'x,y' contains ',', which is reserved and cannot name a place"),
+    # 't+u' reads back as one step of two events
+    ("play", "b", "t+u", "contains '+', which is reserved", 5,
+     "'t+u' contains '+', which is reserved and cannot name a transition"),
+    # 'pass@u' reads back as the idle move of u
+    ("lasso", "b", "pass@u", "contains '@', which is reserved", 5,
+     "'pass@u' contains '@', which is reserved and cannot name a transition"),
+    # '-> pass' reads back as the idle move
+    ("strategy", "b", "pass", "is reserved", 5,
+     "'pass' is reserved and cannot name a transition"),
+], ids=["net-comment", "net-space", "marking", "play", "lasso", "strategy"])
+def test_valid_nets_round_trip_through_every_text_format(fmt, place, transition, problem,
+                                                         line, error):
+    # each id passed validation although the format could not carry it
+    net = _one_step_net(place, transition)
+    bad = place if place != "b" else transition
+    assert validate_net(net) == [f"identifier {bad!r} {problem} in the net text format"]
+    with pytest.raises(InputError) as err:
+        parse_net(format_net(net))
+    assert str(err.value) == f"net format error on line {line}: {error}"
+    renamed = _one_step_net("b", "t")
+    assert validate_net(renamed) == []
+    assert _round_trips(renamed, fmt)
 
 
 def test_parse_reads_pre_only_after_the_location():

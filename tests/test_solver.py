@@ -18,7 +18,6 @@ from petrigames.randnet import random_net
 from petrigames.solver import (
     GameProfile,
     PathObjective,
-    full_memory_from_cut_strategy,
     format_profile,
     iter_profiles,
     model_check,
@@ -31,7 +30,7 @@ from petrigames.solver import (
     synthesize_fixpoint,
     verify_profile,
 )
-from petrigames.unfold import NetStrategy, unfold_prefix
+from petrigames.unfold import NetStrategy
 
 F4 = parse_net(fixtures.FIG4)
 S = frozenset
@@ -246,6 +245,12 @@ def test_engine_both_mode(g4, fc4):
     assert verdict.satisfied
     with pytest.raises(InputError):
         synthesize(g4, fc4, REACH_EITHER, engine="quantum")
+
+
+def test_model_check_rejects_an_unknown_engine_without_a_coalition(g4, fc4):
+    # the name is checked on entry, not only where a coalition is labelled
+    with pytest.raises(InputError, match="unknown engine 'bogus'"):
+        model_check(g4, fc4, parse_formula("p0"), engine="bogus")
 
 
 def test_cooperation_needs_both_users():
@@ -468,7 +473,7 @@ def test_arena_solve_matches_exact_profile_check(fair):
         profiles = [_flat(p) for p in iter_profiles(g)]
         for pf in formula_pool(net):
             game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
-            lost = game.region()
+            lost = game.region(range(n))
             for qi in range(n):
                 root = game.start(qi)
                 refuted = [_violating_component(game, full, root) for full in profiles]
@@ -478,6 +483,8 @@ def test_arena_solve_matches_exact_profile_check(fair):
                     assert won == violated, (seed, pf, qi, full)
                     walks.append(reached)
                 assert qi not in lost or all(refuted), (seed, pf, qi)
+                # a root's own region answers as the all-states one does
+                assert game.region([qi]) == lost & {qi}, (seed, pf, qi)
                 for _ in range(4):
                     fixed = [rng.randrange(g.d(a, q)) if rng.random() < 0.5 else None
                              for a in range(g.user_count) for q in range(n)]
@@ -840,18 +847,3 @@ def test_single_edge_cycle_lasso(g4):
     validate_lasso(g4, lasso)
     assert not path_satisfies([g4.w(qi) for qi, _ in lasso.prefix],
                               [g4.w(qi) for qi, _ in lasso.cycle], pf)
-
-
-def test_cut_keyed_strategy_conversion(g4):
-    bp = unfold_prefix(F4, 2)
-    gamma0 = frozenset(bp.minimal)
-    choice = {gamma0: {"t3"}}
-    mapping = full_memory_from_cut_strategy(bp, g4, "u", choice)
-    initial_key = (S({"p0", "p2"}),)
-    assert mapping[initial_key] == "t3"
-    # interleaving-closed: every key is a stutter-free marking sequence
-    for key, value in mapping.items():
-        assert all(isinstance(m, frozenset) for m in key)
-        assert value is None or value in F4.transitions
-    with pytest.raises(InputError):
-        full_memory_from_cut_strategy(bp, g4, "u", {frozenset({"zzz"}): {"t3"}})
