@@ -9,9 +9,10 @@ Default bounds can be overridden with the environment variables
 ``PETRIGAMES_MAX_STATES``, ``PETRIGAMES_MAX_PREFIX``,
 ``PETRIGAMES_MAX_PROFILES`` and ``PETRIGAMES_MAX_LINEARISATIONS``.
 A parse builds only the parser of the subcommand that argv names.
-:func:`run` writes each report line as soon as the command says it, the
+:func:`run` writes the report as the command renders it, the
 ``--machine`` block last, and pauses the cyclic garbage collector while
-the command runs.
+the command runs.  Reports that grow with the state space are written
+chunk by chunk as the renderers yield them, never held as one string.
 """
 
 from __future__ import annotations
@@ -161,12 +162,16 @@ class Report:
         self.said = False
 
     def say(self, text: str = "") -> None:
+        self.write((text, "\n"))
+
+    def write(self, chunks) -> None:
+        """Write each string of ``chunks`` as it comes: whole lines, each
+        ending in its own newline."""
         self.said = True
         if self.stdout is None:
             return
         try:
-            self.stdout.write(text)
-            self.stdout.write("\n")
+            self.stdout.writelines(chunks)
         except BrokenPipeError:
             self.stdout = None
 
@@ -263,12 +268,13 @@ def _dispatch(config: argparse.Namespace, report: Report) -> int:
         edges = sum(map(len, graph.out))
         report.say(f"net {net.name}: {len(graph.states)} reachable markings, "
                    f"{edges} edges")
-        for m in graph.states:
-            report.say(f"  {format_marking(m)}")
+        labels = [format_marking(m) for m in graph.states]
+        report.write(["".join([f"  {label}\n" for label in labels])])
         report.record("states", len(graph.states))
         report.record("edges", edges)
         if config.dot:
-            report.say(dot_reachability(graph))
+            report.write(dot_reachability(graph, labels))
+            report.say()
         return EXIT_OK
 
     if config.command == "unfold":
@@ -279,7 +285,8 @@ def _dispatch(config: argparse.Namespace, report: Report) -> int:
         report.record("conditions", len(bp.conditions))
         report.record("events", len(bp.events))
         if config.dot:
-            report.say(dot_prefix(bp, initial_cut(bp)))
+            report.write(dot_prefix(bp, initial_cut(bp)))
+            report.say()
         return EXIT_OK
 
     if config.command == "build-game":
@@ -289,7 +296,8 @@ def _dispatch(config: argparse.Namespace, report: Report) -> int:
         report.say(f"game structure over {len(g.states)} states, "
                    f"{g.player_count} players, {len(constraints)} fairness "
                    f"constraints")
-        report.say(fairness_table(g, constraints))
+        report.write(fairness_table(g, constraints))
+        report.say()
         report.record("states", len(g.states))
         report.record("players", g.player_count)
         report.record("constraints", len(constraints))
@@ -325,14 +333,12 @@ def _check(config: argparse.Namespace, report: Report, net) -> int:
     report.say(f"{format_formula(formula)}: {state_word} at "
                f"{format_marking(net.initial)}")
     if verdict.witness is not None:
-        report.say("witness strategy:")
-        report.say(format_profile(g, verdict.witness).rstrip("\n"))
+        report.write(("witness strategy:\n", format_profile(g, verdict.witness)))
         for user, marking, move in _profile_moves(g, verdict.witness):
             report.record(f"witness.{user}.{marking}", move)
     if verdict.counterexample is not None:
         text = format_lasso(g, verdict.counterexample)
-        report.say("fair counterexample lasso:")
-        report.say(text.rstrip("\n"))
+        report.write(("fair counterexample lasso:\n", text))
         report.record("counterexample", text.replace("\n", " / ").strip())
     if verdict.reason and not verdict.satisfied:
         report.record("reason", verdict.reason)
@@ -352,22 +358,20 @@ def _translate(config: argparse.Namespace, report: Report, net) -> int:
         report.say(f"{len(lassos)} computation(s)")
         report.record("computations", len(lassos))
         for i, (lam, fair) in enumerate(zip(lassos, lassos.fair)):
-            report.say(f"-- computation {i}{' (fair)' if fair else ''}")
-            report.say(format_lasso(g, lam).rstrip("\n"))
+            report.write((f"-- computation {i}{' (fair)' if fair else ''}\n",
+                          format_lasso(g, lam)))
             report.record(f"fair.{i}", fair)
         return EXIT_OK
     lasso = parse_lasso(g, _read(config.lasso_path, "lasso"))
     text = format_play(computation_to_play(net, g, constraints, lasso))
-    report.say("play:")
-    report.say(text.rstrip("\n"))
+    report.write(("play:\n", text))
     report.record("play", text.replace("\n", " / ").strip())
     return EXIT_OK
 
 
 def _export(config: argparse.Namespace, report: Report, net) -> int:
     if config.what == "reach":
-        graph = reachability_graph(net, max_states=config.max_states)
-        payload = dot_reachability(graph)
+        payload = dot_reachability(reachability_graph(net, max_states=config.max_states))
     elif config.what == "unfolding":
         bp = unfold_prefix(net, config.depth, max_size=config.max_size,
                            max_states=config.max_states)
@@ -379,13 +383,13 @@ def _export(config: argparse.Namespace, report: Report, net) -> int:
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+                handle.writelines(payload)
         except OSError as err:
             raise InputError(f"cannot write output file: {err}")
         report.say(f"wrote {config.out}")
         report.record("out", config.out)
     else:
-        report.say(payload.rstrip("\n"))
+        report.write(payload)
     report.record("what", config.what)
     return EXIT_OK
 

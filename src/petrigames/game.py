@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, InputError, PreconditionError
 from .formulas import canonical_lasso
@@ -39,6 +39,7 @@ from .nets import (
     Marking,
     NetSystem,
     ReachabilityGraph,
+    _dot_graph,
     format_marking,
     require_contact_free,
 )
@@ -504,31 +505,29 @@ def parse_lasso(g: GameStructure, text: str) -> LassoComputation:
 
 # -- inspection exports --------------------------------------------------------------
 
-def dot_game(g: GameStructure) -> str:
+def dot_game(g: GameStructure) -> Iterator[str]:
     """DOT rendering: states labelled by markings, edges by scheduled
     player and move."""
-    out = ["digraph game {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    labels = [format_marking(m) for m in g.states]
-    q0 = g.initial_state()
-    for qi, label in enumerate(labels):
-        mark = " penwidth=2" if qi == q0 else ""
-        out.append(f'  "{label}" [label="{label}"{mark}];')
-    for qi, label in enumerate(labels):
-        for a in range(g.player_count - 1):
-            name = g.player_names[a]
-            for move, qj in zip(g.moves[a][qi], g.successors[a][qi]):
-                text = move if move is not None else "pass"
-                out.append(f'  "{label}" -> "{labels[qj]}" [label="{name}:{text}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+    players = range(g.player_count - 1)
+    texts: list = [{} for _ in players]          # per player: move -> edge label
+
+    def row(qi: int) -> list:
+        return [(texts[a].get(move) or texts[a].setdefault(
+                    move, f"{g.player_names[a]}:{'pass' if move is None else move}"), qj)
+                for a in players for move, qj in zip(g.moves[a][qi], g.successors[a][qi])]
+
+    return _dot_graph("game", [format_marking(m) for m in g.states], g.initial_state(),
+                      map(row, range(len(g.states))))
 
 
-def fairness_table(g: GameStructure, constraints: Iterable[FairnessConstraint]) -> str:
-    """Tabular dump of move counts and fairness constraints."""
+def fairness_table(g: GameStructure,
+                   constraints: Iterable[FairnessConstraint]) -> Iterator[str]:
+    """Tabular dump of move counts and fairness constraints, in whole
+    lines: the header, each state's moves, then each constraint's rows."""
     def text(labels: tuple, picked: Iterable[int]) -> str:
         return ",".join("pass" if labels[j] is None else str(labels[j]) for j in picked)
 
-    lines = [f"players: {' '.join(g.player_names)}", "moves:"]
+    yield f"players: {' '.join(g.player_names)}\nmoves:\n"
     state_labels = [format_marking(m) for m in g.states]
     # games repeat a few move tuples and allowed sets across many states,
     # so every cell and every allowed-move text is formatted once
@@ -541,18 +540,21 @@ def fairness_table(g: GameStructure, constraints: Iterable[FairnessConstraint]) 
             if cell is None:
                 cell = cells[a][labels] = f"{name}=[{text(labels, range(len(labels)))}]"
             row.append(cell)
-        lines.append(f"  {label}: " + " ".join(row))
-    lines.append("fairness:")
+        yield f"  {label}: {' '.join(row)}\n"
+    yield "fairness:\n"
     heads = [f"    {label}: " for label in state_labels]
     texts: dict = {}                              # (moves, allowed) -> text
     for fc in constraints:
-        lines.append(f"  {fc.name} (player {g.player_names[fc.player]})")
+        parts = [f"  {fc.name} (player {g.player_names[fc.player]})\n"]
         moves = g.moves[fc.player]
         for qi, allowed in sorted(fc.moves.items()):
-            if allowed:
+            if len(allowed) > 1:
                 key = (moves[qi], allowed)
-                line = texts.get(key)
-                if line is None:
-                    line = texts[key] = text(moves[qi], sorted(allowed))
-                lines.append(heads[qi] + line)
-    return "\n".join(lines) + "\n"
+                line = texts.get(key) or texts.setdefault(key, text(moves[qi], sorted(allowed)))
+            elif allowed:
+                (j,) = allowed
+                line = "pass" if moves[qi][j] is None else str(moves[qi][j])
+            else:
+                continue
+            parts += heads[qi], line, "\n"
+        yield "".join(parts)

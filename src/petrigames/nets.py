@@ -27,7 +27,8 @@ as frozensets.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, Optional, Sequence
+import re
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, InputError, PreconditionError
 
@@ -258,6 +259,10 @@ def validate_net(net: NetSystem) -> list[str]:
             diags.append(f"flow arc ({a},{b}) does not connect a place and a transition")
     if len(net.locations) != len(set(net.locations)):
         diags.append("duplicate location names")
+    for loc in net.locations:
+        problem = _location_problem(loc)
+        if problem:
+            diags.append(f"location {loc!r} {problem} in the text formats")
     for x in sorted(net.places | net.transitions):
         loc = net.assignment.get(x)
         if loc is None:
@@ -437,6 +442,9 @@ def structural_relation(net: NetSystem, t1: str, t2: str,
 # ambiguous.
 
 RESERVED_IDS = frozenset({"pre", "post", "pass"})
+#: the characters some text format splits on, in ids and in location names
+_ID_SPLIT = re.compile(r"[\s#,+@]")
+_LOCATION_SPLIT = re.compile(r"[\s#:]")
 
 
 def _id_problem(ident: str) -> Optional[str]:
@@ -445,12 +453,18 @@ def _id_problem(ident: str) -> Optional[str]:
     character some text format splits on (whitespace and ``#`` in all of
     them, ``,`` in markings, ``+`` in play steps, ``@`` in locations and
     ``pass@`` lasso tokens)."""
-    if ident in RESERVED_IDS:
-        return "is reserved"
-    for c in ident:
-        if c.isspace() or c in "#,+@":
-            return f"contains {c!r}, which is reserved"
-    return None
+    return "is reserved" if ident in RESERVED_IDS else _char_problem(ident, _ID_SPLIT)
+
+
+def _location_problem(name: str) -> Optional[str]:
+    """Why ``name`` cannot name a location, or None: whitespace and ``#``
+    split net lines, and ``:`` ends the user's name in strategy lines."""
+    return _char_problem(name, _LOCATION_SPLIT)
+
+
+def _char_problem(name: str, reserved: re.Pattern) -> Optional[str]:
+    bad = reserved.search(name)
+    return None if bad is None else f"contains {bad.group()!r}, which is reserved"
 
 
 def parse_net(text: str) -> NetSystem:
@@ -488,6 +502,10 @@ def parse_net(text: str) -> NetSystem:
                 fail(lineno, "expected: locations <env> [<user> ...]")
             declare(lineno, "locations")
             locations = tokens[1:]
+            for loc in locations:
+                problem = _location_problem(loc)
+                if problem:
+                    fail(lineno, f"{loc!r} {problem} and cannot name a location")
         elif kind == "place":
             if len(tokens) < 3 or not tokens[2].startswith("@"):
                 fail(lineno, "expected: place <id> @<location> [init]")
@@ -537,8 +555,8 @@ def parse_net(text: str) -> NetSystem:
 
 def format_net(net: NetSystem) -> str:
     """Canonical text form; parse(format(net)) reproduces every net that
-    :func:`validate_net` accepts and whose net name and location names
-    hold no whitespace or '#'."""
+    :func:`validate_net` accepts and whose net name holds no whitespace or
+    '#'."""
     lines = [f"net {net.name}", "locations " + " ".join(net.locations)]
     for p in sorted(net.places):
         init = " init" if p in net.initial else ""
@@ -550,15 +568,29 @@ def format_net(net: NetSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_reachability(graph: ReachabilityGraph) -> str:
-    """DOT rendering of the reachability graph (stable across runs)."""
-    out = ["digraph reachability {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    labels = [format_marking(m) for m in graph.states]
-    for m, label in zip(graph.states, labels):
-        shape = ' penwidth=2' if m == graph.initial else ""
-        out.append(f'  "{label}" [label="{label}"{shape}];')
-    for label, succ in zip(labels, graph.out):
-        for t, j in succ:
-            out.append(f'  "{label}" -> "{labels[j]}" [label="{t}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+def dot_reachability(graph: ReachabilityGraph,
+                     labels: Optional[Sequence[str]] = None) -> Iterator[str]:
+    """DOT rendering of the reachability graph (stable across runs), given
+    the states' :func:`format_marking` labels or making them."""
+    if labels is None:
+        labels = [format_marking(m) for m in graph.states]
+    return _dot_graph("reachability", labels, graph.index[graph.initial], graph.out)
+
+
+def _dot_graph(kind: str, labels: Sequence[str], initial: int,
+               rows: Iterable[Iterable[tuple]]) -> Iterator[str]:
+    """DOT text of a state graph in whole lines: the header, each state's
+    node line, then each state's edges.  The i-th row lists state i's
+    ``(edge label, successor index)`` pairs."""
+    yield f"digraph {kind} {{\n  rankdir=LR;\n  node [shape=ellipse];\n"
+    for i, label in enumerate(labels):
+        yield f'  "{label}" [label="{label}"{" penwidth=2" if i == initial else ""}];\n'
+    targets = [f'"{label}"' for label in labels]
+    tails: dict = {}                                  # edge label -> line tail
+    for target, row in zip(targets, rows):
+        head, parts = f"  {target} -> ", []
+        for text, j in row:
+            parts += head, targets[j], tails.get(text) or tails.setdefault(
+                text, f' [label="{text}"];\n')
+        yield "".join(parts)
+    yield "}\n"

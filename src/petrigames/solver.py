@@ -990,7 +990,7 @@ def parse_profile(g: GameStructure, text: str) -> GameProfile:
         if user not in g.net.users:
             raise InputError(f"unknown user {user!r} on line {lineno}")
         a = g.net.users.index(user)
-        marking_text, _, move_text = tail.partition("->")
+        marking_text, _, move_text = tail.partition(" -> ")   # ids hold no space
         marking = parse_marking(marking_text)
         if marking not in g.state_index:
             raise InputError(

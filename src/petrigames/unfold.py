@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, InputError, PreconditionError
 from .nets import (
@@ -623,24 +623,20 @@ def format_play(play: Play) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_prefix(bp: BranchingProcess, cut: Optional[frozenset] = None) -> str:
+def dot_prefix(bp: BranchingProcess, cut: Optional[frozenset] = None) -> Iterator[str]:
     """DOT export: conditions as circles, events as boxes, an optional cut
-    linked by dashed edges."""
-    out = ["digraph prefix {", "  rankdir=LR;"]
-    for cid in sorted(bp.conditions):
-        style = ' style=bold' if cid in bp.minimal else ""
-        out.append(f'  "{cid}" [shape=circle label="{cid}"{style}];')
-    for eid in sorted(bp.events):
-        out.append(f'  "{eid}" [shape=box label="{eid}"];')
+    linked by dashed edges.  Yields whole lines: the header, the condition
+    nodes, the event nodes, each event's arcs, then the cut."""
+    yield "digraph prefix {\n  rankdir=LR;\n"
+    yield "".join(f'  "{cid}" [shape=circle label="{cid}"'
+                  f'{" style=bold" if cid in bp.minimal else ""}];\n'
+                  for cid in sorted(bp.conditions))
+    yield "".join(f'  "{eid}" [shape=box label="{eid}"];\n' for eid in sorted(bp.events))
     for eid in sorted(bp.events):
         event = bp.events[eid]
-        for c in sorted(event.pre):
-            out.append(f'  "{c}" -> "{eid}";')
-        for c in sorted(event.post):
-            out.append(f'  "{eid}" -> "{c}";')
-    if cut:
-        members = sorted(cut)
-        for a, b in zip(members, members[1:]):
-            out.append(f'  "{a}" -> "{b}" [style=dashed dir=none constraint=false];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+        yield "".join([f'  "{c}" -> "{eid}";\n' for c in sorted(event.pre)] +
+                      [f'  "{eid}" -> "{c}";\n' for c in sorted(event.post)])
+    members = sorted(cut or ())
+    yield "".join(f'  "{a}" -> "{b}" [style=dashed dir=none constraint=false];\n'
+                  for a, b in zip(members, members[1:]))
+    yield "}\n"

@@ -281,7 +281,7 @@ def test_criterion_8_deterministic_reproducibility(tmp_path, corpus_games):
         chunks = []
         g, fcs, verdict = check_net(F4, parse_formula(GOAL_EITHER), engine="both")
         chunks.append(format_profile(g, verdict.witness))
-        chunks.append(dot_game(g))
+        chunks.append("".join(dot_game(g)))
         for net, _, _ in corpus_games[:20]:
             fresh_game = build_game(net)
             fresh_fcs = build_fairness(net, fresh_game)

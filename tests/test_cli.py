@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -12,7 +13,7 @@ from petrigames.cli import build_parser, config_from_args, main, run
 from petrigames.errors import InputError
 from petrigames.formulas import MAX_NESTING, Coalition, format_formula
 from petrigames.game import build_fairness, build_game, format_lasso
-from petrigames.nets import format_net
+from petrigames.nets import format_net, parse_net
 from petrigames.randnet import random_net
 
 GOAL_EITHER = "<<u>> F ((p0 & p3) | (p1 & p4))"
@@ -293,6 +294,64 @@ def test_exports_are_byte_identical_across_runs(f4_path, tmp_path):
     assert (code1, out1) == (code2, out2)
 
 
+class CountingStdout(io.StringIO):
+    """A stdout that counts its writes."""
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("what", ["reach", "unfolding", "game", "fairness"])
+def test_export_to_a_file_writes_the_printed_bytes(f4_path, tmp_path, what):
+    argv = ["export", f4_path, "--what", what]
+    out = CountingStdout()
+    assert run(config_from_args(build_parser().parse_args(argv)), stdout=out) == 0
+    assert out.writes > 3          # the report came in chunks
+    target = tmp_path / f"{what}.out"
+    code, said = invoke(argv + ["--out", str(target)])
+    assert (code, said) == (0, f"wrote {target}\n")
+    assert target.read_text(encoding="utf-8") == out.getvalue()
+
+
+class NullStdout:
+    """A stdout that keeps nothing but the number of characters written."""
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def test_export_holds_no_report_sized_string(tmp_path):
+    # the traced peak of an export stays within the game build's peak plus a
+    # small part of the report: the report is written as it is rendered, where
+    # a joined report and its stripped copy would add two report lengths
+    path = tmp_path / "chain6.net"
+    path.write_text(chain_net(6))
+    net = parse_net(chain_net(6))
+    config = config_from_args(build_parser().parse_args(
+        ["export", str(path), "--what", "game", "--dot"]))
+    out = NullStdout()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_game(net)
+        build_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert run(config, stdout=out) == 0
+        export_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.size > 1_000_000
+    assert export_peak < build_peak + out.size // 10
+
+
 def test_resource_bound_exit(f4_path):
     code, out = invoke(["reach", f4_path, "--max-states", "2"])
     assert code == 3
@@ -343,7 +402,10 @@ class ClosingStdout(io.StringIO):
 @pytest.mark.parametrize("argv, expected", [
     (["reach", "--dot", "--machine"], 0),
     (["check", "--formula", GOAL_BOTH, "--machine"], 1),
-], ids=["reach", "unsatisfied-check"])
+    (["build-game", "--machine"], 0),
+    (["export", "--what", "game", "--dot", "--machine"], 0),
+    (["export", "--what", "fairness", "--machine"], 0),
+], ids=["reach", "unsatisfied-check", "build-game", "export-game", "export-fairness"])
 def test_closed_stdout_keeps_the_exit_code(f4_path, capsys, argv, expected, limit):
     argv = argv[:1] + [f4_path] + argv[1:]
     code, full = invoke(argv)

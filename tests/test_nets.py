@@ -307,6 +307,44 @@ def test_valid_nets_round_trip_through_every_text_format(fmt, place, transition,
     assert _round_trips(renamed, fmt)
 
 
+def test_strategy_reads_back_a_marking_whose_place_holds_an_arrow():
+    # each line splits at the ' -> ' that format_profile writes, not at the
+    # '->' inside the place name
+    net = _one_step_net("a->b", "t")
+    assert validate_net(net) == []
+    assert _round_trips(net, "strategy")
+    # without the spaces the whole rest of the line is the marking
+    with pytest.raises(InputError, match=r"unknown state \{\{a\}->t\} on line 1"):
+        parse_profile(build_game(net), "strategy u: {a}->t\n")
+
+
+def _one_user_net(user):
+    """``a -> t -> b`` at one user named ``user``."""
+    return NetSystem("x", ["a", "b"], ["t"], [("a", "t"), ("t", "b")], ["a"],
+                     ["env", user], {"a": user, "b": user, "t": user})
+
+
+@pytest.mark.parametrize("user,line,error", [
+    # 'strategy u:v: {a} -> t' reads as user 'u'
+    ("u:v", 2, "'u:v' contains ':', which is reserved and cannot name a location"),
+    # 'locations env u v' reads as two users, and 'place a @u v init' fails
+    ("u v", 3, "unexpected tokens ['v', 'init'] after place declaration"),
+    # '#' starts a comment, so every element reads as located at 'u'
+    ("u#v", 5, "transition needs both a 'pre' and a 'post' list"),
+], ids=["colon", "space", "comment"])
+def test_location_names_the_text_formats_cannot_carry(user, line, error):
+    net = _one_user_net(user)
+    bad = next(c for c in user if not c.isalpha())
+    assert validate_net(net) == \
+        [f"location {user!r} contains {bad!r}, which is reserved in the text formats"]
+    with pytest.raises(InputError) as err:
+        parse_net(format_net(net))
+    assert str(err.value) == f"net format error on line {line}: {error}"
+    renamed = _one_user_net("u")
+    assert validate_net(renamed) == []
+    assert parse_net(format_net(renamed)) == renamed
+
+
 def test_parse_reads_pre_only_after_the_location():
     with pytest.raises(InputError) as err:
         parse_net(NET_HEAD + "trans t @env q pre p post q\n")

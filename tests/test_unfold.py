@@ -315,8 +315,8 @@ def test_play_file_round_trip():
 
 def test_dot_prefix_is_deterministic():
     bp = unfold_prefix(F4, 2)
-    a = dot_prefix(bp, initial_cut(bp))
-    b = dot_prefix(unfold_prefix(F4, 2), initial_cut(bp))
+    a = "".join(dot_prefix(bp, initial_cut(bp)))
+    b = "".join(dot_prefix(unfold_prefix(F4, 2), initial_cut(bp)))
     assert a == b
     assert '"t0.1" [shape=box' in a
 
@@ -330,7 +330,7 @@ def _prefix_text(net, depth, max_size=20_000):
     except BoundExceeded as err:
         return f"bound: {err}\n"
     depths = "".join(f"{e} {ev.depth}\n" for e, ev in sorted(bp.events.items()))
-    return dot_prefix(bp) + depths
+    return "".join(dot_prefix(bp)) + depths
 
 
 #: sha256 over ``_prefix_text(random_net(s), 6, max_size)`` for s in each block
