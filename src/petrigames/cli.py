@@ -8,11 +8,17 @@ Every command reads a net in the text format of :mod:`petrigames.nets`;
 Default bounds can be overridden with the environment variables
 ``PETRIGAMES_MAX_STATES``, ``PETRIGAMES_MAX_PREFIX``,
 ``PETRIGAMES_MAX_PROFILES`` and ``PETRIGAMES_MAX_LINEARISATIONS``.
-A parse builds only the parser of the subcommand that argv names.
+Each command is one ``_COMMANDS`` entry: its help, its arguments and
+the handler that runs it on the parsed net.  A parse builds only the
+parser of the subcommand that argv names.
 :func:`run` writes the report as the command renders it, the
 ``--machine`` block last, and pauses the cyclic garbage collector while
 the command runs.  Reports that grow with the state space are written
-chunk by chunk as the renderers yield them, never held as one string.
+chunk by chunk as the renderers yield them, never held as one string,
+and end where their renderer ends.  A reader that closes stdout early
+ends the report there, with the command's exit code; any other error
+writing stdout propagates from :func:`run`, and :func:`main` turns it
+into one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -85,23 +91,6 @@ _COMMON = ("net", "--machine", "--max-states")
 _PREFIX = ("--depth", "--max-size", "--dot")
 _SOLVE = _COMMON + (("--formula", "--formula-file"), "--engine",
                     "--single-user-simplification", "--max-profiles")
-#: command -> (help, arguments in usage order); a tuple of flags is a
-#: required mutually exclusive group
-_COMMANDS = {
-    "validate": ("check the net's structural rules", _COMMON),
-    "reach": ("explicit reachability graph", _COMMON + ("--dot",)),
-    "unfold": ("branching-process prefix", _COMMON + _PREFIX),
-    "build-game": ("turn-based asynchronous game structure",
-                   _COMMON + ("--single-user-simplification",)),
-    "check": ("model-check an ATL formula", _SOLVE),
-    "synthesize": ("synthesise a memoryless winning profile", _SOLVE),
-    "translate": ("translate plays to fair computations and back",
-                  _COMMON + (("--play", "--lasso"), "--bound")),
-    "export": ("write DOT or tabular artifacts",
-               _COMMON + ("--what",) + _PREFIX + ("--out",)),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Each parse registers only the command its first argument names, or
     all of them when it names none (help, a missing or unknown command)."""
@@ -124,7 +113,7 @@ class _Parser(argparse.ArgumentParser):
         self.commands._choices_actions.clear()
         self.commands.metavar = None if len(names) > 1 else "{%s}" % ",".join(_COMMANDS)
         for name in names:
-            help_text, arguments = _COMMANDS[name]
+            help_text, arguments, _ = _COMMANDS[name]
             p = self.commands.add_parser(name, help=help_text)
             for entry in arguments:
                 group = isinstance(entry, tuple)
@@ -153,21 +142,20 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 class Report:
     """Writes the human-readable report as it goes and keeps the machine
     block for the end.  Once the reader has closed stdout, the rest of
-    the report is dropped and the command still runs to its exit code."""
+    the report is dropped and the command still runs to its exit code;
+    any other error writing stdout propagates."""
 
     def __init__(self, machine: bool, stdout):
         self.stdout = stdout
         self.pairs: list[tuple[str, str]] = []
         self.machine = machine
-        self.said = False
 
-    def say(self, text: str = "") -> None:
+    def say(self, text: str) -> None:
         self.write((text, "\n"))
 
     def write(self, chunks) -> None:
         """Write each string of ``chunks`` as it comes: whole lines, each
         ending in its own newline."""
-        self.said = True
         if self.stdout is None:
             return
         try:
@@ -181,42 +169,34 @@ class Report:
         self.pairs.append((key, str(value)))
 
     def close(self) -> None:
-        """Write the machine block, or the empty line of a report that
-        said nothing."""
+        """Write the machine block."""
         if self.machine:
             self.say("---")
             for k, v in self.pairs:
                 self.say(f"{k}: {v}")
-        elif not self.said:
-            self.say()
+
+
+#: (exception, report prefix, exit code) of each failure a command reports
+_FAILURES = ((InputError, "error", EXIT_INPUT),
+             (BoundExceeded, "resource bound exceeded", EXIT_RESOURCE),
+             (EngineDisagreement, "engine disagreement", EXIT_DISAGREEMENT))
 
 
 def run(config: argparse.Namespace, stdout=None) -> int:
     """Execute one command; returns the exit code and writes the report to
-    ``stdout`` as it goes.  The cyclic garbage collector is paused while
-    the command runs: what it builds is acyclic, so reference counting
-    frees it."""
+    ``stdout`` as it goes.  An ``OSError`` writing ``stdout``, other than
+    a closed pipe, propagates.  The cyclic garbage collector is paused
+    while the command runs: what it builds is acyclic, so reference
+    counting frees it."""
     report = Report(config.machine, stdout or sys.stdout)
     collecting = gc.isenabled()
     gc.disable()
     try:
         code = _dispatch(config, report)
-    except InputError as err:
-        report.say(f"error: {err}")
+    except tuple(kind for kind, _, _ in _FAILURES) as err:
+        prefix, code = next((p, c) for kind, p, c in _FAILURES if isinstance(err, kind))
+        report.say(f"{prefix}: {err}")
         report.record("error", str(err))
-        code = EXIT_INPUT
-    except BoundExceeded as err:
-        report.say(f"resource bound exceeded: {err}")
-        report.record("error", str(err))
-        code = EXIT_RESOURCE
-    except EngineDisagreement as err:
-        report.say(f"engine disagreement: {err}")
-        report.record("error", str(err))
-        code = EXIT_DISAGREEMENT
-    except OSError as err:
-        report.say(f"error: {err}")
-        report.record("error", str(err))
-        code = EXIT_INPUT
     finally:
         if collecting:
             gc.enable()
@@ -248,71 +228,70 @@ def _dispatch(config: argparse.Namespace, report: Report) -> int:
     net = parse_net(_read(config.net, "net"))
     report.record("command", config.command)
     report.record("net", net.name)
+    if config.command not in _COMMANDS:
+        raise InputError(f"unknown command {config.command!r}")
+    return _COMMANDS[config.command][2](config, report, net)
 
-    if config.command == "validate":
-        diags = validate_net(net)
-        report.record("valid", not diags)
-        if diags:
-            report.say(f"net {net.name}: {len(diags)} problem(s)")
-            for d in diags:
-                report.say(f"  - {d}")
-                report.record("diagnostic", d)
-            return EXIT_INPUT
-        report.say(f"net {net.name}: ok "
-                   f"({len(net.places)} places, {len(net.transitions)} transitions, "
-                   f"{len(net.users)} user(s))")
-        return EXIT_OK
 
-    if config.command == "reach":
-        graph = reachability_graph(net, max_states=config.max_states)
-        edges = sum(map(len, graph.out))
-        report.say(f"net {net.name}: {len(graph.states)} reachable markings, "
-                   f"{edges} edges")
-        labels = [format_marking(m) for m in graph.states]
-        report.write(["".join([f"  {label}\n" for label in labels])])
-        report.record("states", len(graph.states))
-        report.record("edges", edges)
-        if config.dot:
-            report.write(dot_reachability(graph, labels))
-            report.say()
-        return EXIT_OK
+def _validate(config: argparse.Namespace, report: Report, net) -> int:
+    diags = validate_net(net)
+    report.record("valid", not diags)
+    if diags:
+        report.say(f"net {net.name}: {len(diags)} problem(s)")
+        for d in diags:
+            report.say(f"  - {d}")
+            report.record("diagnostic", d)
+        return EXIT_INPUT
+    report.say(f"net {net.name}: ok "
+               f"({len(net.places)} places, {len(net.transitions)} transitions, "
+               f"{len(net.users)} user(s))")
+    return EXIT_OK
 
-    if config.command == "unfold":
-        bp = unfold_prefix(net, config.depth, max_size=config.max_size,
-                           max_states=config.max_states)
-        report.say(f"prefix of depth {config.depth}: {len(bp.conditions)} "
-                   f"conditions, {len(bp.events)} events")
-        report.record("conditions", len(bp.conditions))
-        report.record("events", len(bp.events))
-        if config.dot:
-            report.write(dot_prefix(bp, initial_cut(bp)))
-            report.say()
-        return EXIT_OK
 
-    if config.command == "build-game":
-        g = build_game(net, single_user_simplification=config.single_user_simplification,
+def _reach(config: argparse.Namespace, report: Report, net) -> int:
+    graph = reachability_graph(net, max_states=config.max_states)
+    edges = sum(map(len, graph.out))
+    report.say(f"net {net.name}: {len(graph.states)} reachable markings, "
+               f"{edges} edges")
+    labels = [format_marking(m) for m in graph.states]
+    report.write(["".join([f"  {label}\n" for label in labels])])
+    report.record("states", len(graph.states))
+    report.record("edges", edges)
+    if config.dot:
+        report.write(dot_reachability(graph, labels))
+    return EXIT_OK
+
+
+def _prefix(config: argparse.Namespace, net):
+    """The prefix the prefix options ask for, and its DOT chunks."""
+    bp = unfold_prefix(net, config.depth, max_size=config.max_size,
                        max_states=config.max_states)
-        constraints = build_fairness(net, g)
-        report.say(f"game structure over {len(g.states)} states, "
-                   f"{g.player_count} players, {len(constraints)} fairness "
-                   f"constraints")
-        report.write(fairness_table(g, constraints))
-        report.say()
-        report.record("states", len(g.states))
-        report.record("players", g.player_count)
-        report.record("constraints", len(constraints))
-        return EXIT_OK
+    return bp, dot_prefix(bp, initial_cut(bp))
 
-    if config.command in ("check", "synthesize"):
-        return _check(config, report, net)
 
-    if config.command == "translate":
-        return _translate(config, report, net)
+def _unfold(config: argparse.Namespace, report: Report, net) -> int:
+    bp, dot = _prefix(config, net)
+    report.say(f"prefix of depth {config.depth}: {len(bp.conditions)} "
+               f"conditions, {len(bp.events)} events")
+    report.record("conditions", len(bp.conditions))
+    report.record("events", len(bp.events))
+    if config.dot:
+        report.write(dot)
+    return EXIT_OK
 
-    if config.command == "export":
-        return _export(config, report, net)
 
-    raise InputError(f"unknown command {config.command!r}")
+def _build_game(config: argparse.Namespace, report: Report, net) -> int:
+    g = build_game(net, single_user_simplification=config.single_user_simplification,
+                   max_states=config.max_states)
+    constraints = build_fairness(net, g)
+    report.say(f"game structure over {len(g.states)} states, "
+               f"{g.player_count} players, {len(constraints)} fairness "
+               f"constraints")
+    report.write(fairness_table(g, constraints))
+    report.record("states", len(g.states))
+    report.record("players", g.player_count)
+    report.record("constraints", len(constraints))
+    return EXIT_OK
 
 
 def _check(config: argparse.Namespace, report: Report, net) -> int:
@@ -373,9 +352,7 @@ def _export(config: argparse.Namespace, report: Report, net) -> int:
     if config.what == "reach":
         payload = dot_reachability(reachability_graph(net, max_states=config.max_states))
     elif config.what == "unfolding":
-        bp = unfold_prefix(net, config.depth, max_size=config.max_size,
-                           max_states=config.max_states)
-        payload = dot_prefix(bp, initial_cut(bp))
+        payload = _prefix(config, net)[1]
     else:
         g = build_game(net, max_states=config.max_states)
         payload = dot_game(g) if config.what == "game" \
@@ -394,19 +371,39 @@ def _export(config: argparse.Namespace, report: Report, net) -> int:
     return EXIT_OK
 
 
+#: command -> (help, arguments in usage order, handler); a tuple of flags
+#: is a required mutually exclusive group
+_COMMANDS = {
+    "validate": ("check the net's structural rules", _COMMON, _validate),
+    "reach": ("explicit reachability graph", _COMMON + ("--dot",), _reach),
+    "unfold": ("branching-process prefix", _COMMON + _PREFIX, _unfold),
+    "build-game": ("turn-based asynchronous game structure",
+                   _COMMON + ("--single-user-simplification",), _build_game),
+    "check": ("model-check an ATL formula", _SOLVE, _check),
+    "synthesize": ("synthesise a memoryless winning profile", _SOLVE, _check),
+    "translate": ("translate plays to fair computations and back",
+                  _COMMON + (("--play", "--lasso"), "--bound"), _translate),
+    "export": ("write DOT or tabular artifacts",
+               _COMMON + ("--what",) + _PREFIX + ("--out",), _export),
+}
+
+
 def main(argv=None) -> int:
     try:
         config = config_from_args(build_parser().parse_args(argv))
     except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
-    code = run(config)
     try:
+        code = run(config)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left: what is still buffered goes nowhere, so that
-        # the flush at exit neither fails nor changes the exit code
+    except OSError as err:
+        # what is still buffered goes nowhere, so that the flush at exit
+        # neither fails nor changes the exit code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(err, BrokenPipeError):  # not just the reader leaving
+            sys.stderr.write(f"error: cannot write the report: {err}\n")
+            return EXIT_INPUT
     return code
 
 

@@ -1,3 +1,5 @@
+import argparse
+import errno
 import gc
 import io
 import os
@@ -129,6 +131,21 @@ def test_translate_play_and_back(f4_path, tmp_path):
     assert "play:" in out
 
 
+def test_translate_play_stops_at_the_bound(tmp_path):
+    net = tmp_path / "chain2.net"
+    net.write_text(chain_net(2))
+    play = tmp_path / "undo.play"
+    play.write_text("a0+a1 ra0+ra1\ncycle: te01 te10\n")   # 2 x 2 orders
+    argv = ["translate", str(net), "--play", str(play)]
+    assert invoke(argv)[1].startswith("5 computation(s)\n")
+    code, out = invoke(argv + ["--bound", "3"])
+    assert code == 0
+    # three orders, then the fair repair of the first
+    assert [line for line in out.splitlines() if line.startswith(("-", "4 "))] == \
+        ["4 computation(s)", "-- computation 0", "-- computation 1", "-- computation 2",
+         "-- computation 3 (fair)"]
+
+
 def test_translate_long_step_group_is_not_bounded_by_recursion(tmp_path):
     net = tmp_path / "toggle2.net"
     net.write_text(fixtures.TOGGLE2)
@@ -258,13 +275,27 @@ def test_export_game_dot(f4_path, tmp_path):
     assert text.startswith("digraph game {")
 
 
-def test_export_reach_is_the_dot_of_reach(f4_path):
-    code, exported = invoke(["export", f4_path, "--what", "reach"])
+REPORT_NETS = {"F4": fixtures.FIG4, "chain3": chain_net(3),
+               **{f"random{s}": format_net(random_net(s)) for s in range(1, 11)}}
+
+
+@pytest.mark.parametrize("name", REPORT_NETS)
+@pytest.mark.parametrize("command, export, start", [
+    (["reach", "--dot"], ["--what", "reach"], "digraph reachability {\n"),
+    (["unfold", "--depth", "3", "--dot"], ["--what", "unfolding", "--depth", "3"],
+     "digraph prefix {\n"),
+    (["build-game"], ["--what", "fairness"], "players: "),
+], ids=["reach", "unfold", "build-game"])
+def test_reports_end_with_the_exported_bytes(tmp_path, name, command, export, start):
+    # after its summary, a command prints exactly what export prints
+    path = tmp_path / "net.net"
+    path.write_text(REPORT_NETS[name])
+    code, exported = invoke(["export", str(path)] + export)
     assert code == 0
-    code, reach = invoke(["reach", f4_path, "--dot"])
+    assert exported.startswith(start)
+    code, report = invoke(command[:1] + [str(path)] + command[1:])
     assert code == 0
-    assert exported.startswith("digraph reachability {")
-    assert reach[reach.index("digraph "):].rstrip("\n") + "\n" == exported
+    assert report.endswith("\n" + exported)
 
 
 def test_export_unfolding_depth(f4_path, tmp_path):
@@ -431,6 +462,35 @@ def test_main_exits_quietly_when_the_reader_leaves(f4_path):
     child.stderr.close()
 
 
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails, or only the flush."""
+
+    def __init__(self, fd, on_write):
+        super().__init__()
+        self.fd, self.on_write = fd, on_write
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        if self.on_write:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+def test_main_exits_2_when_the_report_cannot_be_written(f4_path, tmp_path, monkeypatch,
+                                                        capsys, on_write):
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", FullStdout(handle.fileno(), on_write))
+        assert main(["reach", f4_path, "--dot"]) == 2
+    assert capsys.readouterr().err == ("error: cannot write the report: "
+                                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
 @pytest.fixture()
 def collector():
     """Restores the cyclic collector's setting after the test."""
@@ -492,7 +552,7 @@ def test_commands_leave_no_cyclic_garbage(f4_path, collector, argv):
     assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("machine, expected", [(False, "\n"), (True, "---\nexit: 0\n")])
+@pytest.mark.parametrize("machine, expected", [(False, ""), (True, "---\nexit: 0\n")])
 def test_a_report_with_no_lines(f4_path, monkeypatch, machine, expected):
     from petrigames import cli
     monkeypatch.setattr(cli, "_dispatch", lambda config, report: 0)
@@ -610,6 +670,43 @@ def test_lasso_file_rejections_are_pinned(f4_path, tmp_path, text, message):
     code, out = invoke(["translate", f4_path, "--lasso", str(lasso)])
     assert code == 2
     assert out == f"error: {message}\n"
+
+
+FORMULA_FILE = ["check", "{f4}", "--formula-file", "{file}"]
+PLAY_FILE = ["translate", "{f4}", "--play", "{file}"]
+NOT_ONE_FORMULA = "error: formula file must hold exactly one formula\n"
+
+
+@pytest.mark.parametrize("argv, text, expected", [
+    (FORMULA_FILE, "# no goal\n\n", NOT_ONE_FORMULA),
+    (FORMULA_FILE, f"{GOAL_EITHER}\n{GOAL_BOTH}\n", NOT_ONE_FORMULA),
+    (["validate", "{file}"], "net n\nlocations\nplace p @env init\n",
+     "error: net format error on line 2: expected: locations <env> [<user> ...]\n"),
+    (["validate", "{file}"], "net n\nlocations env\nplace p @env init\n"
+     "trans t @env pre p post zz\n",
+     "net n: 1 problem(s)\n  - flow arc (t,zz) does not connect a place and a transition\n"),
+    (["validate", "{file}"], "net n\nlocations env u u\nplace p @env init\n"
+     "trans t @env pre p post p\n", "net n: 1 problem(s)\n  - duplicate location names\n"),
+    (PLAY_FILE, "bogus\n", "error: unknown transition 'bogus' in play\n"),
+    (PLAY_FILE, "t1\n",
+     "error: transition t1 is not enabled at marking {p0,p2} while replaying the play\n"),
+    (PLAY_FILE, "t0\ncycle: t1 t5 t3 t0\ntrailing: t3\n",
+     "error: trailing events are only meaningful for finite plays\n"),
+], ids=["no-formula", "two-formulas", "no-location", "undeclared-arc-end",
+        "repeated-location", "unknown-play-transition", "play-not-enabled",
+        "trailing-and-cycle"])
+def test_input_checks_exit_2_with_their_message(f4_path, tmp_path, argv, text, expected):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert invoke([a.format(f4=f4_path, file=path) for a in argv]) == (2, expected)
+
+
+@pytest.mark.parametrize("command", [None, "bogus"])
+def test_run_rejects_a_namespace_that_names_no_command(f4_path, command):
+    out = io.StringIO()
+    config = argparse.Namespace(command=command, net=f4_path, machine=False)
+    assert run(config, stdout=out) == 2
+    assert out.getvalue() == f"error: unknown command {command!r}\n"
 
 
 @pytest.mark.parametrize("kind, argv", [

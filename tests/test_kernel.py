@@ -89,24 +89,24 @@ def digest(code, text):
 
 
 GOLDEN = {
-    "F4:reach": "92a0041229800cbe034e6130e60bb671799db15a2814d00eea9cda9853c6ec6f",
-    "F4:build-game": "77c666ab28f65fe3ca72d475b892aca119f8e409bf5974bdcaf91848fb8f13f6",
+    "F4:reach": "c8886935b84a62d11560bbff5ad4f2b0e0031c2ce474a1b0e71f31bf03e13644",
+    "F4:build-game": "032107ee59fbbaee727bedb2a9a5174b57446677779730bd8d57f162617a25d6",
     "F4:export-game": "a1de4155cd0a3ebfe8bb0e5ec8dbeb7e4151378fe116529bc2ffb6f92d765c9f",
     "F4:export-fairness": "ee3bd36a0f476c734e73256cc357e59c32175241e7fc0d68348e8ffbdc46bf4b",
-    "F4:unfold": "6785a7d3afa86681311f06f0480ef9af6ec5ea9bab9d106fbd0f0d3918a5d9c1",
+    "F4:unfold": "677bc14553f97e059809a6bfb806e233e6e866b63e8efaa29a970fb7d0278daa",
     "F4:check0": "f1c98d2400b7602b5c7a502d232632934a2343714bfd7f1003aeea1d13f2f8c5",
     "F4:check1": "1fbd672d5473fdf4c10c9c5f8689e13ff23a515f6ce7bae4bfd04cdb9ca55ad7",
     "F4:check2": "d4eced672cca6660c005de115ce7059bbb0a36bf75587650a58c8272a9f0a9d8",
-    "chain2:reach": "16ec4da05fd378f2c66f4818da2fcb0098856d7bc8d30dcfc63fa948a7ebf00a",
-    "chain2:build-game": "6ecfdc39a19d3ce739fcd151a6681dbab09c4af271c1b0be86d748f5b26ae46f",
+    "chain2:reach": "dc1211f331ee46c8346b5b2e782ce2e10044cacac0bf944c4e8a8e9247fbf900",
+    "chain2:build-game": "0f70238d432c5962cdb72c826c972b778ec288e1976411707ad0d51896b66586",
     "chain2:export-game": "4ef56a0f26c39fdf5e6e599641c0d285f908a11b23c9e40014e99cd43f6294a4",
     "chain2:export-fairness": "4d9ba6e0ea1087e3a765e6f9b3f63728c619ff80c3eec7cfb56df1429a9f1c9f",
-    "chain2:unfold": "4b80b0dde2c9b35be02a74ac7b0b08ff859416008373eb32936c0009dcd36a3b",
+    "chain2:unfold": "0e8ab34c89fbda0d3be3d054c62321ac743edda94382e6e265aa40f551a5b382",
     "chain2:check0": "2718c1367aeacd735b066fa110b3dd24f397773928e0df428b987cc130cac8ba",
     "chain2:check1": "b4af0a6a88115d7ae04c55ec1f4471c6d4cd50343451321a48a5db66f8dc52fe",
     "chain2:check2": "70d3ef5ccfc5a570c568556b9181714398d975ee5425596e0a7ceb5b0ffb0afb",
     "chain2:check3": "438b80b1cf3193781f00b6fc55ddf72aade2d85b041665769bc0feb2528e36de",
-    "F4:build-game-simplified": "03fe04a0eb28d6341812a9cbd4536d70965a71a540abe78002177f90fd6e46c4",
+    "F4:build-game-simplified": "269640f558117ccc4db70a66e141df105e8cbe0bbc7d0cab2fcd67a1fe05226e",
     "F4:translate-play": "f89fcdbe5e83a1de4f11ffb3575ee702a3e61f9ad79e60e9b60b6df057941dc3",
     "F4:translate-lasso": "ec4aae99c1dd6560ae57f0880efea09f77184ca15feddabeac9756d508577022",
     "chain2:translate-play": "7a339b030d547b8f5c348be2cb689fb29be023937d63a50ab38c43cdb35c4d2d",
