@@ -13,10 +13,11 @@ post-set as integer bitmasks, so that "pre-set marked and post-set
 token-free" is two ``&`` tests and firing is ``(m ^ pre) | post``.
 One breadth-first search, :func:`_explore`, runs on such integer
 markings and notes the least contact transition of every marking where
-one exists.  :func:`reachability_graph` puts its result in canonical
-order: it turns each reachable marking into a frozenset once and sorts
-the states, while the canonical successor lists (``out``) and edge
-triples are built from the search's own lists on first read.
+one exists.  :func:`reachability_graph` keeps the search's own lists
+and puts them in canonical order on first read: the sorted states (each
+marking turned into a frozenset once), their index, the canonical
+successor lists (``out``) and the edge triples.  Counting the states or
+reading the contact witness sorts nothing.
 :func:`check_contact_free` decides contact from the same search without
 any canonical order, decoding only the markings that have contact.
 :func:`enabled_set`, :func:`fire`, the game structure and the strategy
@@ -159,17 +160,21 @@ class FiringKernel:
     pre- and post-set masks.
     """
 
-    __slots__ = ("places", "arcs")
+    __slots__ = ("places", "arcs", "_bit")
 
     def __init__(self, net: NetSystem):
         extra = {x for arc in net.flow for x in arc} - net.places
         self.places = tuple(sorted(net.places)) + tuple(sorted(extra))
+        self._bit = {p: 1 << i for i, p in enumerate(self.places)}
         self.arcs = tuple((t, self.encode(net.pre(t)), self.encode(net.post(t)))
                           for t in sorted(net.transitions))
 
     def encode(self, m: frozenset) -> int:
         """The mask of ``m``; names the net never mentions carry no bit."""
-        return sum(1 << i for i, p in enumerate(self.places) if p in m)
+        bit, x = self._bit, 0
+        for p in m:
+            x |= bit.get(p, 0)
+        return x
 
     def decode(self, x: int) -> tuple:
         """The places of mask ``x`` in sorted order (its ``marking_key``)."""
@@ -200,27 +205,50 @@ class ReachabilityGraph:
     ``states`` are sorted by :func:`marking_key`; ``out[i]`` lists the
     ``(transition, target index)`` pairs of state ``i`` by transition;
     ``edges`` spells the same edges out as ``(marking, transition,
-    marking)`` triples, sorted by source marking, then transition.  Both
-    are built on first read from the search's successor lists: ``_succ[b]``
-    lists the ``(transition, search index)`` pairs of the ``b``-th marking
-    the search found, ``_order[i]`` is the search index of state ``i`` and
-    ``_rank`` is the inverse of ``_order``.
+    marking)`` triples, sorted by source marking, then transition.  All
+    three and ``index`` are built on first read from the search's integer
+    markings ``_found`` and successor lists: ``_succ[b]`` lists the
+    ``(transition, search index)`` pairs of the ``b``-th marking found,
+    ``_keys[b]`` is its :func:`marking_key`, ``_order[i]`` is the search
+    index of state ``i`` and ``_rank`` is the inverse of ``_order``.
+    ``len(graph)`` sorts nothing.
     ``contact`` is the least ``(marking, transition)`` in canonical order
     whose transition has its pre-set marked and its post-set not
     token-free, or None for a contact-free net.
     """
 
-    def __init__(self, states: Sequence[Marking], succ: Sequence[Sequence[tuple]],
-                 order: Sequence[int], initial: Marking, contact: Optional[tuple] = None):
-        self.states = tuple(states)
+    def __init__(self, kernel: FiringKernel, found: Sequence[int],
+                 succ: Sequence[Sequence[tuple]], initial: Marking,
+                 contact: Optional[tuple] = None):
+        self._kernel = kernel
+        self._found = found
         self._succ = succ
-        self._order = order
-        rank = self._rank = [0] * len(order)
-        for i, b in enumerate(order):
-            rank[b] = i
         self.initial = initial
         self.contact = contact
-        self.index = {m: i for i, m in enumerate(self.states)}
+
+    @functools.cached_property
+    def _keys(self) -> list:
+        return list(map(self._kernel.decode, self._found))
+
+    @functools.cached_property
+    def _order(self) -> list:
+        return sorted(range(len(self._found)), key=self._keys.__getitem__)
+
+    @functools.cached_property
+    def _rank(self) -> list:
+        rank = [0] * len(self._found)
+        for i, b in enumerate(self._order):
+            rank[b] = i
+        return rank
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        keys = self._keys
+        return tuple([frozenset(keys[b]) for b in self._order])
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {m: i for i, m in enumerate(self.states)}
 
     @functools.cached_property
     def out(self) -> tuple:
@@ -234,7 +262,7 @@ class ReachabilityGraph:
                      for t, j in succ)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._found)
 
 
 def validate_net(net: NetSystem) -> list[str]:
@@ -314,8 +342,9 @@ def fire(net: NetSystem, m: Marking, t: str) -> Marking:
 def _explore(net: NetSystem, max_states: int) -> tuple:
     """BFS over the token game from the initial marking, on the net's
     kernel: the reachable integer markings in search order, each one's
-    ``(transition, search index)`` successors, and the least contact
-    transition of every search index that has one."""
+    ``(transition, search index)`` successors, and the contact ``(marking,
+    transition)`` whose marking has the least ``marking_key`` (decoding
+    only the markings with contact), or None."""
     require_valid(net)
     kernel = net.kernel
     arcs = kernel.arcs
@@ -341,27 +370,17 @@ def _explore(net: NetSystem, max_states: int) -> tuple:
                 found.append(m2)
             succ.append((t, j))
         out.append(succ)
-    return found, out, contact
-
-
-def _least_contact(kernel: FiringKernel, found: list, contact: dict) -> Optional[tuple]:
-    """The contact ``(marking, transition)`` whose marking has the least
-    ``marking_key``, or None."""
     if not contact:
-        return None
+        return found, out, None
     key, i = min((kernel.decode(found[i]), i) for i in contact)
-    return frozenset(key), contact[i]
+    return found, out, (frozenset(key), contact[i])
 
 
 def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
     """The reachable markings of the net in canonical order, with the
     canonically first contact witness."""
     found, succ, contact = _explore(net, max_states)
-    kernel = net.kernel
-    keys = [kernel.decode(m) for m in found]
-    order = sorted(range(len(found)), key=keys.__getitem__)
-    return ReachabilityGraph([frozenset(keys[i]) for i in order], succ, order,
-                             net.initial, _least_contact(kernel, found, contact))
+    return ReachabilityGraph(net.kernel, found, succ, net.initial, contact)
 
 
 def check_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND,
@@ -373,8 +392,7 @@ def check_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND,
     pre-set while the corresponding post-set is not token-free.  The
     search's markings are never put in canonical order.
     """
-    found, _, contact = _explore(net, max_states)
-    witness = _least_contact(net.kernel, found, contact)
+    witness = _explore(net, max_states)[2]
     return witness is None, witness
 
 

@@ -3,18 +3,19 @@
 Rejection sampling: draw a candidate, keep it only when it is a valid,
 contact-free distributed net whose reachability graph, profile space and
 bounded unfolding prefix all stay small enough for the exhaustive
-engines.  The same seed always yields the same net.
+engines.  The same seed always yields the same net.  The reachability
+search validates each candidate once, and never sorts the ones it rejects.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InputError
 from .game import build_game
-from .nets import NetSystem, reachability_graph, validate_net
+from .nets import NetSystem, reachability_graph
 from .solver import profile_space
-from .unfold import unfold_prefix
+from .unfold import _unfold
 
 
 def random_net(seed: int, max_places: int = 6, max_transitions: int = 6,
@@ -35,23 +36,24 @@ def random_net(seed: int, max_places: int = 6, max_transitions: int = 6,
         if found >= 8:
             break
         net = _draw(rng, max_places, max_transitions, max_users)
-        if net is None or validate_net(net):
+        if net is None:
             continue
         try:
+            # the search validates the draw: an invalid one raises InputError
             graph = reachability_graph(net, max_states=max_states)
-        except BoundExceeded:
+        except (BoundExceeded, InputError):
             continue
-        if len(graph.states) < 3 or graph.contact is not None:
+        if len(graph) < 3 or graph.contact is not None:
             continue
-        g = build_game(net, graph=graph)
-        if not 2 <= profile_space(g) <= max_profile_space:
+        space = profile_space(build_game(net, graph=graph))
+        if not 2 <= space <= max_profile_space:
             continue
         try:
-            unfold_prefix(net, 8, max_size=max_prefix_size)
+            _unfold(net, 8, max_prefix_size)      # the graph showed no contact
         except BoundExceeded:
             continue
         found += 1
-        score = len(graph.states) * 8 + min(profile_space(g), 64)
+        score = len(graph) * 8 + min(space, 64)
         if score > best_score:
             best, best_score = net, score
     if best is None:
@@ -67,13 +69,13 @@ def _draw(rng: random.Random, max_places: int, max_transitions: int,
     locations = ["env"] + [f"u{i}" for i in range(1, k + 1)]
     n_places = rng.randint(min(3, max_places), max_places)
     places = [f"p{i}" for i in range(n_places)]
-    assignment = {}
-    for p in places:
-        weights = [2] + [1] * k
-        assignment[p] = rng.choices(locations, weights=weights)[0]
-
+    # the weights 2, 1, ..., 1 as cumulative weights, in one call for all
+    # places: the same ``random()`` calls as one weighted call per place
+    assignment = dict(zip(places, rng.choices(
+        locations, cum_weights=range(2, k + 3), k=n_places)))
+    ordered = sorted(places)
     by_location: dict[str, list] = {loc: [] for loc in locations}
-    for p in places:
+    for p in ordered:
         by_location[assignment[p]].append(p)
 
     n_trans = rng.randint(2, max_transitions)
@@ -81,7 +83,7 @@ def _draw(rng: random.Random, max_places: int, max_transitions: int,
     flow = []
     while len(transitions) < n_trans:
         i = len(transitions)
-        pre_size = rng.choices([1, 2], weights=[4, 1])[0]
+        pre_size = rng.choices((1, 2), cum_weights=(4, 5))[0]
         eligible = [loc for loc in locations if len(by_location[loc]) >= pre_size]
         if not eligible:
             return None
@@ -89,10 +91,10 @@ def _draw(rng: random.Random, max_places: int, max_transitions: int,
         t = f"t{i}"
         transitions.append(t)
         assignment[t] = loc
-        pre = rng.sample(sorted(by_location[loc]), pre_size)
+        pre = rng.sample(by_location[loc], pre_size)
         # keeping |post| = |pre| most of the time avoids draining the net
-        post_size = rng.choices([pre_size, 1, 2], weights=[4, 1, 1])[0]
-        pool = sorted(set(places) - set(pre)) or places
+        post_size = rng.choices((pre_size, 1, 2), cum_weights=(4, 5, 6))[0]
+        pool = [p for p in ordered if p not in pre] or places
         post = rng.sample(pool, min(post_size, len(pool)))
         for p in pre:
             flow.append((p, t))

@@ -128,31 +128,38 @@ class BranchingProcess:
 class _OccurrenceNet:
     """An occurrence net under construction: it numbers conditions ``p.k``
     and events ``t.k`` (a valid net never names a place and a transition
-    alike) and gives every event its causal depth."""
+    alike) and gives every event its causal depth: one more than the
+    greatest ``_depth`` of its pre-conditions, their producers' depth."""
 
     def __init__(self, net: NetSystem):
         self.net = net
         self.conditions: dict[str, Condition] = {}
         self.events: dict[str, Event] = {}
         self._count: dict[str, int] = {}
-        self.minimal = [self._condition(p, None) for p in sorted(net.initial)]
+        self._depth: dict[str, int] = {}      # condition -> its producer's depth
+        self._post = {t: sorted(net.post(t)) for t in net.transitions}  # sorted once
+        self.minimal = [self._condition(p, None, 0) for p in sorted(net.initial)]
 
     def _name(self, label: str) -> str:
         k = self._count[label] = self._count.get(label, 0) + 1
         return f"{label}.{k}"
 
-    def _condition(self, place: str, producer: Optional[str]) -> str:
+    def _condition(self, place: str, producer: Optional[str], depth: int) -> str:
         cid = self._name(place)
         self.conditions[cid] = Condition(cid, place, producer)
+        self._depth[cid] = depth
         return cid
 
     def event(self, t: str, pre: frozenset) -> Event:
         """Add the occurrence of ``t`` that consumes ``pre``, with one new
         condition per output place."""
         eid = self._name(t)
-        producers = (self.conditions[c].producer for c in pre)
-        depth = 1 + max((self.events[e].depth for e in producers if e), default=0)
-        post = frozenset(self._condition(p, eid) for p in sorted(self.net.post(t)))
+        depths, depth = self._depth, 0
+        for c in pre:
+            if depths[c] > depth:
+                depth = depths[c]
+        depth += 1
+        post = frozenset([self._condition(p, eid, depth) for p in self._post[t]])
         event = self.events[eid] = Event(eid, t, pre, post, depth)
         return event
 
@@ -172,24 +179,35 @@ def unfold_prefix(net: NetSystem, depth: int,
     Layer k adds, in ``(t, sorted pre-set)`` order, an event for every
     co-set labelled by some ``pre(t)`` that has none yet; such a co-set
     holds a condition of layer k - 1, so the search starts from those.
+    It reads tables built once per net: per place, the transitions it
+    feeds, each with its other input places sorted, and per transition,
+    its sorted post-set.
     """
     if depth < 0:
         raise InputError("depth must be >= 0")
     free, witness = check_contact_free(net, max_states=max_states)
     if not free:
         raise _contact_error(witness)
+    return _unfold(net, depth, max_size).process()
+
+
+def _unfold(net: NetSystem, depth: int, max_size: int) -> _OccurrenceNet:
+    """:func:`unfold_prefix`'s occurrence net, for a valid, contact-free net."""
     occ = _OccurrenceNet(net)
+    feeds = {p: [(t, sorted(net.pre(t) - {p})) for t in sorted(net.post(p))]
+             for p in net.places}
     # with one input place per transition every co-set is a single
-    # condition, and the co-relation is left empty
-    pairs = any(len(net.pre(t)) > 1 for t in net.transitions)
+    # condition, and the co-relation is never needed
+    pairs = any(others for ts in feeds.values() for _, others in ts)
     bit: dict[str, int] = {}       # condition -> its bit in the masks below
     co: list = []                  # co[bit[c]]: mask of the conditions concurrent with c
     pools: dict[str, list] = {}    # place -> the conditions it labels
 
-    def add_conditions(cids: list, concurrent: int) -> None:
-        # new pairwise concurrent conditions, concurrent with ``concurrent``
+    def add_conditions(cids: Iterable[str], concurrent: int) -> None:
+        # new pairwise concurrent conditions, concurrent with ``concurrent``;
+        # bit numbers are private to this search, so their order is free
         first = len(co)
-        siblings = ((1 << len(cids)) - 1) << first if pairs else 0
+        siblings = ((1 << len(cids)) - 1) << first
         for i, c in enumerate(cids, start=first):
             bit[c] = i
             co.append(concurrent | (siblings & ~(1 << i)))
@@ -200,15 +218,18 @@ def unfold_prefix(net: NetSystem, depth: int,
             co[i] |= siblings
             i = bits.find("1", i + 1)
 
-    add_conditions(occ.minimal, 0)
+    if pairs:
+        add_conditions(occ.minimal, 0)
     fresh = occ.minimal
     for _ in range(depth):
         found = set()
         for c in fresh:
-            place = occ.conditions[c].label
-            for t in net.post(place):
+            for t, others in feeds[occ.conditions[c].label]:
+                if not others:
+                    found.add((t, (c,)))
+                    continue
                 partial = [((c,), co[bit[c]])]
-                for p in sorted(net.pre(t) - {place}):
+                for p in others:
                     partial = [(chosen + (d,), allowed & co[bit[d]])
                                for chosen, allowed in partial
                                for d in pools.get(p, ()) if allowed >> bit[d] & 1]
@@ -219,13 +240,13 @@ def unfold_prefix(net: NetSystem, depth: int,
             if len(occ.conditions) + len(occ.events) > max_size:
                 raise BoundExceeded(
                     f"unfolding prefix exceeds {max_size} elements", max_size)
-            concurrent = -1               # all ones
-            for c in pre:
-                concurrent &= co[bit[c]]
-            post = sorted(event.post)
-            add_conditions(post, concurrent)
-            fresh.extend(post)
-    return occ.process()
+            if pairs:
+                concurrent = -1           # all ones
+                for c in pre:
+                    concurrent &= co[bit[c]]
+                add_conditions(event.post, concurrent)
+            fresh.extend(event.post)
+    return occ
 
 
 def interleavings(bp: BranchingProcess, events: Iterable[str]):

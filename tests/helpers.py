@@ -1,5 +1,6 @@
 """Shared generators and oracles for the property and acceptance suites."""
 
+import functools
 import random
 import sys
 
@@ -7,7 +8,22 @@ from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, True
     holds_in, path_satisfies
 from petrigames.game import LassoComputation, lasso_is_fair
 from petrigames.nets import enabled_set, fire, reachability_graph
+from petrigames.randnet import random_net
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut
+
+#: the caps of the wide draw, ``random_net(seed, **WIDE_DRAW)``: up to
+#: three users, and nets whose profile spaces and prefixes the default
+#: caps would reject
+WIDE_DRAW = dict(max_places=8, max_transitions=8, max_users=3, max_states=120,
+                 max_profile_space=20_000, max_prefix_size=10**6, attempts=200)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_net(seed, **caps):
+    """``random_net(seed, **caps)``, generated once per test session.  Every
+    caller gets the same net object, so a test must only read it; the
+    tests that pin the generator call ``random_net`` itself."""
+    return random_net(seed, **caps)
 
 
 def formula_pool(net):

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from helpers import (
+    corpus_net,
     formula_pool,
     insert_stutters,
     random_fair_lasso,
@@ -37,7 +38,6 @@ from petrigames.game import (
     stutter_remove,
 )
 from petrigames.nets import enabled_set, parse_net
-from petrigames.randnet import random_net
 from petrigames.solver import (
     PathObjective,
     check_net,
@@ -66,7 +66,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def corpus_games():
     triples = []
     for seed in range(1, CORPUS_SIZE + 1):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         triples.append((net, g, build_fairness(net, g)))
     return triples

@@ -9,14 +9,14 @@ import tracemalloc
 
 import pytest
 
-from helpers import chain_net, check_first_profile_lasso, formula_pool, stack_depth
+from helpers import chain_net, check_first_profile_lasso, corpus_net, formula_pool, \
+    stack_depth
 from petrigames import fixtures, solver
 from petrigames.cli import build_parser, config_from_args, main, run
 from petrigames.errors import InputError
 from petrigames.formulas import MAX_NESTING, Coalition, format_formula
 from petrigames.game import build_fairness, build_game, format_lasso
 from petrigames.nets import format_net, parse_net
-from petrigames.randnet import random_net
 
 GOAL_EITHER = "<<u>> F ((p0 & p3) | (p1 & p4))"
 GOAL_BOTH = "<<u>> F (p0 & p3)"
@@ -241,7 +241,7 @@ def test_unsatisfied_evidence_is_the_same_under_every_engine(tmp_path):
     # is checked without the solver
     unsatisfied = 0
     for seed in range(1, 41):
-        net = random_net(seed)
+        net = corpus_net(seed)
         path = tmp_path / f"random{seed}.net"
         path.write_text(format_net(net))
         g = build_game(net)
@@ -276,7 +276,7 @@ def test_export_game_dot(f4_path, tmp_path):
 
 
 REPORT_NETS = {"F4": fixtures.FIG4, "chain3": chain_net(3),
-               **{f"random{s}": format_net(random_net(s)) for s in range(1, 11)}}
+               **{f"random{s}": format_net(corpus_net(s)) for s in range(1, 11)}}
 
 
 @pytest.mark.parametrize("name", REPORT_NETS)

@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from helpers import chain_net, reference_reachability
+from helpers import chain_net, corpus_net, reference_reachability
 from petrigames import fixtures
 from petrigames import nets as nets_module
+from petrigames import randnet as randnet_module
 from petrigames.cli import build_parser, config_from_args, run
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.game import build_game
@@ -142,9 +143,12 @@ def test_contact_error_text(tmp_path):
 def assert_graph_matches_reference(net):
     states, edges, contact = reference_reachability(net)
     graph = reachability_graph(net)
+    # counting the states and naming the contact witness sort nothing
+    assert len(graph) == len(states)
+    assert graph.contact == contact
+    assert not {"states", "index", "_order"} & vars(graph).keys()
     assert list(graph.states) == states
     assert list(graph.edges) == edges
-    assert graph.contact == contact
     assert check_contact_free(net) == (contact is None, contact)
     assert graph.index == {m: i for i, m in enumerate(states)}
     for i, succ in enumerate(graph.out):
@@ -165,7 +169,7 @@ def test_graph_matches_reference_on_chains():
 
 def test_graph_matches_reference_on_corpus():
     for seed in range(1, 51):
-        assert_graph_matches_reference(random_net(seed))
+        assert_graph_matches_reference(corpus_net(seed))
 
 
 def test_graph_matches_reference_on_drawn_candidates():
@@ -203,6 +207,28 @@ def test_build_game_searches_once(monkeypatch):
     monkeypatch.setattr(nets_module, "reachability_graph", counted)
     build_game(parse_net(chain_net(2)))
     assert len(calls) == 1
+
+
+def test_random_net_validates_each_draw_once(monkeypatch):
+    draws, validated = [], []
+    draw, validate = randnet_module._draw, nets_module.validate_net
+
+    def counted_draw(*args):
+        net = draw(*args)
+        draws.append(net)
+        return net
+
+    def counted_validate(net):
+        validated.append(net)
+        return validate(net)
+
+    monkeypatch.setattr(randnet_module, "_draw", counted_draw)
+    monkeypatch.setattr(nets_module, "validate_net", counted_validate)
+    for seed in (1, 2, 3):
+        random_net(seed)
+    drawn = [net for net in draws if net is not None]
+    assert len(drawn) > 100
+    assert validated == drawn
 
 
 def test_bound_exceeded_at_the_same_bound():

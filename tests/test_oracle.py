@@ -3,6 +3,7 @@ enumeration, plus monitor corner cases."""
 
 import random
 
+from helpers import corpus_net
 from petrigames import fixtures
 from petrigames.formulas import (
     And,
@@ -15,7 +16,6 @@ from petrigames.formulas import (
 )
 from petrigames.game import LassoComputation, build_fairness, build_game, lasso_is_fair
 from petrigames.nets import parse_net
-from petrigames.randnet import random_net
 from petrigames.solver import (
     PathObjective,
     iter_profiles,
@@ -77,7 +77,7 @@ def violates(g, lam, pf_formula):
 def test_verifier_agrees_with_brute_force_lasso_enumeration():
     rng = random.Random("oracle")
     for seed in range(401, 431):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         if len(g.states) > 5:
             continue  # keep the brute-force space tractable

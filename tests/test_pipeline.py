@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from helpers import chain_net
+from helpers import chain_net, corpus_net
 from petrigames import fixtures
 from petrigames import game as game_module
 from petrigames import nets as nets_module
@@ -19,7 +19,7 @@ from petrigames import unfold as unfold_module
 from petrigames.cli import build_parser, config_from_args, run
 from petrigames.nets import check_contact_free, format_net, parse_net, reachability_graph, \
     validate_net
-from petrigames.randnet import _draw, random_net
+from petrigames.randnet import _draw
 from petrigames.unfold import parse_play
 
 #: Commands pinned on every net below.
@@ -40,7 +40,7 @@ TRANSLATE = {
 
 def net_text(name):
     kind, n = name.split(":")
-    return chain_net(int(n)) if kind == "chain" else format_net(random_net(int(n)))
+    return chain_net(int(n)) if kind == "chain" else format_net(corpus_net(int(n)))
 
 
 def undo_play(k):

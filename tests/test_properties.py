@@ -2,7 +2,7 @@
 
 import random
 
-from helpers import random_fair_lasso, random_valid_play
+from helpers import corpus_net, random_fair_lasso, random_valid_play
 from petrigames.formulas import PathFormula, TrueConst, parse_formula, path_satisfies
 from petrigames.game import (
     build_fairness,
@@ -13,7 +13,6 @@ from petrigames.game import (
     stutter_remove,
 )
 from petrigames.nets import enabled_set, parse_net, reachability_graph
-from petrigames.randnet import random_net
 from petrigames.solver import (
     PathObjective,
     iter_profiles,
@@ -24,7 +23,7 @@ from petrigames.solver import (
 from petrigames.unfold import validate_play
 from petrigames import fixtures
 
-NETS = [random_net(seed) for seed in range(301, 321)]
+NETS = [corpus_net(seed) for seed in range(301, 321)]
 GAMES = [(net, build_game(net), None) for net in NETS]
 GAMES = [(net, g, build_fairness(net, g)) for net, g, _ in GAMES]
 

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from helpers import chain_net, formula_pool, monitor_start, monitor_step, nested_goals, \
-    refute_profile, stack_depth
+from helpers import chain_net, corpus_net, formula_pool, monitor_start, monitor_step, \
+    nested_goals, refute_profile, stack_depth
 from petrigames import fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, format_formula, holds_in, \
@@ -14,7 +14,6 @@ from petrigames.formulas import Coalition, PathFormula, format_formula, holds_in
 from petrigames.game import FairnessConstraint, build_fairness, build_game, lasso_is_fair, \
     stutter_remove, validate_lasso
 from petrigames.nets import marking_key, parse_net
-from petrigames.randnet import random_net
 from petrigames.solver import (
     GameProfile,
     PathObjective,
@@ -339,7 +338,7 @@ def test_shared_arena_matches_fresh_synthesis_on_corpus(g4, fc4):
     for text in ("<<u>> F (p0 & p3)", "<<u>> F ((p0 & p3) | (p1 & p4))"):
         _assert_matches_fresh_synthesis(g4, fc4, parse_formula(text))
     for seed in range(1, 21):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
@@ -397,7 +396,7 @@ def test_nested_goals_match_fresh_synthesis_on_corpus():
     # fixpoint labelling decides non-root states by the all-states region and
     # by earlier witnesses; every bit, at every root, must be a fresh search's
     for seed in range(1, 21):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for formula in nested_goals(net):
@@ -427,7 +426,7 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
     # the whole verdict on the whole corpus, since both engines read the
     # arena's one walk and the fair game reads the monitor rule from it
     for seed in range(1, 201):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
@@ -466,7 +465,7 @@ def test_arena_solve_matches_exact_profile_check(fair):
     rng = random.Random(7)
     partial_wins = 0
     for seed in range(1, 31):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g) if fair else ()
         n = len(g.states)
@@ -517,7 +516,7 @@ def test_refute_matches_independent_profile_check(fair):
     rng = random.Random(11)
     violated = 0
     for seed in range(1, 31):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g) if fair else ()
         profiles = _sample_profiles(g, rng)
@@ -566,7 +565,7 @@ def test_fixpoint_labelling_builds_only_printed_lassos(monkeypatch):
     built = _count_calls(monkeypatch, "_extract_lasso")
     printed = 0
     for seed in range(1, 41):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
@@ -580,7 +579,7 @@ def test_enumerate_builds_only_the_returned_lasso(monkeypatch):
     built = _count_calls(monkeypatch, "_extract_lasso")
     returned = 0
     for seed in range(1, 21):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
@@ -596,7 +595,7 @@ def test_model_check_builds_at_most_one_lasso(monkeypatch, engine):
     built = _count_calls(monkeypatch, "_extract_lasso")
     unsatisfied = 0
     for seed in range(1, 21):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for formula in [_pool_goal(net, pf) for pf in formula_pool(net)] \
@@ -614,7 +613,7 @@ def test_enumerate_builds_a_game_profile_only_for_the_witness(monkeypatch):
     built = _count_calls(monkeypatch, "GameProfile")
     satisfied = unsatisfied = 0
     for seed in range(1, 41):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
@@ -631,7 +630,7 @@ def test_enumerate_labels_each_move_once(monkeypatch):
     # revisit it, and the printed lasso reads the same table
     built = _count_calls(monkeypatch, "_label_table")
     for seed in range(1, 21):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         moves = sum(len(per_state[qi]) for per_state in g.successors
@@ -647,7 +646,7 @@ def test_model_check_builds_the_label_table_once(monkeypatch):
     # every coalition's arena, nested ones too, shares one table per call
     built = _count_calls(monkeypatch, "_label_table")
     for seed in range(1, 11):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for formula in [_pool_goal(net, pf) for pf in formula_pool(net)] \
@@ -659,11 +658,11 @@ def test_model_check_builds_the_label_table_once(monkeypatch):
 
 
 def test_enumerate_labelling_builds_one_product_graph_per_profile(monkeypatch):
-    # random_net(1)'s third pool goal holds at q0 and is lost at 3 of 7
+    # corpus_net(1)'s third pool goal holds at q0 and is lost at 3 of 7
     # states, so the sweep tries every profile; one product graph per
     # profile serves every state still undecided (the parent built one
     # per state and profile)
-    net = random_net(1)
+    net = corpus_net(1)
     g = build_game(net)
     fcs = build_fairness(net, g)
     formula = _pool_goal(net, formula_pool(net)[2])
@@ -680,7 +679,7 @@ def test_enumerate_witness_at_every_state_matches_independent_check(fair):
     # the independent check of tests/helpers.py finds winning there
     checked = won = 0
     for seed in range(1, 41):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         if profile_space(g) > 64:
             continue
@@ -701,7 +700,7 @@ def test_enumerate_witness_at_every_state_matches_independent_check(fair):
 
 def test_engines_label_nested_goals_alike():
     for seed in range(1, 41):
-        net = random_net(seed)
+        net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for formula in nested_goals(net):

@@ -3,9 +3,10 @@ import itertools
 
 import pytest
 
+from helpers import WIDE_DRAW, corpus_net
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError, PreconditionError
-from petrigames.nets import enabled_set, fire, parse_net, reachability_graph
+from petrigames.nets import enabled_set, fire, format_net, parse_net, reachability_graph
 from petrigames.randnet import random_net
 from petrigames.unfold import (
     NetStrategy,
@@ -356,7 +357,7 @@ FIXTURE_PREFIX_DIGEST = "96b53109cbdfafce16a6eaeb46b56169cf52e658f2529e6085b52b2
 def test_corpus_prefixes_unchanged(first, max_size):
     h = hashlib.sha256()
     for seed in range(first, first + 10):
-        h.update(_prefix_text(random_net(seed), 6, max_size).encode("utf-8"))
+        h.update(_prefix_text(corpus_net(seed), 6, max_size).encode("utf-8"))
     assert h.hexdigest() == PREFIX_DIGESTS[first, max_size]
 
 
@@ -367,3 +368,23 @@ def test_fixture_prefixes_unchanged():
         for depth in range(9):
             h.update(_prefix_text(net, depth).encode("utf-8"))
     assert h.hexdigest() == FIXTURE_PREFIX_DIGEST
+
+
+#: sha256 over ``format_net`` of ``random_net(s, **WIDE_DRAW)`` for s in 1..40,
+#: a block fixed before any of its nets was seen, and over ``_prefix_text(net,
+#: 8, max_size)`` of the same nets: their depth-8 prefixes run from 7 to 45,106
+#: elements, so both bounds cut some of them
+WIDE_DRAW_DIGESTS = {
+    "nets": "3a805cc523068404f0bc5c3cecd13815e592d229fc6fef439ad82eea329990ff",
+    1500: "004d04dcb3230cbc1613820a7fc84e6b660b3a8f57a262b7862bb3b98710aefb",
+    20_000: "600bd74d3f2d4791fcadc6e91c7411a8c3e0d48c4bca4e27eca8b4187fba3159",
+}
+
+
+def test_wide_draw_and_its_prefixes_unchanged():
+    nets = [random_net(seed, **WIDE_DRAW) for seed in range(1, 41)]
+    digests = {"nets": hashlib.sha256("".join(map(format_net, nets)).encode("utf-8"))}
+    for max_size in (1500, 20_000):
+        text = "".join(_prefix_text(net, 8, max_size) for net in nets)
+        digests[max_size] = hashlib.sha256(text.encode("utf-8"))
+    assert {key: h.hexdigest() for key, h in digests.items()} == WIDE_DRAW_DIGESTS
