@@ -11,15 +11,15 @@ The token game has one implementation, the net's :class:`FiringKernel`
 order and keeps every transition, in sorted order, with its pre- and
 post-set as integer bitmasks, so that "pre-set marked and post-set
 token-free" is two ``&`` tests and firing is ``(m ^ pre) | post``.
-One breadth-first search, :func:`_explore`, runs on such integer
-markings and notes the least contact transition of every marking where
-one exists.  :func:`reachability_graph` keeps the search's own lists
-and puts them in canonical order on first read: the sorted states (each
+One breadth-first search, :func:`reachability_graph`, runs on such
+integer markings and notes the least contact transition of every
+marking where one exists.  The graph keeps the search's own lists and
+puts them in canonical order on first read: the sorted states (each
 marking turned into a frozenset once), their index, the canonical
 successor lists (``out``) and the edge triples.  Counting the states or
-reading the contact witness sorts nothing.
-:func:`check_contact_free` decides contact from the same search without
-any canonical order, decoding only the markings that have contact.
+reading the contact witness sorts nothing.  :func:`require_contact_free`
+is the one place that decides contact and words its error;
+:func:`check_contact_free` reads the same witness as a verdict.
 :func:`enabled_set`, :func:`fire`, the game structure and the strategy
 checks all go through the same kernel.  Public structures keep markings
 as frozensets.
@@ -273,6 +273,9 @@ def validate_net(net: NetSystem) -> list[str]:
     needs the reachability graph).
     """
     diags: list[str] = []
+    problem = _char_problem(net.name, _NAME_SPLIT)
+    if problem:
+        diags.append(f"net name {net.name!r} {problem} in the net text format")
     overlap = net.places & net.transitions
     for x in sorted(overlap):
         diags.append(f"identifier {x!r} is both a place and a transition")
@@ -339,12 +342,13 @@ def fire(net: NetSystem, m: Marking, t: str) -> Marking:
     return frozenset(kernel.decode(kernel.fire(kernel.encode(m), t)))
 
 
-def _explore(net: NetSystem, max_states: int) -> tuple:
+def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
     """BFS over the token game from the initial marking, on the net's
-    kernel: the reachable integer markings in search order, each one's
-    ``(transition, search index)`` successors, and the contact ``(marking,
-    transition)`` whose marking has the least ``marking_key`` (decoding
-    only the markings with contact), or None."""
+    kernel.  The graph keeps the reachable integer markings in search
+    order and each one's ``(transition, search index)`` successors, and
+    names as its contact witness the ``(marking, transition)`` whose
+    marking has the least ``marking_key`` (decoding only the markings with
+    contact), or None."""
     require_valid(net)
     kernel = net.kernel
     arcs = kernel.arcs
@@ -370,45 +374,33 @@ def _explore(net: NetSystem, max_states: int) -> tuple:
                 found.append(m2)
             succ.append((t, j))
         out.append(succ)
-    if not contact:
-        return found, out, None
-    key, i = min((kernel.decode(found[i]), i) for i in contact)
-    return found, out, (frozenset(key), contact[i])
-
-
-def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
-    """The reachable markings of the net in canonical order, with the
-    canonically first contact witness."""
-    found, succ, contact = _explore(net, max_states)
-    return ReachabilityGraph(net.kernel, found, succ, net.initial, contact)
+    witness = None
+    if contact:
+        key, i = min((kernel.decode(found[i]), i) for i in contact)
+        witness = (frozenset(key), contact[i])
+    return ReachabilityGraph(kernel, found, out, net.initial, witness)
 
 
 def check_contact_free(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND,
                        ) -> tuple[bool, Optional[tuple[Marking, str]]]:
-    """Exhaustively check contact-freeness over all reachable markings.
-
-    Returns ``(True, None)`` or ``(False, (marking, transition))`` with the
-    first witness in canonical order: a reachable marking covering some
-    pre-set while the corresponding post-set is not token-free.  The
-    search's markings are never put in canonical order.
-    """
-    witness = _explore(net, max_states)[2]
+    """``(True, None)``, or ``(False, (marking, transition))`` with the
+    reachability graph's contact witness: the first reachable marking in
+    canonical order covering some pre-set while the corresponding
+    post-set is not token-free."""
+    witness = reachability_graph(net, max_states).contact
     return witness is None, witness
-
-
-def _contact_error(witness: tuple) -> InputError:
-    m, t = witness
-    return InputError(
-        f"net is not contact-free: transition {t} has a marked post-set "
-        f"at reachable marking {format_marking(m)}")
 
 
 def require_contact_free(net: NetSystem,
                          max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
-    """The reachability graph of a contact-free net; InputError otherwise."""
+    """The reachability graph of a contact-free net; InputError otherwise.
+    Every command that needs a contact-free net asks here."""
     graph = reachability_graph(net, max_states=max_states)
     if graph.contact is not None:
-        raise _contact_error(graph.contact)
+        m, t = graph.contact
+        raise InputError(
+            f"net is not contact-free: transition {t} has a marked post-set "
+            f"at reachable marking {format_marking(m)}")
     return graph
 
 
@@ -460,9 +452,10 @@ def structural_relation(net: NetSystem, t1: str, t2: str,
 # ambiguous.
 
 RESERVED_IDS = frozenset({"pre", "post", "pass"})
-#: the characters some text format splits on, in ids and in location names
+#: the characters some text format splits on, in ids, location and net names
 _ID_SPLIT = re.compile(r"[\s#,+@]")
 _LOCATION_SPLIT = re.compile(r"[\s#:]")
+_NAME_SPLIT = re.compile(r"[\s#]")
 
 
 def _id_problem(ident: str) -> Optional[str]:
@@ -481,6 +474,10 @@ def _location_problem(name: str) -> Optional[str]:
 
 
 def _char_problem(name: str, reserved: re.Pattern) -> Optional[str]:
+    """Why ``name`` is no single token of a text format, or None: it is
+    empty, or it holds a character that format splits on."""
+    if not name:
+        return "is empty"
     bad = reserved.search(name)
     return None if bad is None else f"contains {bad.group()!r}, which is reserved"
 
@@ -573,8 +570,7 @@ def parse_net(text: str) -> NetSystem:
 
 def format_net(net: NetSystem) -> str:
     """Canonical text form; parse(format(net)) reproduces every net that
-    :func:`validate_net` accepts and whose net name holds no whitespace or
-    '#'."""
+    :func:`validate_net` accepts."""
     lines = [f"net {net.name}", "locations " + " ".join(net.locations)]
     for p in sorted(net.places):
         init = " init" if p in net.initial else ""

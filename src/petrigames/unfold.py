@@ -1,14 +1,16 @@
 """Branching processes of a net system: prefixes of the unfolding, B-cuts,
 runs, plays, and the validity/consistency checks plays must satisfy.
 
-Occurrence nets are built in one place, :class:`_OccurrenceNet`, for both
-the unfolding prefix and a play's run.  Identifiers are deterministic:
-the k-th occurrence of place ``p`` is the condition ``p.k`` and the k-th
+There is one occurrence-net type, :class:`BranchingProcess`, for both
+the unfolding prefix and a play's run: each is built in place, one event
+at a time, and then only read.  Identifiers are deterministic: the k-th
+occurrence of place ``p`` is the condition ``p.k`` and the k-th
 occurrence of transition ``t`` is the event ``t.k``, counting creation
 order; every event records its causal depth.  :func:`unfold_prefix`
-keeps the co-relation of its conditions (which pairs are concurrent) as
-bitmasks and extends the prefix layer by layer with the co-sets that
-match a transition's pre-set; :func:`materialise_play` fires a play's
+takes its contact check from :func:`require_contact_free`, keeps the
+co-relation of its conditions (which pairs are concurrent) as bitmasks
+and extends the prefix layer by layer with the co-sets that match a
+transition's pre-set; :func:`materialise_play` fires a play's
 transitions through the net's firing kernel.  :func:`interleavings`
 lists the orders of a set of events that respect causality.
 
@@ -20,6 +22,7 @@ which is enough to decide every per-cycle condition exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -29,10 +32,9 @@ from .nets import (
     DEFAULT_STATE_BOUND,
     Marking,
     NetSystem,
-    _contact_error,
-    check_contact_free,
     enabled_set,
     format_marking,
+    require_contact_free,
     require_valid,
 )
 
@@ -56,20 +58,60 @@ class Event:
 
 
 class BranchingProcess:
-    """An immutable branching-process prefix with its labelling."""
+    """A branching process with its labelling, built in place and then
+    only read.
 
-    def __init__(self, net: NetSystem, conditions: Mapping[str, Condition],
-                 events: Mapping[str, Event], minimal: Iterable[str]):
+    ``BranchingProcess(net)`` holds the minimal conditions, one per
+    initially marked place, and :meth:`event` adds an event with one new
+    condition per output place.  Conditions are numbered ``p.k`` and
+    events ``t.k`` (a valid net never names a place and a transition
+    alike); ``events`` keeps the events in the order they were added.
+    Every event's causal depth is one more than the greatest ``_depth``
+    of its pre-conditions, their producers' depth.  ``consumers`` is
+    computed on first read, once the last event is added.
+    """
+
+    def __init__(self, net: NetSystem):
         self.net = net
-        self.conditions = dict(conditions)
-        self.events = dict(events)
-        self.minimal = frozenset(minimal)
+        self.conditions: dict[str, Condition] = {}
+        self.events: dict[str, Event] = {}
+        self._count: dict[str, int] = {}
+        self._depth: dict[str, int] = {}      # condition -> its producer's depth
+        self._post = {t: sorted(net.post(t)) for t in net.transitions}  # sorted once
+        self._event_past_cache: dict[str, frozenset] = {}
+        self.minimal = frozenset([self._condition(p, None, 0) for p in sorted(net.initial)])
+
+    def _name(self, label: str) -> str:
+        k = self._count[label] = self._count.get(label, 0) + 1
+        return f"{label}.{k}"
+
+    def _condition(self, place: str, producer: Optional[str], depth: int) -> str:
+        cid = self._name(place)
+        self.conditions[cid] = Condition(cid, place, producer)
+        self._depth[cid] = depth
+        return cid
+
+    def event(self, t: str, pre: frozenset) -> Event:
+        """Add the occurrence of ``t`` that consumes ``pre``, with one new
+        condition per output place."""
+        eid = self._name(t)
+        depths, depth = self._depth, 0
+        for c in pre:
+            if depths[c] > depth:
+                depth = depths[c]
+        depth += 1
+        post = frozenset([self._condition(p, eid, depth) for p in self._post[t]])
+        event = self.events[eid] = Event(eid, t, pre, post, depth)
+        return event
+
+    @functools.cached_property
+    def consumers(self) -> dict:
+        """condition -> the events whose pre-set holds it."""
         consumers: dict[str, set] = {c: set() for c in self.conditions}
         for e in self.events.values():
             for c in e.pre:
                 consumers[c].add(e.eid)
-        self.consumers = {c: frozenset(s) for c, s in consumers.items()}
-        self._event_past_cache: dict[str, frozenset] = {}
+        return {c: frozenset(s) for c, s in consumers.items()}
 
     # -- basic views ------------------------------------------------------
 
@@ -125,56 +167,14 @@ class BranchingProcess:
         return False
 
 
-class _OccurrenceNet:
-    """An occurrence net under construction: it numbers conditions ``p.k``
-    and events ``t.k`` (a valid net never names a place and a transition
-    alike) and gives every event its causal depth: one more than the
-    greatest ``_depth`` of its pre-conditions, their producers' depth."""
-
-    def __init__(self, net: NetSystem):
-        self.net = net
-        self.conditions: dict[str, Condition] = {}
-        self.events: dict[str, Event] = {}
-        self._count: dict[str, int] = {}
-        self._depth: dict[str, int] = {}      # condition -> its producer's depth
-        self._post = {t: sorted(net.post(t)) for t in net.transitions}  # sorted once
-        self.minimal = [self._condition(p, None, 0) for p in sorted(net.initial)]
-
-    def _name(self, label: str) -> str:
-        k = self._count[label] = self._count.get(label, 0) + 1
-        return f"{label}.{k}"
-
-    def _condition(self, place: str, producer: Optional[str], depth: int) -> str:
-        cid = self._name(place)
-        self.conditions[cid] = Condition(cid, place, producer)
-        self._depth[cid] = depth
-        return cid
-
-    def event(self, t: str, pre: frozenset) -> Event:
-        """Add the occurrence of ``t`` that consumes ``pre``, with one new
-        condition per output place."""
-        eid = self._name(t)
-        depths, depth = self._depth, 0
-        for c in pre:
-            if depths[c] > depth:
-                depth = depths[c]
-        depth += 1
-        post = frozenset([self._condition(p, eid, depth) for p in self._post[t]])
-        event = self.events[eid] = Event(eid, t, pre, post, depth)
-        return event
-
-    def process(self) -> BranchingProcess:
-        return BranchingProcess(self.net, self.conditions, self.events, self.minimal)
-
-
 def unfold_prefix(net: NetSystem, depth: int,
                   max_size: int = DEFAULT_PREFIX_BOUND,
                   max_states: int = DEFAULT_STATE_BOUND) -> BranchingProcess:
     """The prefix of the unfolding containing all events of causal depth
     <= ``depth`` (and their conditions).  The contact-freeness check that
-    precedes it explores at most ``max_states`` markings and reads only
-    its verdict and witness, so the state space is never put in canonical
-    order.
+    precedes it, :func:`require_contact_free`, explores at most
+    ``max_states`` markings and reads only the graph's witness, so the
+    state space is never put in canonical order.
 
     Layer k adds, in ``(t, sorted pre-set)`` order, an event for every
     co-set labelled by some ``pre(t)`` that has none yet; such a co-set
@@ -185,15 +185,13 @@ def unfold_prefix(net: NetSystem, depth: int,
     """
     if depth < 0:
         raise InputError("depth must be >= 0")
-    free, witness = check_contact_free(net, max_states=max_states)
-    if not free:
-        raise _contact_error(witness)
-    return _unfold(net, depth, max_size).process()
+    require_contact_free(net, max_states=max_states)
+    return _unfold(net, depth, max_size)
 
 
-def _unfold(net: NetSystem, depth: int, max_size: int) -> _OccurrenceNet:
-    """:func:`unfold_prefix`'s occurrence net, for a valid, contact-free net."""
-    occ = _OccurrenceNet(net)
+def _unfold(net: NetSystem, depth: int, max_size: int) -> BranchingProcess:
+    """:func:`unfold_prefix`'s prefix, for a valid, contact-free net."""
+    bp = BranchingProcess(net)
     feeds = {p: [(t, sorted(net.pre(t) - {p})) for t in sorted(net.post(p))]
              for p in net.places}
     # with one input place per transition every co-set is a single
@@ -211,7 +209,7 @@ def _unfold(net: NetSystem, depth: int, max_size: int) -> _OccurrenceNet:
         for i, c in enumerate(cids, start=first):
             bit[c] = i
             co.append(concurrent | (siblings & ~(1 << i)))
-            pools.setdefault(occ.conditions[c].label, []).append(c)
+            pools.setdefault(bp.conditions[c].label, []).append(c)
         bits = bin(concurrent)[:1:-1]     # bit i of ``concurrent`` is bits[i]
         i = bits.find("1")
         while i >= 0:
@@ -219,12 +217,12 @@ def _unfold(net: NetSystem, depth: int, max_size: int) -> _OccurrenceNet:
             i = bits.find("1", i + 1)
 
     if pairs:
-        add_conditions(occ.minimal, 0)
-    fresh = occ.minimal
+        add_conditions(bp.minimal, 0)
+    fresh = bp.minimal
     for _ in range(depth):
         found = set()
         for c in fresh:
-            for t, others in feeds[occ.conditions[c].label]:
+            for t, others in feeds[bp.conditions[c].label]:
                 if not others:
                     found.add((t, (c,)))
                     continue
@@ -236,8 +234,8 @@ def _unfold(net: NetSystem, depth: int, max_size: int) -> _OccurrenceNet:
                 found.update((t, tuple(sorted(chosen))) for chosen, _ in partial)
         fresh = []
         for t, pre in sorted(found):
-            event = occ.event(t, frozenset(pre))
-            if len(occ.conditions) + len(occ.events) > max_size:
+            event = bp.event(t, frozenset(pre))
+            if len(bp.conditions) + len(bp.events) > max_size:
                 raise BoundExceeded(
                     f"unfolding prefix exceeds {max_size} elements", max_size)
             if pairs:
@@ -246,7 +244,7 @@ def _unfold(net: NetSystem, depth: int, max_size: int) -> _OccurrenceNet:
                     concurrent &= co[bit[c]]
                 add_conditions(event.post, concurrent)
             fresh.extend(event.post)
-    return occ
+    return bp
 
 
 def interleavings(bp: BranchingProcess, events: Iterable[str]):
@@ -404,12 +402,11 @@ class MaterialisedPlay:
     """The concrete run of a play: prefix plus ``passes`` copies of the cycle."""
 
     def __init__(self, bp: BranchingProcess, cuts: list, step_events: list,
-                 cycle_starts_at: int, events_in_order: list, pass_boundaries: list):
-        self.bp = bp
+                 cycle_starts_at: int, pass_boundaries: list):
+        self.bp = bp                          # its events in firing order
         self.cuts = cuts                      # recorded cuts, cut 0 = initial
         self.step_events = step_events        # event ids per recorded step
         self.cycle_starts_at = cycle_starts_at  # index into step_events
-        self.events_in_order = events_in_order
         self.pass_boundaries = pass_boundaries  # event count at end of each pass
 
     def markings(self) -> list:
@@ -423,32 +420,27 @@ def materialise_play(net: NetSystem, play: Play, passes: int = 2) -> Materialise
     appears or when the cycle does not return to its starting marking.
     """
     require_valid(net)
-    occ = _OccurrenceNet(net)
-    current = {occ.conditions[c].label: c for c in occ.minimal}  # place -> condition
-    events_in_order: list = []
+    bp = BranchingProcess(net)
+    current = {bp.conditions[c].label: c for c in bp.minimal}  # place -> condition
 
-    def fire_label(t: str) -> None:
+    def fire_label(t: str) -> str:
         if t not in net.transitions:
             raise InputError(f"unknown transition {t!r} in play")
         if t not in enabled_set(net, frozenset(current)):
             raise InputError(
                 f"transition {t} is not enabled at marking "
                 f"{format_marking(frozenset(current))} while replaying the play")
-        event = occ.event(t, frozenset(current.pop(p) for p in net.pre(t)))
-        events_in_order.append(event.eid)
+        event = bp.event(t, frozenset(current.pop(p) for p in net.pre(t)))
         for c in event.post:
-            current[occ.conditions[c].label] = c
+            current[bp.conditions[c].label] = c
+        return event.eid
 
-    cuts = [frozenset(occ.minimal)]
+    cuts = [bp.minimal]
     step_events: list = []
     for step in play.steps:
         if not step:
             raise InputError("empty step group in play")
-        fired = []
-        for t in step:
-            fire_label(t)
-            fired.append(events_in_order[-1])
-        step_events.append(tuple(fired))
+        step_events.append(tuple([fire_label(t) for t in step]))
         cuts.append(frozenset(current.values()))
 
     cycle_starts_at = len(step_events)
@@ -457,20 +449,18 @@ def materialise_play(net: NetSystem, play: Play, passes: int = 2) -> Materialise
         start_marking = frozenset(current)
         for _ in range(passes):
             for t in play.cycle:
-                fire_label(t)
-                step_events.append((events_in_order[-1],))
+                step_events.append((fire_label(t),))
                 cuts.append(frozenset(current.values()))
             if frozenset(current) != start_marking:
                 raise InputError(
                     "play cycle does not return to its starting marking "
                     f"({format_marking(start_marking)} vs {format_marking(frozenset(current))})")
-            pass_boundaries.append(len(events_in_order))
+            pass_boundaries.append(len(bp.events))
 
     for t in play.trailing:
         fire_label(t)
 
-    return MaterialisedPlay(occ.process(), cuts, step_events, cycle_starts_at,
-                            events_in_order, pass_boundaries)
+    return MaterialisedPlay(bp, cuts, step_events, cycle_starts_at, pass_boundaries)
 
 
 def _forever_surviving_labels(net: NetSystem, play: Play, mat: MaterialisedPlay) -> frozenset:
@@ -484,7 +474,7 @@ def _forever_surviving_labels(net: NetSystem, play: Play, mat: MaterialisedPlay)
     bp = mat.bp
     if play.cycle:
         first_pass_end = mat.pass_boundaries[0]
-        window = set(mat.events_in_order[:first_pass_end])
+        window = set(itertools.islice(bp.events, first_pass_end))
         candidates = [c for c in bp.conditions.values()
                       if c.producer is None or c.producer in window]
     else:

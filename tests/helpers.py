@@ -74,6 +74,13 @@ def chain_net(k):
     return "\n".join(lines) + "\n"
 
 
+def undo_play(k):
+    """A play of chain(k): every user takes ``a_i`` in turn, then one step
+    fires all k concurrent undo moves ``ra_i``; the toggle cycles forever."""
+    return (" ".join(f"a{i}" for i in range(k)) + " "
+            + "+".join(f"ra{i}" for i in range(k)) + "\ncycle: te01 te10\n")
+
+
 def stack_depth():
     """Frames on the stack, counting this function's own."""
     frame, depth = sys._getframe(), 0

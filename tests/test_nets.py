@@ -225,10 +225,10 @@ def test_place_and_transition_may_share_an_id_until_validation():
     assert any("both a place and a transition" in d for d in validate_net(net))
 
 
-def _one_step_net(place, transition):
+def _one_step_net(place, transition, name="x"):
     """``a -> transition -> place`` at user u: a well-formed net whatever
-    the two ids."""
-    return NetSystem("x", ["a", place], [transition],
+    the two ids and the net's name."""
+    return NetSystem(name, ["a", place], [transition],
                      [("a", transition), (transition, place)], ["a"], ["env", "u"],
                      {"a": "u", place: "u", transition: "u"})
 
@@ -280,6 +280,8 @@ def _round_trips(net, fmt):
     # whitespace splits the id into two tokens
     ("net", "a b", "t", "contains ' ', which is reserved", 4,
      "expected: place <id> @<location> [init]"),
+    # an empty id leaves the line without one: 'place  @u'
+    ("net", "", "t", "is empty", 3, "expected: place <id> @<location> [init]"),
     # '{a,x,y}' reads back as three places
     ("marking", "x,y", "t", "contains ',', which is reserved", 4,
      "'x,y' contains ',', which is reserved and cannot name a place"),
@@ -292,7 +294,7 @@ def _round_trips(net, fmt):
     # '-> pass' reads back as the idle move
     ("strategy", "b", "pass", "is reserved", 5,
      "'pass' is reserved and cannot name a transition"),
-], ids=["net-comment", "net-space", "marking", "play", "lasso", "strategy"])
+], ids=["net-comment", "net-space", "net-empty", "marking", "play", "lasso", "strategy"])
 def test_valid_nets_round_trip_through_every_text_format(fmt, place, transition, problem,
                                                          line, error):
     # each id passed validation although the format could not carry it
@@ -316,6 +318,35 @@ def test_strategy_reads_back_a_marking_whose_place_holds_an_arrow():
     # without the spaces the whole rest of the line is the marking
     with pytest.raises(InputError, match=r"unknown state \{\{a\}->t\} on line 1"):
         parse_profile(build_game(net), "strategy u: {a}->t\n")
+
+
+@pytest.mark.parametrize("name,problem,reads_back_as", [
+    # '#' starts a comment, so 'net a#b' reads back as a net named 'a'
+    ("a#b", "contains '#', which is reserved", "a"),
+    # whitespace splits the name into two tokens
+    ("a b", "contains ' ', which is reserved", None),
+    # 'net ' has no name token
+    ("", "is empty", None),
+], ids=["comment", "space", "empty"])
+def test_net_names_the_net_line_cannot_carry(name, problem, reads_back_as):
+    net = _one_step_net("b", "t", name)
+    assert validate_net(net) == [f"net name {name!r} {problem} in the net text format"]
+    if reads_back_as is None:
+        with pytest.raises(InputError) as err:
+            parse_net(format_net(net))
+        assert str(err.value) == "net format error on line 1: expected: net <name>"
+    else:
+        assert parse_net(format_net(net)) == _one_step_net("b", "t", reads_back_as)
+    renamed = _one_step_net("b", "t", "a_b")
+    assert validate_net(renamed) == []
+    assert parse_net(format_net(renamed)) == renamed
+
+
+def test_an_empty_location_fails_validation():
+    # 'locations env ' reads back without the empty user
+    net = _one_user_net("")
+    assert validate_net(net) == ["location '' is empty in the text formats"]
+    assert parse_net(format_net(net)).locations == ("env",)
 
 
 def _one_user_net(user):

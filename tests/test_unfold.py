@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from helpers import WIDE_DRAW, corpus_net
+from helpers import WIDE_DRAW, chain_net, corpus_net, undo_play
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError, PreconditionError
 from petrigames.nets import enabled_set, fire, format_net, parse_net, reachability_graph
@@ -30,6 +30,9 @@ from petrigames.unfold import (
 )
 
 F4 = parse_net(fixtures.FIG4)
+
+#: the fixtures that are contact-free, so that they unfold
+UNFOLDABLE = ("FIG4", "TOGGLE2", "DEADLOCK", "USERONLY", "COOP2")
 
 
 def oracle_event_count(net, depth):
@@ -314,6 +317,43 @@ def test_play_file_round_trip():
     assert parse_play(format_play(multi)) == multi
 
 
+# -- a process is built in place, then read whole -----------------------------------
+
+def assert_read_whole(bp):
+    """The process as read once its last event is added: ``consumers``
+    recounted from the events' pre-sets, every produced condition in its
+    producer's post-set, and the minimal conditions exactly the initial
+    ones."""
+    recount = {c: set() for c in bp.conditions}
+    for event in bp.events.values():
+        for c in event.pre:
+            recount[c].add(event.eid)
+    assert bp.consumers == {c: frozenset(es) for c, es in recount.items()}
+    initial = set()
+    for c in bp.conditions.values():
+        if c.producer is None:
+            initial.add(c.cid)
+        else:
+            assert c.cid in bp.events[c.producer].post
+    assert bp.minimal == initial
+    assert sorted(bp.conditions[c].label for c in bp.minimal) == sorted(bp.net.initial)
+
+
+@pytest.mark.parametrize("name", UNFOLDABLE)
+def test_prefix_is_read_whole(name):
+    net = parse_net(getattr(fixtures, name))
+    for depth in range(9):
+        assert_read_whole(unfold_prefix(net, depth))
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+def test_play_run_is_read_whole_in_firing_order(passes):
+    mat = materialise_play(parse_net(chain_net(4)), parse_play(undo_play(4)), passes=passes)
+    assert_read_whole(mat.bp)
+    assert list(mat.bp.events) == [e for fired in mat.step_events for e in fired]
+    assert mat.pass_boundaries == [8 + 2 * i for i in range(1, passes + 1)]
+
+
 def test_dot_prefix_is_deterministic():
     bp = unfold_prefix(F4, 2)
     a = "".join(dot_prefix(bp, initial_cut(bp)))
@@ -363,7 +403,7 @@ def test_corpus_prefixes_unchanged(first, max_size):
 
 def test_fixture_prefixes_unchanged():
     h = hashlib.sha256()
-    for name in ("FIG4", "TOGGLE2", "DEADLOCK", "USERONLY", "COOP2"):
+    for name in UNFOLDABLE:
         net = parse_net(getattr(fixtures, name))
         for depth in range(9):
             h.update(_prefix_text(net, depth).encode("utf-8"))
