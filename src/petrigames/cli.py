@@ -47,6 +47,7 @@ from .nets import (
     format_marking,
     parse_net,
     reachability_graph,
+    significant_lines,
     validate_net,
 )
 from .solver import DEFAULT_PROFILE_BOUND, ENGINES, Verdict, _profile_moves, \
@@ -216,9 +217,7 @@ def _read(path: str, kind: str) -> str:
 def _load_formula(config: argparse.Namespace):
     if config.formula is not None:
         return parse_formula(config.formula)
-    lines = [line.split("#", 1)[0].strip()
-             for line in _read(config.formula_file, "formula").splitlines()]
-    lines = [line for line in lines if line]
+    lines = [line for _, line in significant_lines(_read(config.formula_file, "formula"))]
     if len(lines) != 1:
         raise InputError("formula file must hold exactly one formula")
     return parse_formula(lines[0])

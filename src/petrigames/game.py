@@ -43,7 +43,7 @@ from .nets import (
     format_marking,
     require_contact_free,
 )
-from .unfold import Play, _validate_play, interleavings, parse_play
+from .unfold import Play, _validate_play, format_play, interleavings, parse_play
 
 SCHEDULER_NAME = "scheduler"
 DEFAULT_LINEARISATION_BOUND = 1000
@@ -457,19 +457,16 @@ def _repair_fairness(g: GameStructure, lasso: LassoComputation) -> LassoComputat
 
 # -- lasso files -------------------------------------------------------------------
 #
-# Same shape as play files: transition tokens, one per step, with
-# ``pass@<player>`` for idle steps and an optional ``cycle:`` line.
+# Play files whose tokens are moves, one per step, with ``pass@<player>``
+# for idle steps: written by ``format_play`` and read by ``parse_play``.
 
 def format_lasso(g: GameStructure, lasso: LassoComputation) -> str:
-    def token(qi: int, vec) -> str:
-        scheduled, label = _scheduled_move(g, qi, vec)
+    def token(step: tuple) -> str:
+        scheduled, label = _scheduled_move(g, *step)
         return label if label is not None else f"pass@{g.player_names[scheduled]}"
 
-    lines = []
-    if lasso.prefix:
-        lines.append(" ".join(token(qi, vec) for qi, vec in lasso.prefix))
-    lines.append("cycle: " + " ".join(token(qi, vec) for qi, vec in lasso.cycle))
-    return "\n".join(lines) + "\n"
+    return format_play(Play(tuple((token(step),) for step in lasso.prefix),
+                            tuple(map(token, lasso.cycle))))
 
 
 def parse_lasso(g: GameStructure, text: str) -> LassoComputation:

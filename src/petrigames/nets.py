@@ -6,23 +6,24 @@ either to the environment or to one of the users, and a transition must
 share its location with all of its input places, so that every choice
 is resolved locally by a single agent.
 
-The token game has one implementation, the net's :class:`FiringKernel`
+The token game on integer markings is the net's :class:`FiringKernel`
 (``net.kernel``, built once per net).  It numbers the places in sorted
 order and keeps every transition, in sorted order, with its pre- and
 post-set as integer bitmasks, so that "pre-set marked and post-set
-token-free" is two ``&`` tests and firing is ``(m ^ pre) | post``.
-One breadth-first search, :func:`reachability_graph`, runs on such
-integer markings and notes the least contact transition of every
-marking where one exists.  The graph keeps the search's own lists and
-puts them in canonical order on first read: the sorted states (each
+token-free" is two ``&`` tests.  One breadth-first search,
+:func:`reachability_graph`, runs on such integer markings, fires with
+``(m ^ pre) | post`` inline and notes the least contact transition of
+every marking where one exists.  The graph keeps the search's own lists
+and puts them in canonical order on first read: the sorted states (each
 marking turned into a frozenset once), their index, the canonical
 successor lists (``out``) and the edge triples.  Counting the states or
 reading the contact witness sorts nothing.  :func:`require_contact_free`
 is the one place that decides contact and words its error;
 :func:`check_contact_free` reads the same witness as a verdict.
-:func:`enabled_set`, :func:`fire`, the game structure and the strategy
-checks all go through the same kernel.  Public structures keep markings
-as frozensets.
+:func:`enabled_set` is the one enabled test on frozenset markings:
+play replay and the strategy checks ask it, and :func:`fire` checks its
+transition there, then returns ``post(t) | (m - pre(t))``.  Public
+structures keep markings as frozensets.
 """
 
 from __future__ import annotations
@@ -192,12 +193,6 @@ class FiringKernel:
         return tuple(t for t, pre, post in self.arcs
                      if x & pre == pre and not x & post)
 
-    def fire(self, x: int, t: str) -> int:
-        for name, pre, post in self.arcs:
-            if name == t:
-                return (x ^ pre) | post
-        raise InputError(f"unknown transition {t!r}")
-
 
 class ReachabilityGraph:
     """Explicit reachable-marking graph in canonical order.
@@ -338,8 +333,7 @@ def fire(net: NetSystem, m: Marking, t: str) -> Marking:
     if t not in enabled_set(net, m):
         raise PreconditionError(
             f"transition {t} is not enabled at {format_marking(m)}")
-    kernel = net.kernel
-    return frozenset(kernel.decode(kernel.fire(kernel.encode(m), t)))
+    return net.post(t) | (m - net.pre(t))
 
 
 def reachability_graph(net: NetSystem, max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
@@ -447,9 +441,9 @@ def structural_relation(net: NetSystem, t1: str, t2: str,
 #   place <id> @<location> [init]
 #   trans <id> @<location> pre <id>+ post <id>+
 #
-# '#' starts a comment, blank lines are ignored.  The keywords 'pre' and
-# 'post' name no place or transition, so the lists they open are never
-# ambiguous.
+# As in every text format, '#' starts a comment and blank lines are
+# skipped (:func:`significant_lines`).  The keywords 'pre' and 'post' name
+# no place or transition, so the lists they open are never ambiguous.
 
 RESERVED_IDS = frozenset({"pre", "post", "pass"})
 #: the characters some text format splits on, in ids, location and net names
@@ -482,6 +476,15 @@ def _char_problem(name: str, reserved: re.Pattern) -> Optional[str]:
     return None if bad is None else f"contains {bad.group()!r}, which is reserved"
 
 
+def significant_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` of each line that holds more than
+    blanks and a ``#`` comment: the line rule of every text format."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_net(text: str) -> NetSystem:
     name = None
     locations: list[str] = []
@@ -501,10 +504,7 @@ def parse_net(text: str) -> NetSystem:
             what = f"{kind} {ident!r}" if ident is not None else f"'{kind}' line"
             fail(lineno, f"duplicate {what} (first on line {first})")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in significant_lines(text):
         tokens = line.split()
         kind = tokens[0]
         if kind == "net":

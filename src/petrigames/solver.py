@@ -84,7 +84,8 @@ from .game import (
     build_fairness,
     build_game,
 )
-from .nets import DEFAULT_STATE_BOUND, NetSystem, format_marking, marking_key, parse_marking
+from .nets import DEFAULT_STATE_BOUND, NetSystem, format_marking, marking_key, parse_marking, \
+    significant_lines
 from .unfold import NetStrategy
 
 DEFAULT_PROFILE_BOUND = 200_000
@@ -979,10 +980,7 @@ def parse_profile(g: GameStructure, text: str) -> GameProfile:
     moves = [[g.idle_move(a, qi) or 0 for qi in range(len(g.states))]
              for a in range(g.user_count)]
     first: dict = {}    # (user, state) -> the line that set its move
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in significant_lines(text):
         if not line.startswith("strategy "):
             raise InputError(f"strategy file error on line {lineno}")
         head, _, tail = line[len("strategy "):].partition(":")

@@ -10,9 +10,9 @@ order; every event records its causal depth.  :func:`unfold_prefix`
 takes its contact check from :func:`require_contact_free`, keeps the
 co-relation of its conditions (which pairs are concurrent) as bitmasks
 and extends the prefix layer by layer with the co-sets that match a
-transition's pre-set; :func:`materialise_play` fires a play's
-transitions through the net's firing kernel.  :func:`interleavings`
-lists the orders of a set of events that respect causality.
+transition's pre-set; :func:`materialise_play` asks :func:`enabled_set`
+before each transition of a play fires.  :func:`interleavings` lists the
+orders of a set of events that respect causality.
 
 Infinite plays are kept finite as a prefix of single- or multi-event steps
 plus a lasso: a segment of transitions repeated forever at the marking
@@ -36,6 +36,7 @@ from .nets import (
     format_marking,
     require_contact_free,
     require_valid,
+    significant_lines,
 )
 
 DEFAULT_PREFIX_BOUND = 20_000
@@ -134,8 +135,6 @@ class BranchingProcess:
         while stack:
             y = stack.pop()
             if y in self.events:
-                if y in acc:
-                    continue
                 acc.add(y)
                 stack.extend(self.events[y].pre)
             else:
@@ -178,7 +177,8 @@ def unfold_prefix(net: NetSystem, depth: int,
 
     Layer k adds, in ``(t, sorted pre-set)`` order, an event for every
     co-set labelled by some ``pre(t)`` that has none yet; such a co-set
-    holds a condition of layer k - 1, so the search starts from those.
+    holds a condition of layer k - 1, so the search starts from those,
+    and stops at the first layer that has none.
     It reads tables built once per net: per place, the transitions it
     feeds, each with its other input places sorted, and per transition,
     its sorted post-set.
@@ -220,6 +220,8 @@ def _unfold(net: NetSystem, depth: int, max_size: int) -> BranchingProcess:
         add_conditions(bp.minimal, 0)
     fresh = bp.minimal
     for _ in range(depth):
+        if not fresh:             # the last layer added no event: none will follow
+            break
         found = set()
         for c in fresh:
             for t, others in feeds[bp.conditions[c].label]:
@@ -538,9 +540,8 @@ def check_strategy(net: NetSystem, strategy: NetStrategy) -> None:
     if strategy.owner not in net.users:
         raise InputError(f"strategy owner {strategy.owner!r} is not a user location")
     owned = set(net.transitions_of(strategy.owner))
-    kernel = net.kernel
     for m, ts in strategy.choice.items():
-        enabled = kernel.enabled(kernel.encode(m))
+        enabled = enabled_set(net, m)
         for t in sorted(ts):
             if t not in owned:
                 raise InputError(
@@ -596,31 +597,23 @@ def consistent_with(net: NetSystem, play: Play,
 # -- play files and DOT --------------------------------------------------------
 
 def parse_play(text: str) -> Play:
-    """Play file: a firing sequence, one transition per token; an optional
-    ``cycle:`` line lists the repeated segment.  Tokens joined with '+'
-    form one multi-event step."""
+    """Play file: a firing sequence, one transition per token and '+'
+    joining the events of one step; a ``cycle:`` line opens the repeated
+    segment and a ``trailing:`` line the events after the last cut."""
     steps: list = []
-    cycle: list = []
-    trailing: list = []
-    target = "steps"
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("cycle:"):
-            target = "cycle"
-            line = line[len("cycle:"):]
-        elif line.startswith("trailing:"):
-            target = "trailing"
-            line = line[len("trailing:"):]
+    tails: dict = {"cycle:": [], "trailing:": []}
+    target = None                   # the tail that a 'cycle:' or 'trailing:' line opened
+    for _, line in significant_lines(text):
+        for head, tail in tails.items():
+            if line.startswith(head):
+                target, line = tail, line[len(head):]
+                break
         for token in line.split():
-            if target == "steps":
+            if target is None:
                 steps.append(tuple(token.split("+")))
-            elif target == "cycle":
-                cycle.extend(token.split("+"))
             else:
-                trailing.extend(token.split("+"))
-    return Play(tuple(steps), tuple(cycle), tuple(trailing))
+                target.extend(token.split("+"))
+    return Play(tuple(steps), tuple(tails["cycle:"]), tuple(tails["trailing:"]))
 
 
 def format_play(play: Play) -> str:

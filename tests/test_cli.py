@@ -15,8 +15,10 @@ from petrigames import fixtures, solver
 from petrigames.cli import build_parser, config_from_args, main, run
 from petrigames.errors import InputError
 from petrigames.formulas import MAX_NESTING, Coalition, format_formula
-from petrigames.game import build_fairness, build_game, format_lasso
+from petrigames.game import build_fairness, build_game, format_lasso, parse_lasso
 from petrigames.nets import format_net, parse_net
+from petrigames.solver import parse_profile
+from petrigames.unfold import parse_play
 
 GOAL_EITHER = "<<u>> F ((p0 & p3) | (p1 & p4))"
 GOAL_BOTH = "<<u>> F (p0 & p3)"
@@ -313,6 +315,23 @@ def test_export_invalid_net_exits_2(tmp_path):
                    "trans t @env pre p post p\n")  # not contact-free at {p}? valid but p in pre&post
     code, out = invoke(["export", str(bad), "--what", "game"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach"], ["unfold"], ["build-game"], ["check", "--formula", "<<u>> F q"],
+    ["synthesize", "--formula", "<<u>> F q"], ["translate", "--play", "{play}"],
+    ["export", "--what", "reach"],
+], ids=lambda argv: argv[0])
+def test_every_command_rejects_a_net_that_parses_but_is_invalid(tmp_path, argv):
+    # t is the user's, its input place the environment's
+    bad = tmp_path / "bad.net"
+    bad.write_text("net bad\nlocations env u\nplace p @env init\nplace q @u\n"
+                   "trans t @u pre p post q\n")
+    play = tmp_path / "t.play"
+    play.write_text("t\n")
+    argv = [argv[0], str(bad)] + [a.format(play=play) for a in argv[1:]]
+    assert invoke(argv) == (2, "error: invalid net: distribution violated at (p,t): "
+                               "input place and transition have different locations\n")
 
 
 def test_exports_are_byte_identical_across_runs(f4_path, tmp_path):
@@ -699,6 +718,38 @@ def test_input_checks_exit_2_with_their_message(f4_path, tmp_path, argv, text, e
     path = tmp_path / "input"
     path.write_text(text)
     assert invoke([a.format(f4=f4_path, file=path) for a in argv]) == (2, expected)
+
+
+def _commented(text):
+    """``text`` with a comment on a line of its own, a comment after each
+    line's content and blank lines around every line."""
+    lines = ["# a comment on its own line", ""]
+    for line in text.splitlines():
+        lines += [f"  {line}   # a comment after content", "   ", "\t# an indented comment"]
+    return "\n".join(lines) + "\n\n"
+
+
+def _read_formula_file(text, tmp_path):
+    path = tmp_path / "goal.atl"
+    path.write_text(text)
+    return invoke(["check", str(tmp_path / "F4.net"), "--formula-file", str(path)])
+
+
+_G4 = build_game(parse_net(fixtures.FIG4))
+
+
+@pytest.mark.parametrize("read, bare", [
+    (lambda text, _: parse_net(text), fixtures.FIG4),
+    (lambda text, _: parse_play(text), "t0+t3 t1\ncycle: t5 t3\ntrailing: t0\n"),
+    (lambda text, _: parse_lasso(_G4, text), "t3\ncycle: t0 t5 t3 t1\n"),
+    (lambda text, _: parse_profile(_G4, text),
+     "strategy u: {p0,p2} -> t3\nstrategy u: {p1,p2} -> t2\n"),
+    (_read_formula_file, GOAL_EITHER + "\n"),
+], ids=["net", "play", "lasso", "strategy", "formula"])
+def test_every_file_format_reads_comments_and_blank_lines_alike(f4_path, tmp_path,
+                                                                read, bare):
+    # '#' starts a comment and blank lines are skipped, in every format
+    assert read(_commented(bare), tmp_path) == read(bare, tmp_path)
 
 
 @pytest.mark.parametrize("command", [None, "bogus"])

@@ -17,7 +17,7 @@ from petrigames.game import (
     stutter_remove,
 )
 from petrigames.nets import parse_net
-from petrigames.unfold import Play, parse_play, validate_play
+from petrigames.unfold import Play, format_play, parse_play, validate_play
 
 F4 = parse_net(fixtures.FIG4)
 S = frozenset
@@ -359,6 +359,13 @@ def test_lasso_file_round_trip(g4, fc4):
     idle = (q0, g4.vector_for(q0, 0, g4.idle_move(0, q0)))
     with_idle = LassoComputation((idle,), evasion_cycle(g4))
     assert parse_lasso(g4, format_lasso(g4, with_idle)) == with_idle
+
+
+def test_lasso_files_reject_a_trailing_line(g4):
+    # play files read a 'trailing:' line, lasso files have no use for one
+    text = format_play(Play(steps=(("t3",),), trailing=("t5",)))
+    with pytest.raises(InputError, match="^lasso files cannot have trailing events$"):
+        parse_lasso(g4, text)
 
 
 def test_dot_and_table_are_deterministic(g4, fc4):

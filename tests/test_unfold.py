@@ -84,6 +84,20 @@ def test_prefix_event_count_matches_firing_oracle(depth):
     assert len(bp.events) == oracle_event_count(F4, depth)
 
 
+ONE_STEP = parse_net("net onestep\nlocations env\nplace a @env init\nplace b @env\n"
+                     "trans t @env pre a post b\n")
+
+
+@pytest.mark.parametrize("net, last", [(parse_net(fixtures.DEADLOCK), 0), (ONE_STEP, 1)],
+                         ids=["deadlock", "one-step"])
+def test_a_finite_unfolding_stops_at_its_last_layer(net, last):
+    # a layer that adds no event is the last: the search stops there, so
+    # any depth beyond it returns at once and the same prefix
+    shallow = unfold_prefix(net, last)
+    deep = unfold_prefix(net, 10**9)
+    assert (deep.conditions, deep.events) == (shallow.conditions, shallow.events)
+
+
 def test_firing_sequences_bijective_with_event_chains():
     # every firing sequence of length <= 4 corresponds to a unique event
     # chain in the prefix, and conversely
@@ -299,6 +313,14 @@ def test_user_event_must_be_alone_between_cuts():
     assert any("not alone" in d for d in diags)
 
 
+def test_a_strategy_on_an_unknown_place_is_rejected():
+    # a name the net does not have is an input error, not a marking
+    # missing that place
+    bad = NetStrategy("u", {frozenset({"p0", "p2", "zz"}): {"t3"}})
+    with pytest.raises(InputError, match=r"^marking contains unknown places: \['zz'\]$"):
+        consistent_with(F4, Play.from_sequence(["t3"]), [bad])
+
+
 def test_strategy_validation():
     with pytest.raises(InputError):
         consistent_with(F4, Play.from_sequence([]), [NetStrategy("env", {})])
@@ -315,6 +337,9 @@ def test_play_file_round_trip():
     assert parse_play(text) == play
     multi = Play(steps=(("t0", "t3"),), cycle=("t5", "t1"))
     assert parse_play(format_play(multi)) == multi
+    late = Play(steps=(("t3",),), trailing=("t5", "t2"))
+    assert format_play(late) == "t3\ntrailing: t5 t2\n"
+    assert parse_play(format_play(late)) == late
 
 
 # -- a process is built in place, then read whole -----------------------------------
