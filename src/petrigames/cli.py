@@ -50,8 +50,8 @@ from .nets import (
     significant_lines,
     validate_net,
 )
-from .solver import DEFAULT_PROFILE_BOUND, ENGINES, Verdict, _profile_moves, \
-    format_profile, model_check
+from .solver import DEFAULT_PROFILE_BOUND, ENGINES, _profile_moves, check_net, \
+    format_profile
 from .unfold import DEFAULT_PREFIX_BOUND, dot_prefix, format_play, initial_cut, \
     parse_play, unfold_prefix
 
@@ -298,12 +298,10 @@ def _check(config: argparse.Namespace, report: Report, net) -> int:
     if config.command == "synthesize" and not isinstance(formula, Coalition):
         raise InputError("synthesize needs a formula with an outermost "
                          "coalition quantifier")
-    g = build_game(net, single_user_simplification=config.single_user_simplification,
-                   max_states=config.max_states)
-    constraints = build_fairness(net, g)
-    verdict: Verdict = model_check(g, constraints, formula,
-                                   engine=config.engine,
-                                   max_profiles=config.max_profiles)
+    g, _, verdict = check_net(
+        net, formula, engine=config.engine,
+        single_user_simplification=config.single_user_simplification,
+        max_states=config.max_states, max_profiles=config.max_profiles)
     report.record("formula", format_formula(formula))
     report.record("engine", config.engine)
     report.record("satisfied", verdict.satisfied)

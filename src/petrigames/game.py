@@ -145,8 +145,8 @@ def build_game(net: NetSystem, single_user_simplification: bool = False,
     """
     if graph is None:
         graph = require_contact_free(net, max_states=max_states)
-    elif graph.contact is not None:
-        raise PreconditionError("build_game needs a contact-free net")
+    else:
+        graph.require_contact_free()
     users = net.users
     k = len(users)
     player_of = {u: a for a, u in enumerate(users)}

@@ -17,9 +17,11 @@ every marking where one exists.  The graph keeps the search's own lists
 and puts them in canonical order on first read: the sorted states (each
 marking turned into a frozenset once), their index, the canonical
 successor lists (``out``) and the edge triples.  Counting the states or
-reading the contact witness sorts nothing.  :func:`require_contact_free`
-is the one place that decides contact and words its error;
-:func:`check_contact_free` reads the same witness as a verdict.
+reading the contact witness sorts nothing.  The graph's
+:meth:`~ReachabilityGraph.require_contact_free` is the one place that
+decides contact and words its error, for :func:`require_contact_free` and
+for a graph passed in; :func:`check_contact_free` reads the same witness
+as a verdict.
 :func:`enabled_set` is the one enabled test on frozenset markings:
 play replay and the strategy checks ask it, and :func:`fire` checks its
 transition there, then returns ``post(t) | (m - pre(t))``.  Public
@@ -259,6 +261,16 @@ class ReachabilityGraph:
     def __len__(self) -> int:
         return len(self._found)
 
+    def require_contact_free(self) -> "ReachabilityGraph":
+        """This graph, when its net is contact-free; InputError naming the
+        contact witness otherwise."""
+        if self.contact is not None:
+            m, t = self.contact
+            raise InputError(
+                f"net is not contact-free: transition {t} has a marked post-set "
+                f"at reachable marking {format_marking(m)}")
+        return self
+
 
 def validate_net(net: NetSystem) -> list[str]:
     """Check all structural invariants; return one diagnostic per violation.
@@ -389,13 +401,7 @@ def require_contact_free(net: NetSystem,
                          max_states: int = DEFAULT_STATE_BOUND) -> ReachabilityGraph:
     """The reachability graph of a contact-free net; InputError otherwise.
     Every command that needs a contact-free net asks here."""
-    graph = reachability_graph(net, max_states=max_states)
-    if graph.contact is not None:
-        m, t = graph.contact
-        raise InputError(
-            f"net is not contact-free: transition {t} has a marked post-set "
-            f"at reachable marking {format_marking(m)}")
-    return graph
+    return reachability_graph(net, max_states=max_states).require_contact_free()
 
 
 class StructuralRelation:

@@ -14,6 +14,12 @@ transition's pre-set; :func:`materialise_play` asks :func:`enabled_set`
 before each transition of a play fires.  :func:`interleavings` lists the
 orders of a set of events that respect causality.
 
+B-cuts, their order and conflict are read from configurations, through
+one test that no condition feeds two of a set of events: a B-cut is the
+cut of the conflict-free set of events below it, two B-cuts compare as
+those sets do by inclusion, two elements are in conflict when their
+pasts together are not conflict-free, and a run is conflict-free whole.
+
 Infinite plays are kept finite as a prefix of single- or multi-event steps
 plus a lasso: a segment of transitions repeated forever at the marking
 level.  Validation materialises the prefix and two passes of the lasso,
@@ -22,7 +28,6 @@ which is enough to decide every per-cycle condition exactly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -68,8 +73,7 @@ class BranchingProcess:
     events ``t.k`` (a valid net never names a place and a transition
     alike); ``events`` keeps the events in the order they were added.
     Every event's causal depth is one more than the greatest ``_depth``
-    of its pre-conditions, their producers' depth.  ``consumers`` is
-    computed on first read, once the last event is added.
+    of its pre-conditions, their producers' depth.
     """
 
     def __init__(self, net: NetSystem):
@@ -105,15 +109,6 @@ class BranchingProcess:
         event = self.events[eid] = Event(eid, t, pre, post, depth)
         return event
 
-    @functools.cached_property
-    def consumers(self) -> dict:
-        """condition -> the events whose pre-set holds it."""
-        consumers: dict[str, set] = {c: set() for c in self.conditions}
-        for e in self.events.values():
-            for c in e.pre:
-                consumers[c].add(e.eid)
-        return {c: frozenset(s) for c, s in consumers.items()}
-
     # -- basic views ------------------------------------------------------
 
     def __contains__(self, x: str) -> bool:
@@ -144,26 +139,6 @@ class BranchingProcess:
         result = frozenset(acc)
         self._event_past_cache[x] = result
         return result
-
-    def causally_le(self, x: str, y: str) -> bool:
-        """x F* y."""
-        if x == y:
-            return True
-        if x in self.events:
-            return x in self.event_past(y)
-        # x is a condition: x F+ y iff one of its consumers lies F* below y.
-        return any(e in self.event_past(y) for e in self.consumers[x])
-
-    def in_conflict(self, x: str, y: str) -> bool:
-        """x natural-sign y: two distinct events in their pasts share a precondition."""
-        past_x = self.event_past(x)
-        past_y = self.event_past(y)
-        for e1 in past_x:
-            pre1 = self.events[e1].pre
-            for e2 in past_y:
-                if e1 != e2 and pre1 & self.events[e2].pre:
-                    return True
-        return False
 
 
 def unfold_prefix(net: NetSystem, depth: int,
@@ -273,18 +248,30 @@ def interleavings(bp: BranchingProcess, events: Iterable[str]):
                 placed.discard(order.pop())
 
 
+def _conflict_free(bp: BranchingProcess, events: Iterable[str]) -> bool:
+    """No condition feeds two of ``events``."""
+    pres = [bp.events[e].pre for e in events]
+    return sum(map(len, pres)) == len(frozenset().union(*pres))
+
+
 def relation_query(bp: BranchingProcess, x: str, y: str) -> str:
-    """Exactly one of: equal, causal_le, causal_ge, conflict, concurrent."""
+    """Exactly one of: equal, causal_le, causal_ge, conflict, concurrent.
+    Conflict: the two event pasts together are not conflict-free."""
     for z in (x, y):
         if z not in bp:
             raise InputError(f"unknown element {z!r}")
     if x == y:
         return "equal"
-    if bp.causally_le(x, y):
+    past_x, past_y = bp.event_past(x), bp.event_past(y)
+
+    def below(a: str, past: frozenset) -> bool:   # a is, or feeds, an event of past
+        return a in past or any(a in bp.events[e].pre for e in past)
+
+    if below(x, past_y):
         return "causal_le"
-    if bp.causally_le(y, x):
+    if below(y, past_x):
         return "causal_ge"
-    if bp.in_conflict(x, y):
+    if not _conflict_free(bp, past_x | past_y):
         return "conflict"
     return "concurrent"
 
@@ -296,20 +283,17 @@ def initial_cut(bp: BranchingProcess) -> frozenset:
 
 
 def is_cut(bp: BranchingProcess, conds: Iterable[str]) -> bool:
-    """Pairwise concurrent and maximal among the prefix's conditions."""
+    """Pairwise concurrent and maximal among the prefix's conditions: the
+    events below ``conds`` are conflict-free, and the minimal conditions and
+    their post-sets, less their pre-sets, are exactly ``conds``."""
     conds = frozenset(conds)
-    if not conds or any(c not in bp.conditions for c in conds):
+    if not conds or not conds <= bp.conditions.keys():
         return False
-    members = sorted(conds)
-    for a, b in itertools.combinations(members, 2):
-        if relation_query(bp, a, b) != "concurrent":
-            return False
-    for other in bp.conditions:
-        if other in conds:
-            continue
-        if all(relation_query(bp, other, c) == "concurrent" for c in members):
-            return False
-    return True
+    past = events_before_cut(bp, conds)
+    events = [bp.events[e] for e in past]
+    produced = bp.minimal.union(*(e.post for e in events))
+    return _conflict_free(bp, past) and \
+        produced.difference(*(e.pre for e in events)) == conds
 
 
 def enabled_events(bp: BranchingProcess, cut: frozenset) -> tuple:
@@ -335,31 +319,24 @@ def events_before_cut(bp: BranchingProcess, cut: frozenset) -> frozenset:
 
 
 def cut_order(bp: BranchingProcess, cut1: frozenset, cut2: frozenset) -> str:
-    """Compare two B-cuts: lt, gt, eq or incomparable."""
+    """Compare two B-cuts: lt, gt, eq or incomparable, as the
+    configurations below them compare by inclusion."""
     for cut in (cut1, cut2):
         if not is_cut(bp, cut):
             raise InputError("cut_order requires B-cuts of the prefix")
-    if cut1 == cut2:
+    past1, past2 = events_before_cut(bp, cut1), events_before_cut(bp, cut2)
+    if past1 == past2:
         return "eq"
-
-    def less(a: frozenset, b: frozenset) -> bool:
-        if not all(any(bp.causally_le(x, y) for x in a) for y in b):
-            return False
-        if not all(any(bp.causally_le(x, y) for y in b) for x in a):
-            return False
-        return any(x != y and bp.causally_le(x, y)
-                   for x in a for y in b)
-
-    if less(cut1, cut2):
+    if past1 < past2:
         return "lt"
-    if less(cut2, cut1):
+    if past1 > past2:
         return "gt"
     return "incomparable"
 
 
 def is_run(bp: BranchingProcess) -> bool:
     """Conflict-free: no condition feeds two events."""
-    return all(len(cs) <= 1 for cs in bp.consumers.values())
+    return _conflict_free(bp, bp.events)
 
 
 def is_maximal_refinement(bp: BranchingProcess, cuts: Sequence[frozenset]) -> bool:
@@ -474,6 +451,7 @@ def _forever_surviving_labels(net: NetSystem, play: Play, mat: MaterialisedPlay)
     the cycle acts identically on every later pass.
     """
     bp = mat.bp
+    consumed = frozenset().union(*(e.pre for e in bp.events.values()))
     if play.cycle:
         first_pass_end = mat.pass_boundaries[0]
         window = set(itertools.islice(bp.events, first_pass_end))
@@ -481,7 +459,7 @@ def _forever_surviving_labels(net: NetSystem, play: Play, mat: MaterialisedPlay)
                       if c.producer is None or c.producer in window]
     else:
         candidates = list(bp.conditions.values())
-    return frozenset(c.label for c in candidates if not bp.consumers[c.cid])
+    return frozenset(c.label for c in candidates if c.cid not in consumed)
 
 
 def validate_play(net: NetSystem, play: Play, horizon: int) -> list[str]:

@@ -1,6 +1,7 @@
 """Shared generators and oracles for the property and acceptance suites."""
 
 import functools
+import itertools
 import random
 import sys
 
@@ -531,3 +532,98 @@ def check_first_profile_lasso(g, constraints, pf, lasso, q0):
     assert not path_satisfies([g.w(qi) for qi, _ in lasso.prefix],
                               [g.w(qi) for qi, _ in lasso.cycle], pf)
     assert all(vec[a] == 0 for _, vec in steps for a in range(g.user_count))
+
+
+# -- the pairwise definitions of B-cuts, their order, conflict and runs ------------
+
+def reference_consumers(bp):
+    """condition -> the events whose pre-set holds it."""
+    consumers = {c: set() for c in bp.conditions}
+    for e in bp.events.values():
+        for c in e.pre:
+            consumers[c].add(e.eid)
+    return {c: frozenset(s) for c, s in consumers.items()}
+
+
+def reference_causally_le(bp, x, y, consumers):
+    """x F* y."""
+    if x == y:
+        return True
+    if x in bp.events:
+        return x in bp.event_past(y)
+    # x is a condition: x F+ y iff one of its consumers lies F* below y.
+    return any(e in bp.event_past(y) for e in consumers[x])
+
+
+def reference_in_conflict(bp, x, y):
+    """x natural-sign y: two distinct events in their pasts share a precondition."""
+    past_x = bp.event_past(x)
+    past_y = bp.event_past(y)
+    for e1 in past_x:
+        pre1 = bp.events[e1].pre
+        for e2 in past_y:
+            if e1 != e2 and pre1 & bp.events[e2].pre:
+                return True
+    return False
+
+
+def reference_relation(bp, x, y, consumers):
+    """Exactly one of: equal, causal_le, causal_ge, conflict, concurrent."""
+    if x == y:
+        return "equal"
+    if reference_causally_le(bp, x, y, consumers):
+        return "causal_le"
+    if reference_causally_le(bp, y, x, consumers):
+        return "causal_ge"
+    if reference_in_conflict(bp, x, y):
+        return "conflict"
+    return "concurrent"
+
+
+def reference_is_cut(bp, conds, consumers):
+    """Pairwise concurrent and maximal among the prefix's conditions."""
+    conds = frozenset(conds)
+    if not conds or any(c not in bp.conditions for c in conds):
+        return False
+    members = sorted(conds)
+    for a, b in itertools.combinations(members, 2):
+        if reference_relation(bp, a, b, consumers) != "concurrent":
+            return False
+    for other in bp.conditions:
+        if other in conds:
+            continue
+        if all(reference_relation(bp, other, c, consumers) == "concurrent"
+               for c in members):
+            return False
+    return True
+
+
+def reference_cut_order(bp, cut1, cut2, consumers):
+    """Compare two B-cuts: lt, gt, eq or incomparable; None when either
+    is not a B-cut."""
+    for cut in (cut1, cut2):
+        if not reference_is_cut(bp, cut, consumers):
+            return None
+    if cut1 == cut2:
+        return "eq"
+
+    def less(a, b):
+        if not all(any(reference_causally_le(bp, x, y, consumers) for x in a)
+                   for y in b):
+            return False
+        if not all(any(reference_causally_le(bp, x, y, consumers) for y in b)
+                   for x in a):
+            return False
+        return any(x != y and reference_causally_le(bp, x, y, consumers)
+                   for x in a for y in b)
+
+    if less(cut1, cut2):
+        return "lt"
+    if less(cut2, cut1):
+        return "gt"
+    return "incomparable"
+
+
+def reference_is_run(bp, consumers):
+    """Conflict-free: no condition feeds two events."""
+    return all(len(cs) <= 1 for cs in consumers.values())

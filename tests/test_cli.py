@@ -309,12 +309,13 @@ def test_export_unfolding_depth(f4_path, tmp_path):
     assert '"t5.1" [shape=box' in text
 
 
-def test_export_invalid_net_exits_2(tmp_path):
+def test_export_net_with_contact_exits_2(tmp_path):
     bad = tmp_path / "bad.net"
     bad.write_text("net bad\nlocations env\nplace p @env init\n"
-                   "trans t @env pre p post p\n")  # not contact-free at {p}? valid but p in pre&post
+                   "trans t @env pre p post p\n")  # valid, but t's post-set is marked
     code, out = invoke(["export", str(bad), "--what", "game"])
-    assert code == 2
+    assert (code, out) == (2, "error: net is not contact-free: transition t has a "
+                              "marked post-set at reachable marking {p}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -596,13 +597,13 @@ def test_lines_said_before_an_error_come_first(f4_path, monkeypatch):
 
 
 def test_engine_disagreement_exits_4(f4_path, monkeypatch):
-    from petrigames import cli
+    from petrigames import solver
     from petrigames.errors import EngineDisagreement
 
     def explode(*args, **kwargs):
         raise EngineDisagreement("synthetic disagreement")
 
-    monkeypatch.setattr(cli, "model_check", explode)
+    monkeypatch.setattr(solver, "model_check", explode)
     code, out = invoke(["check", f4_path, "--formula", GOAL_EITHER,
                         "--engine", "both"])
     assert code == 4

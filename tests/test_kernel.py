@@ -138,6 +138,14 @@ def test_contact_error_text(tmp_path):
         "exit: 2\n")
 
 
+def test_contact_error_text_for_a_given_graph():
+    net = parse_net(fixtures.CONTACT)
+    with pytest.raises(InputError) as err:
+        build_game(net, graph=reachability_graph(net))
+    assert str(err.value) == ("net is not contact-free: transition t has a marked "
+                              "post-set at reachable marking {p0,p1}")
+
+
 # -- the graph against an independent search ----------------------------------------
 
 def assert_graph_matches_reference(net):

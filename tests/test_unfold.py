@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from helpers import WIDE_DRAW, chain_net, corpus_net, undo_play
+from helpers import WIDE_DRAW, chain_net, corpus_net, reference_consumers, \
+    reference_cut_order, reference_is_cut, reference_is_run, reference_relation, \
+    undo_play
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError, PreconditionError
 from petrigames.nets import enabled_set, fire, format_net, parse_net, reachability_graph
@@ -198,6 +201,46 @@ def test_is_run():
     assert is_run(mat.bp)
 
 
+def test_cuts_order_and_conflict_match_the_pairwise_definitions():
+    """``is_cut``, ``cut_order``, ``relation_query`` and ``is_run`` read
+    configurations; the pairwise definitions in ``helpers`` must answer
+    alike on FIG4 and ``random_net(1..40)`` prefixes of depth 0-3: on the
+    cuts ``cut_step`` reaches from the initial cut (at most 40 per prefix),
+    random condition sets, random pairs of a reached cut and a cut or set,
+    and random element pairs."""
+    rng = random.Random(0)
+    for net in [F4] + [corpus_net(seed) for seed in range(1, 41)]:
+        for depth in range(4):
+            bp = unfold_prefix(net, depth)
+            consumers = reference_consumers(bp)
+            assert is_run(bp) == reference_is_run(bp, consumers)
+            cuts = [initial_cut(bp)]
+            for cut in cuts:
+                for eid in enabled_events(bp, cut):
+                    nxt = cut_step(bp, cut, eid)
+                    if nxt not in cuts and len(cuts) < 40:
+                        cuts.append(nxt)
+            conditions = sorted(bp.conditions)
+            width = max(map(len, cuts)) + 1
+            sets = cuts + [frozenset(rng.sample(conditions,
+                                                rng.randint(1, min(width, len(conditions)))))
+                           for _ in range(20)]
+            for conds in sets:
+                assert is_cut(bp, conds) == reference_is_cut(bp, conds, consumers)
+            for _ in range(30):
+                a, b = rng.choice(cuts), rng.choice(rng.choice([cuts, sets]))
+                try:
+                    order = cut_order(bp, a, b)
+                except InputError:
+                    order = None
+                assert order == reference_cut_order(bp, a, b, consumers)
+            elements = conditions + sorted(bp.events)
+            for _ in range(60):
+                x, y = rng.choice(elements), rng.choice(elements)
+                assert relation_query(bp, x, y) == \
+                    reference_relation(bp, x, y, consumers), (x, y)
+
+
 def test_is_maximal_refinement():
     mat = materialise_play(F4, Play.from_sequence(["t0", "t3"]), passes=1)
     bp = mat.bp
@@ -345,15 +388,9 @@ def test_play_file_round_trip():
 # -- a process is built in place, then read whole -----------------------------------
 
 def assert_read_whole(bp):
-    """The process as read once its last event is added: ``consumers``
-    recounted from the events' pre-sets, every produced condition in its
-    producer's post-set, and the minimal conditions exactly the initial
-    ones."""
-    recount = {c: set() for c in bp.conditions}
-    for event in bp.events.values():
-        for c in event.pre:
-            recount[c].add(event.eid)
-    assert bp.consumers == {c: frozenset(es) for c, es in recount.items()}
+    """The process as read once its last event is added: every produced
+    condition in its producer's post-set, and the minimal conditions
+    exactly the initial ones."""
     initial = set()
     for c in bp.conditions.values():
         if c.producer is None:
