@@ -9,8 +9,9 @@ Default bounds can be overridden with the environment variables
 ``PETRIGAMES_MAX_STATES``, ``PETRIGAMES_MAX_PREFIX``,
 ``PETRIGAMES_MAX_PROFILES`` and ``PETRIGAMES_MAX_LINEARISATIONS``.
 Each command is one ``_COMMANDS`` entry: its help, its arguments and
-the handler that runs it on the parsed net.  A parse builds only the
-parser of the subcommand that argv names.
+the handler that runs it on the parsed net.  A parse uses the parser of
+the subcommand that argv names, built on first use and kept for the
+process, one per set of bound defaults; no parse changes a kept parser.
 :func:`run` writes the report as the command renders it, the
 ``--machine`` block last, and pauses the cyclic garbage collector while
 the command runs.  Reports that grow with the state space are written
@@ -24,6 +25,7 @@ into one ``error:`` line on stderr and exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -72,7 +74,8 @@ def _env_int(name: str, fallback: int) -> int:
         raise InputError(f"environment variable {name} must be an integer")
 
 
-#: (flag, variable, fallback), read by every ``build_parser()`` in this order
+#: (flag, variable, fallback); every ``build_parser()`` call reads the variables
+#: again, and the values it reads select the kept parsers
 _BOUNDS = (("--max-states", "PETRIGAMES_MAX_STATES", DEFAULT_STATE_BOUND),
            ("--max-size", "PETRIGAMES_MAX_PREFIX", DEFAULT_PREFIX_BOUND),
            ("--max-profiles", "PETRIGAMES_MAX_PROFILES", DEFAULT_PROFILE_BOUND),
@@ -92,43 +95,55 @@ _COMMON = ("net", "--machine", "--max-states")
 _PREFIX = ("--depth", "--max-size", "--dot")
 _SOLVE = _COMMON + (("--formula", "--formula-file"), "--engine",
                     "--single-user-simplification", "--max-profiles")
-class _Parser(argparse.ArgumentParser):
-    """Each parse registers only the command its first argument names, or
-    all of them when it names none (help, a missing or unknown command)."""
 
-    def __init__(self, flags: dict):
-        super().__init__(
-            prog="petrigames",
-            description="Games on distributed Petri net unfoldings: build the "
-                        "fair turn-based game structure, check ATL goals, "
-                        "synthesise memoryless strategies.")
-        self.flags = flags
-        self.commands = self.add_subparsers(dest="command", required=True,
-                                            parser_class=argparse.ArgumentParser)
 
-    def parse_known_args(self, args=None, namespace=None):
+@functools.lru_cache(maxsize=32)     # nine parsers per set of bound defaults
+def _command_parser(command: str | None, bounds: tuple) -> argparse.ArgumentParser:
+    """The parser of one command, or of all eight when ``command`` is None
+    (help, a missing or unknown command), with ``bounds`` as the defaults
+    of the ``_BOUNDS`` flags.  A parse leaves it as it was, so one serves
+    every parse with those defaults."""
+    parser = argparse.ArgumentParser(
+        prog="petrigames",
+        description="Games on distributed Petri net unfoldings: build the "
+                    "fair turn-based game structure, check ATL goals, "
+                    "synthesise memoryless strategies.")
+    # a lone command's usage still lists all eight
+    commands = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    flags = {**_FLAGS, **{flag: {"type": int, "default": default}
+                          for (flag, _, _), default in zip(_BOUNDS, bounds)}}
+    for name in _COMMANDS if command is None else (command,):
+        help_text, arguments, _ = _COMMANDS[name]
+        p = commands.add_parser(name, help=help_text)
+        for entry in arguments:
+            group = isinstance(entry, tuple)
+            target = p.add_mutually_exclusive_group(required=True) if group else p
+            for flag in entry if group else (entry,):
+                target.add_argument(flag, **flags.get(flag, {}))
+    return parser
+
+
+class _Parsers:
+    """Parses argv with the kept parser of the command it names."""
+
+    def __init__(self, bounds: tuple):
+        self.bounds = bounds
+
+    def parse_args(self, args=None, namespace=None) -> argparse.Namespace:
         args = sys.argv[1:] if args is None else list(args)
-        names = [args[0]] if args and args[0] in _COMMANDS else list(_COMMANDS)
-        # forget an earlier parse's commands; a lone command's usage lists all
-        self.commands.choices.clear()
-        self.commands._choices_actions.clear()
-        self.commands.metavar = None if len(names) > 1 else "{%s}" % ",".join(_COMMANDS)
-        for name in names:
-            help_text, arguments, _ = _COMMANDS[name]
-            p = self.commands.add_parser(name, help=help_text)
-            for entry in arguments:
-                group = isinstance(entry, tuple)
-                target = p.add_mutually_exclusive_group(required=True) if group else p
-                for flag in entry if group else (entry,):
-                    target.add_argument(flag, **self.flags.get(flag, {}))
-        return super().parse_known_args(args, namespace)
+        command = args[0] if args and args[0] in _COMMANDS else None
+        return _command_parser(command, self.bounds).parse_args(args, namespace)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser; a malformed bound variable raises ``InputError`` here."""
-    bounds = {flag: {"type": int, "default": _env_int(variable, fallback)}
-              for flag, variable, fallback in _BOUNDS}
-    return _Parser({**_FLAGS, **bounds})
+def build_parser() -> _Parsers:
+    """The parsers for the bound defaults the ``PETRIGAMES_MAX_*``
+    variables give now; a malformed one raises ``InputError`` here.  Each
+    command's parser is built once per process for each set of defaults,
+    so a call per command costs only the reading of the variables."""
+    return _Parsers(tuple(_env_int(variable, fallback)
+                          for _, variable, fallback in _BOUNDS))
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:

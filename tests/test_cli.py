@@ -5,18 +5,19 @@ import io
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
 
 from helpers import chain_net, check_first_profile_lasso, corpus_net, formula_pool, \
     stack_depth
-from petrigames import fixtures, solver
+from petrigames import cli, fixtures, solver
 from petrigames.cli import build_parser, config_from_args, main, run
 from petrigames.errors import InputError
 from petrigames.formulas import MAX_NESTING, Coalition, format_formula
 from petrigames.game import build_fairness, build_game, format_lasso, parse_lasso
-from petrigames.nets import format_net, parse_net
+from petrigames.nets import DEFAULT_STATE_BOUND, format_net, parse_net
 from petrigames.solver import parse_profile
 from petrigames.unfold import parse_play
 
@@ -813,6 +814,82 @@ def test_check_parse_builds_at_most_two_parsers(f4_path, monkeypatch):
     args = build_parser().parse_args(["check", f4_path, "--formula", GOAL_EITHER])
     assert args.command == "check" and args.formula == GOAL_EITHER
     assert len(built) <= 2
+
+
+def test_repeated_parse_builds_no_parser(f4_path, monkeypatch):
+    argv = ["check", f4_path, "--formula", GOAL_EITHER]
+    first = build_parser().parse_args(argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self)
+                        or init(self, *args, **kwargs))
+    assert build_parser().parse_args(argv) == first
+    assert built == []
+
+
+def test_kept_parsers_follow_the_bound_variables(f4_path, monkeypatch):
+    # each build_parser() reads the variables; a parsers object keeps the
+    # defaults it read, however the variables change afterwards
+    argv = ["reach", f4_path]
+    parsers = []
+    for value in ("5", "7", None):
+        if value is None:
+            monkeypatch.delenv("PETRIGAMES_MAX_STATES")
+        else:
+            monkeypatch.setenv("PETRIGAMES_MAX_STATES", value)
+        parsers.append(build_parser())
+        assert build_parser().parse_args(argv).max_states \
+            == parsers[-1].parse_args(argv).max_states
+    expected = [5, 7, DEFAULT_STATE_BOUND]
+    assert [p.parse_args(argv).max_states for p in parsers] == expected
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check", "-h"], ["check"]])
+def test_kept_parsers_print_at_the_current_width(argv, monkeypatch, capsys):
+    # the terminal width is read when help or usage is printed, not when a
+    # parser is built
+    cold = {}
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        cli._command_parser.cache_clear()
+        cold[columns] = parse_exit(argv, capsys)
+    assert cold["80"] != cold["120"]
+    for columns in ("80", "120", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert parse_exit(argv, capsys) == cold[columns]
+
+
+def test_two_threads_parse_with_one_parsers_object(f4_path, monkeypatch, capsys):
+    # no parse changes a kept parser, so threads interleaving their parses
+    # through one object each get a one-thread result
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._command_parser.cache_clear()
+    bogus = parse_exit(["bogus"], capsys)
+    argvs = [["check", f4_path, "--formula", GOAL_EITHER], ["reach", f4_path, "--dot"]]
+    expected = [build_parser().parse_args(argv) for argv in argvs]
+    parser = build_parser()
+    results = ([], [])
+
+    def parse(i):
+        for _ in range(300):
+            results[i].append(parser.parse_args(argvs[i]))
+
+    threads = [threading.Thread(target=parse, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == ([expected[0]] * 300, [expected[1]] * 300)
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(["bogus"])
+    assert (exit_info.value.code, *capsys.readouterr()) == bogus
 
 
 def test_help_lists_every_command_in_order(monkeypatch, capsys):

@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from helpers import chain_net, corpus_net, formula_pool, monitor_start, monitor_step, \
-    nested_goals, refute_profile, stack_depth
+from helpers import WIDE_DRAW, chain_net, check_first_profile_lasso, corpus_net, \
+    formula_pool, monitor_start, monitor_step, nested_goals, refute_profile, stack_depth
 from petrigames import fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
-from petrigames.formulas import Coalition, PathFormula, format_formula, holds_in, \
+from petrigames.formulas import Coalition, PathFormula, Prop, format_formula, holds_in, \
     parse_formula, path_satisfies
 from petrigames.game import FairnessConstraint, build_fairness, build_game, lasso_is_fair, \
     stutter_remove, validate_lasso
@@ -707,6 +707,53 @@ def test_engines_label_nested_goals_alike():
             sets = [model_check(g, fcs, formula, engine=engine).state_sets
                     for engine in solver.ENGINES]
             assert sets[0] == sets[1] == sets[2], (seed, formula)
+
+
+class _Relabelled:
+    """A game whose state labels also hold, as propositions named by their
+    keys, the state sets a verdict gives its inner coalitions."""
+
+    def __init__(self, g, inner):
+        self.g = g
+        self.extra = [frozenset(key for key, markings in inner.items() if m in markings)
+                      for m in g.states]
+
+    def __getattr__(self, name):
+        return getattr(self.g, name)
+
+    def w(self, qi):
+        return self.g.w(qi) | self.extra[qi]
+
+
+def test_engines_agree_on_the_wide_draw_and_their_evidence_rechecks():
+    # the wide draw (up to three users, profile spaces up to 13,824), where
+    # the slot search does work the corpus never asks of it; seeds 1..40 are
+    # the block test_wide_draw_and_its_prefixes_unchanged pins.  Each root
+    # verdict is re-checked without the solver, an inner coalition of a
+    # nested goal read as a proposition that holds on its labelled set
+    rechecked = {"witness": 0, "lasso": 0}
+    for seed in range(1, 41):
+        net = corpus_net(seed, **WIDE_DRAW)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        q0 = g.initial_state()
+        for goal in [_pool_goal(net, pf) for pf in formula_pool(net)] \
+                + list(nested_goals(net)):
+            verdict = model_check(g, fcs, goal, engine="both")
+            inner = {format_formula(arg): set(verdict.state_sets[format_formula(arg)])
+                     for arg in goal.args if isinstance(arg, Coalition)}
+            pf = PathFormula.from_coalition(Coalition(goal.users, goal.op, tuple(
+                Prop(format_formula(arg)) if isinstance(arg, Coalition) else arg
+                for arg in goal.args)))
+            game = _Relabelled(g, inner)
+            if verdict.satisfied:
+                assert refute_profile(game, fcs, pf, verdict.witness, q0) is None, \
+                    (seed, goal)
+                rechecked["witness"] += 1
+            else:
+                check_first_profile_lasso(game, fcs, pf, verdict.counterexample, q0)
+                rechecked["lasso"] += 1
+    assert rechecked == {"witness": 191, "lasso": 89}
 
 
 def test_fixpoint_probes_the_least_completion_first(monkeypatch):
