@@ -11,11 +11,12 @@ canonically first winning profile:
   correctness oracle.
 * ``fixpoint`` (:func:`_label_fixpoint`) calls a state lost when the
   adversary (environment plus scheduler) forces a fair violating
-  computation even against users with full memory (the region), and
-  otherwise runs a slot search (:func:`_search`) whose witness also
-  retires every other pending state it wins from.  The search abandons a
-  partial profile as soon as the adversary wins against full memory on
-  its free slots.  Weak fairness makes this a generalized Buechi game,
+  computation even against users with full memory, and otherwise runs a
+  slot search (:func:`_search`) whose witness also retires every other
+  pending state it wins from.  The search abandons a partial profile as
+  soon as the adversary wins against full memory on its free slots.
+  Both questions are one fair-game solve (:meth:`_FairGame.solve`), for
+  any set of roots: weak fairness makes it a generalized Buechi game,
   solved by the Emerson-Lei nested fixpoint on the (state, monitor)
   rows.  The least completion of a surviving partial profile is checked
   exactly, and only slots whose state it can reach are branched on, so
@@ -33,7 +34,7 @@ Both engines read one product of the game with a monitor automaton for
 the path formula (2 states for G, 3 for U): ``_FairGame`` builds, lazily
 and once, a row per (state, monitor) node listing the node each move
 reaches, and one walk over these rows (:meth:`_FairGame._walk`) serves
-the exact check, the fair game's solve and its region.  ``model_check``
+the exact check and the fair game's solve.  ``model_check``
 shares one such arena among all the states it labels for a coalition,
 and one label table (:func:`_label_table`) among all its arenas.
 
@@ -49,8 +50,10 @@ components holding a cycle that satisfies every weak fairness constraint
 this a generalized Buechi condition, so SCC inspection is exact: each
 step carries its label-table mask, and a component holds a fair cycle
 iff the OR of its internal steps' masks has every bit.  A start row wins
-iff it reaches a fair component and no fair violating one, so one Tarjan
-pass decides every start row (:func:`_winners`).
+iff it reaches a fair component and no fair violating one, the one win
+rule for a fixed profile: one Tarjan pass and one sweep down its
+condensation decide every start row, for the enumerate sweep, the
+search's probe, a witness's retiring and the exact check.
 
 Every entry point resolves its start state ``q0`` once, with ``_start``.
 """
@@ -247,17 +250,20 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
 
 
 def _check(game: _FairGame, flat: Sequence[int], q0: int) -> VerifyOutcome:
-    """:func:`verify_profile` on a flat profile.  :func:`_refute` decides on
-    integer-numbered rows; the ``(target, player, move)`` edges the lasso
-    needs are rebuilt only for a refuted profile."""
+    """:func:`verify_profile` on a flat profile, decided by :func:`_product`
+    on integer-numbered rows.  A lost root reaches every row of the
+    product, so its lasso goes to the fair violating component holding the
+    least row; the ``(target, player, move)`` edges the lasso needs are
+    rebuilt only then."""
     g = game.g
-    refutation = _refute(game, flat, game.start(q0))
-    if refutation is None:
+    root = game.start(q0)
+    (won,), rows, component, violating = _product(game, flat, [root])
+    if won:
         return VerifyOutcome(True, None, "")
-    rows, root, component = refutation
-    if component is None:
+    if not violating:
         return VerifyOutcome(
             False, None, "profile admits no fair computation from the initial state")
+    c = component[min(violating, key=rows.__getitem__)]
     # the lasso's shortest paths break ties by edge order
     adjacency = {}
     for qi, mon in rows:
@@ -266,63 +272,36 @@ def _check(game: _FairGame, flat: Sequence[int], q0: int) -> VerifyOutcome:
         edges.extend((target, g.env_player, j)
                      for j, target in enumerate(row[g.env_player]))
         adjacency[(qi, mon)] = sorted(edges)
-    lasso = _extract_lasso(game, flat, adjacency, root, component)
+    lasso = _extract_lasso(game, flat, adjacency, root, frozenset(
+        node for node, cv in zip(rows, component) if cv == c))
     return VerifyOutcome(False, lasso, "fair violating computation found")
-
-
-def _refute(game: _FairGame, flat: Sequence[int], root: tuple) -> Optional[tuple]:
-    """The answer-only part of :func:`_check`: None when the flat profile
-    wins from the row ``root``, otherwise ``(rows, root, component)``: the
-    rows the profile reaches, and the first fair violating strongly
-    connected component (the one holding the least row) as a frozenset of
-    rows, or None in its place when the profile admits no fair
-    computation.  Builds no lasso."""
-    rows, _, component, met = _product(game, flat, [root])
-    first, any_fair = None, False
-    for v, node in enumerate(rows):
-        if met[component[v]] != game._goals:
-            continue
-        if node[1] not in game._violating:
-            any_fair = True
-        elif first is None or node < rows[first]:
-            first = v
-    if first is not None:
-        c = component[first]
-        return rows, root, frozenset(
-            node for node, cv in zip(rows, component) if cv == c)
-    return None if any_fair else (rows, root, None)
 
 
 def _winners(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
     """``(won, lost)``: the rows of ``roots`` from which the flat profile
-    wins, as ``_refute(game, flat, root) is None`` answers, and the rest,
-    from one product graph and one Tarjan pass for all of them.  Tarjan
-    numbers a component after every component it reaches, so one sweep in
-    that order carries down the condensation whether a component reaches a
-    fair violating component (bit 1) or a fair one (bit 2)."""
-    rows, succ, component, met = _product(game, flat, roots)
-    reach = [0] * len(met)
-    for v in sorted(range(len(rows)), key=component.__getitem__):
-        c = component[v]
-        if met[c] == game._goals:
-            reach[c] |= 1 if rows[v][1] in game._violating else 2
-        for t, _ in succ[v]:
-            reach[c] |= reach[component[t]]
-    won = [reach[component[i]] == 2 for i in range(len(roots))]
+    wins, and the rest, from one :func:`_product` for all of them."""
+    won = _product(game, flat, roots)[0]
     return [r for r, w in zip(roots, won) if w], [r for r, w in zip(roots, won) if not w]
 
 
 def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
-    """The graph of the rows the flat profile reaches from ``roots``, as
-    ``(rows, succ, component, met)``: the masked walk
-    (:meth:`_FairGame._walk`) with every slot fixed, so that ``succ`` lists
-    each row's ``(target, mask)`` steps, one per user and one per
-    environment move, with the label table's raw masks.  ``component``
-    numbers every row's strongly connected component, and ``met`` holds
-    each component's OR of its internal edges' masks.  Every mask has the
-    top bit, so a component holds a fair cycle iff its ``met`` has every
-    bit: a constraint disabled at one of its rows is met by that row's
-    internal edges, and a single row with no self-loop has none."""
+    """The one win rule for a fixed profile: a root wins iff its rows reach
+    a fair strongly connected component and no fair violating one.
+    Returns ``(won, rows, component, violating)``: per root whether the
+    flat profile wins from it; the rows it reaches from ``roots``;
+    every row's component number; and the rows of fair violating
+    components.
+
+    The graph is the masked walk (:meth:`_FairGame._walk`) with every slot
+    fixed, so each row has ``(target, mask)`` steps, one per user and one
+    per environment move, with the label table's raw masks.  Every mask
+    has the top bit, so a component holds a fair cycle iff the OR of its
+    internal steps' masks has every bit: a constraint disabled at one of
+    its rows is met by that row's internal steps, and a single row with no
+    self-loop has none.  Tarjan numbers a component after every component
+    it reaches, so one sweep in that order carries down the condensation
+    whether a component reaches a fair violating component (bit 1) or a
+    fair one (bit 2)."""
     succ, _, rows = game._walk(flat, roots)
     component = _strongly_connected_components(succ, range(len(roots)))
     met = [0] * len(succ)       # per component, the OR of its internal edges
@@ -331,7 +310,20 @@ def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
         for t, mask in edges:
             if component[t] == c:
                 met[c] |= mask
-    return rows, succ, component, met
+    reach = [0] * len(succ)
+    violating = []
+    for v in sorted(range(len(rows)), key=component.__getitem__):
+        c = component[v]
+        if met[c] == game._goals:
+            if rows[v][1] in game._violating:
+                reach[c] |= 1
+                violating.append(v)
+            else:
+                reach[c] |= 2
+        for t, _ in succ[v]:
+            reach[c] |= reach[component[t]]
+    won = [reach[component[i]] == 2 for i in range(len(roots))]
+    return won, rows, component, violating
 
 
 def _strongly_connected_components(succ: Sequence, roots: Iterable) -> list:
@@ -483,16 +475,17 @@ class _FairGame:
     game's label table (:func:`_label_table`), given when arenas share it:
     the weak fairness constraints each move meets.  :meth:`_walk` is the
     only walk over these rows, with the table's raw masks: the exact check
-    (:func:`_product`, every slot fixed), the game solve and the region
-    read its result, and :func:`_extract_lasso` finds taken edges in the
-    same table.  At a row the adversary (scheduler and environment) picks
-    one environment move, or a user: that user's fixed move, or any of its
-    moves while its slot is free, since the user chooses.  The monitor is
-    eventually constant on a play, so "the monitor violates" is folded
-    into every constraint: the adversary wins by forcing a play that meets
-    each constraint infinitely often from violating rows, a generalized
-    Buechi condition solved by :func:`_adversary_region`.  The rows are
-    built once, lazily from each new start state.
+    (:func:`_product`, every slot fixed) and the game solve (:meth:`solve`,
+    for any set of roots) read its result, and :func:`_extract_lasso`
+    finds taken edges in the same table.  At a row the adversary
+    (scheduler and environment) picks one environment move, or a user:
+    that user's fixed move, or any of its moves while its slot is free,
+    since the user chooses.  The monitor is eventually constant on a play,
+    so "the monitor violates" is folded into every constraint: the
+    adversary wins by forcing a play that meets each constraint infinitely
+    often from violating rows, a generalized Buechi condition solved by
+    :func:`_adversary_region`.  The rows are built once, lazily from each
+    new start state.
     """
 
     def __init__(self, g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -571,29 +564,18 @@ class _FairGame:
             free.append(renumbered[1:])
         return steps, free, order
 
-    def solve(self, fixed: Sequence, root: tuple) -> tuple:
-        """``(won, reached)``: ``won`` is True iff the adversary wins from
-        the row ``root`` against the flat slot vector ``fixed``
-        (:func:`_slot_sizes`), where a free slot, None, lets the user
-        choose at each visit, with unrestricted memory; ``reached`` holds
-        the states of the rows the masked walk reaches.  A free slot takes
-        every move there, so no completion of ``fixed`` reaches any other
-        state."""
-        walk = self._walk(fixed, [root])
-        return (_adversary_region(walk, self._violating, self._goals, watch=0)[0],
+    def solve(self, fixed: Sequence, roots: Sequence) -> tuple:
+        """``(won, reached)``: ``won`` says, for each row of ``roots``,
+        whether the adversary wins from it against the flat slot vector
+        ``fixed`` (:func:`_slot_sizes`), where a free slot, None, lets the
+        user choose at each visit, with unrestricted memory; ``reached``
+        holds the states of the rows the masked walk reaches.  A free slot
+        takes every move there, so no completion of ``fixed`` reaches any
+        other state.  With every slot free, a won root is lost to every
+        memoryless profile."""
+        walk = self._walk(fixed, roots)
+        return (_adversary_region(walk, len(roots), self._violating, self._goals),
                 {qi for qi, _ in walk[2]})
-
-    def region(self, states: Sequence[int]) -> frozenset:
-        """The states of ``states`` whose root lies in the adversary's
-        winning region with every slot free, from one solve over the arena
-        their roots reach: there the adversary beats users with
-        unrestricted memory, so no memoryless profile wins.  That arena
-        holds every row its rows step to, so each root's answer is the one
-        the whole arena gives."""
-        won = _adversary_region(self._walk([None] * len(_slot_sizes(self.g)),
-                                           [self.start(qi) for qi in states]),
-                                self._violating, self._goals)
-        return frozenset(qi for qi, lost in zip(states, won) if lost)
 
 
 def _label_table(g: GameStructure, constraints: Sequence[FairnessConstraint]) -> list:
@@ -626,24 +608,24 @@ def _label_table(g: GameStructure, constraints: Sequence[FairnessConstraint]) ->
             for qi in states]
 
 
-def _adversary_region(walk: tuple, violating: frozenset, goals: int,
-                      watch: Optional[int] = None) -> list:
-    """The adversary's winning region on a :meth:`_FairGame._walk`, as a
-    membership list, for 'meet every constraint bit of ``goals`` infinitely
-    often'.  At row ``v`` the adversary picks a step of ``steps[v]`` or a
-    user of ``free[v]``, who picks the step, so a row forces a set when one
-    step, or every step of one free user, lies in it.  A step meets its
-    mask's bits from a row whose monitor is in ``violating``, and nothing
-    from any other row (``meets``).
+def _adversary_region(walk: tuple, roots: int, violating: frozenset,
+                      goals: int) -> list:
+    """Whether the adversary wins from each of the first ``roots`` rows of
+    a :meth:`_FairGame._walk`, for 'meet every constraint bit of ``goals``
+    infinitely often'.  At row ``v`` the adversary picks a step of
+    ``steps[v]`` or a user of ``free[v]``, who picks the step, so a row
+    forces a set when one step, or every step of one free user, lies in
+    it.  A step meets its mask's bits from a row whose monitor is in
+    ``violating``, and nothing from any other row (``meets``).
 
     Emerson-Lei nested fixpoint: the greatest ``Z`` such that every row of
     ``Z`` forces, for each constraint, a step meeting it into ``Z``,
     possibly after forced steps within ``Z``.  The least fixpoints of all
     constraints are computed together, one bit each: ``forced[v]`` holds
     the constraints row ``v`` can force so far.  ``Z`` shrinks to the rows
-    forcing every constraint until it is stable.  With ``watch``, the loop
-    stops as soon as that row leaves ``Z``; the list is then exact only at
-    ``watch``."""
+    forcing every constraint until it is stable, or until no root is left
+    in it: ``Z`` only shrinks, so a root that has left it never returns
+    and the answer is exact at every root."""
     steps, free, order = walk
     meets = [goals if mon in violating else 0 for _, mon in order]
     n = len(steps)
@@ -678,8 +660,8 @@ def _adversary_region(walk: tuple, violating: frozenset, goals: int,
                         queued[p] = True
                         todo.append(p)
         kept = [bits == goals for bits in forced]
-        if kept == alive or watch is not None and not kept[watch]:
-            return kept
+        if kept == alive or not any(kept[:roots]):
+            return kept[:roots]
         alive = kept
 
 
@@ -708,11 +690,11 @@ def _search(game: _FairGame, q0: int) -> Optional[tuple]:
     depth = 0       # slots[:depth] are fixed
     probe = True    # the least completion changed since the last check
     while True:
-        won, reached = game.solve(fixed, root)
+        (won,), reached = game.solve(fixed, [root])
         if not won:
             if probe:
                 flat = tuple(j or 0 for j in fixed)
-                if _refute(game, flat, root) is None:
+                if _winners(game, flat, [root])[0]:
                     return flat
                 probe = False
             # fix slots to 0 in order, branching on the first reached one,
@@ -868,15 +850,19 @@ def _label_fixpoint(game: _FairGame, q0: int, states: Sequence[int]) -> tuple:
     ``game``, and the flat witness found at ``q0``, or None when ``q0`` is
     lost.
 
-    ``q0`` comes first, then the other states in their order.  A state in
-    the region of ``states`` (:meth:`_FairGame.region`) is lost.  The slot
+    ``q0`` comes first, then the other states in their order.  A state is
+    lost when the adversary wins from its root against users with every
+    slot free, which one solve (:meth:`_FairGame.solve`) from the roots of
+    all of ``states`` answers.  The slot
     search runs at the first state still pending, and a witness it finds
     is checked exactly against every later pending state in one pass
     (:func:`_winners`), which retires the states it wins from.  So a state
     is searched only when no witness found at an earlier state wins there.
     Every bit is exact, and no lasso is built.
     """
-    lost = game.region(states)
+    free = [None] * len(_slot_sizes(game.g))
+    won, _ = game.solve(free, [game.start(qi) for qi in states])
+    lost = {qi for qi, adversary in zip(states, won) if adversary}
     order = [q0] + [qi for qi in states if qi != q0]
     pending = [game.start(qi) for qi in order if qi not in lost]
     witnesses, winning = [], set()

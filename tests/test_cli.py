@@ -223,15 +223,19 @@ def test_engine_both_compares_witnesses(f4_path, monkeypatch):
 
 
 def test_engine_both_runs_the_fixpoint_region(f4_path, monkeypatch):
-    # 'both' labels through the same region as 'fixpoint': a region that
-    # calls every state lost flips the fixpoint verdict, and 'both' sees it
-    def everything_lost(self, states):
-        return frozenset(states)
+    # 'both' labels through the same region as 'fixpoint': an all-free solve
+    # that calls every state lost flips the fixpoint verdict, and 'both'
+    # sees it
+    solve = solver._FairGame.solve
+
+    def everything_lost(self, fixed, roots):
+        won, reached = solve(self, fixed, roots)
+        return ([True] * len(roots) if all(j is None for j in fixed) else won), reached
 
     argv = ["check", f4_path, "--formula", "<<u>> G <<u>> F p3"]
     for engine in ("enumerate", "fixpoint", "both"):
         assert invoke(argv + ["--engine", engine])[0] == 0
-    monkeypatch.setattr(solver._FairGame, "region", everything_lost)
+    monkeypatch.setattr(solver._FairGame, "solve", everything_lost)
     assert invoke(argv + ["--engine", "enumerate"])[0] == 0
     assert invoke(argv + ["--engine", "fixpoint"])[0] == 1
     code, out = invoke(argv + ["--engine", "both"])
@@ -802,7 +806,10 @@ def parse_exit(argv, capsys):
 
 
 def test_check_parse_builds_at_most_two_parsers(f4_path, monkeypatch):
+    # a fresh process's first check parse: the kept parsers earlier tests
+    # built are dropped, so the count is the cold one
     import argparse
+    cli._command_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -813,7 +820,7 @@ def test_check_parse_builds_at_most_two_parsers(f4_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     args = build_parser().parse_args(["check", f4_path, "--formula", GOAL_EITHER])
     assert args.command == "check" and args.formula == GOAL_EITHER
-    assert len(built) <= 2
+    assert len(built) == 2
 
 
 def test_repeated_parse_builds_no_parser(f4_path, monkeypatch):

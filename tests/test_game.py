@@ -374,3 +374,13 @@ def test_dot_and_table_are_deterministic(g4, fc4):
     assert "".join(dot_game(g4)) == "".join(dot_game(g_twin))
     assert "".join(fairness_table(g4, fc4)) == "".join(fairness_table(g_twin, fc_twin))
     assert '"{p0,p2}"' in "".join(dot_game(g4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: g.tau(0, (0, 0)), "move vector must have 3 components"),
+    (lambda g: g.move_label(0, 0, 3), "move 3 out of range for player u at state {p0,p2}"),
+], ids=["tau-length", "move-range"])
+def test_game_input_errors(g4, call, message):
+    with pytest.raises(InputError) as err:
+        call(g4)
+    assert str(err.value) == message

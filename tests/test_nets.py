@@ -102,6 +102,9 @@ def test_fire_fig4():
     with pytest.raises(PreconditionError) as err:
         fire(F4, frozenset({"p0", "p3"}), "t2")
     assert "t2" in str(err.value) and "p0" in str(err.value)
+    with pytest.raises(InputError) as err:
+        fire(F4, F4.initial, "t9")
+    assert str(err.value) == "unknown transition 't9'"
 
 
 def test_reachability_fig4_matches_oracle():

@@ -27,6 +27,7 @@ from petrigames.solver import (
     synthesize,
     synthesize_enumerate,
     synthesize_fixpoint,
+    validate_game_profile,
     verify_profile,
 )
 from petrigames.unfold import NetStrategy
@@ -162,6 +163,21 @@ def test_vacuous_profile_detected():
     outcome = verify_profile(g, fcs, idle_all, objective)
     assert not outcome.ok
     assert "no fair computation" in outcome.reason
+
+
+def test_check_net_keeps_idle_moves_by_default():
+    # without the flag, check_net builds the game of an explicit False: the
+    # lone user keeps its idle moves and gets progress constraints instead
+    net = parse_net(fixtures.USERONLY)
+    formula = parse_formula("<<u>> F c")
+    g, fcs, verdict = solver.check_net(net, formula)
+    explicit = solver.check_net(net, formula, single_user_simplification=False)
+    assert not g.single_user_simplification
+    qa = g.state_index[S({"a"})]
+    assert g.moves[0][qa] == ("s", None)
+    assert any(fc.name.startswith("progress:") for fc in fcs)
+    assert (g.moves, fcs, verdict) == (explicit[0].moves, explicit[1], explicit[2])
+    assert verdict.satisfied
 
 
 def test_g_true_holds_for_every_fig4_profile(g4, fc4):
@@ -454,14 +470,22 @@ def _flat(profile):
 
 
 def _violating_component(game, flat, root):
-    refutation = solver._refute(game, flat, root)
-    return refutation is not None and refutation[2] is not None
+    # the profile reaches a fair violating component from root
+    return bool(solver._product(game, flat, [root])[3])
+
+
+def _region(game, states):
+    """The states of ``states`` lost to users with unrestricted memory: one
+    all-free solve from all their roots."""
+    free = [None] * len(solver._slot_sizes(game.g))
+    won, _ = game.solve(free, [game.start(qi) for qi in states])
+    return {qi for qi, lost in zip(states, won) if lost}
 
 
 @pytest.mark.parametrize("fair", [True, False])
 def test_arena_solve_matches_exact_profile_check(fair):
     # the fair game's answer against the exact check of one profile: equal on
-    # complete profiles, sound on partial ones and on the all-states region
+    # complete profiles, sound on partial ones and on all the states' roots
     rng = random.Random(7)
     partial_wins = 0
     for seed in range(1, 31):
@@ -472,22 +496,22 @@ def test_arena_solve_matches_exact_profile_check(fair):
         profiles = [_flat(p) for p in iter_profiles(g)]
         for pf in formula_pool(net):
             game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
-            lost = game.region(range(n))
+            lost = _region(game, range(n))
             for qi in range(n):
                 root = game.start(qi)
                 refuted = [_violating_component(game, full, root) for full in profiles]
                 walks = []
                 for full, violated in zip(profiles, refuted):
-                    won, reached = game.solve(full, root)
+                    (won,), reached = game.solve(full, [root])
                     assert won == violated, (seed, pf, qi, full)
                     walks.append(reached)
                 assert qi not in lost or all(refuted), (seed, pf, qi)
-                # a root's own region answers as the all-states one does
-                assert game.region([qi]) == lost & {qi}, (seed, pf, qi)
+                # a root's own solve answers as the all-states one does
+                assert _region(game, [qi]) == lost & {qi}, (seed, pf, qi)
                 for _ in range(4):
                     fixed = [rng.randrange(g.d(a, q)) if rng.random() < 0.5 else None
                              for a in range(g.user_count) for q in range(n)]
-                    won, reached = game.solve(fixed, root)
+                    (won,), reached = game.solve(fixed, [root])
                     partial_wins += won
                     # no completion reaches a state the masked walk misses
                     for full, violated, walk in zip(profiles, refuted, walks):
@@ -511,8 +535,10 @@ def _sample_profiles(g, rng):
 
 
 @pytest.mark.parametrize("fair", [True, False])
-def test_refute_matches_independent_profile_check(fair):
-    # won, no fair computation, or the same first violating component
+def test_refute_matches_independent_profile_check(fair, monkeypatch):
+    # won, no fair computation, or the same first violating component: the
+    # one the lasso is built in
+    lassos = _count_calls(monkeypatch, "_extract_lasso")
     rng = random.Random(11)
     violated = 0
     for seed in range(1, 31):
@@ -525,13 +551,13 @@ def test_refute_matches_independent_profile_check(fair):
             for qi in range(len(g.states)):
                 for profile in profiles:
                     expected = refute_profile(g, fcs, pf, profile, qi)
-                    refutation = solver._refute(game, _flat(profile), game.start(qi))
-                    if refutation is None:
+                    outcome = solver._check(game, _flat(profile), qi)
+                    if outcome.ok:
                         got = None
-                    elif refutation[2] is None:
+                    elif outcome.counterexample is None:
                         got = "no fair computation"
                     else:
-                        got = set(refutation[2])
+                        got = set(lassos[-1][4])
                         violated += 1
                     assert got == expected, (seed, pf, qi, profile)
     assert violated > 0
@@ -893,3 +919,21 @@ def test_single_edge_cycle_lasso(g4):
     validate_lasso(g4, lasso)
     assert not path_satisfies([g4.w(qi) for qi, _ in lasso.prefix],
                               [g4.w(qi) for qi, _ in lasso.cycle], pf)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: validate_game_profile(g, GameProfile(())), "profile must cover 1 users"),
+    (lambda g: validate_game_profile(g, GameProfile(((3,) * len(g.states),))),
+     "move 3 out of range for user u at {p0,p2}"),
+    (lambda g: profile_from_net_strategies(g, [NetStrategy("env", {})]),
+     "'env' is not a user location"),
+    (lambda g: profile_from_net_strategies(g, [NetStrategy("u", {S({"p0", "p3"}): {"t2"}})]),
+     "strategy for u chooses t2, not enabled at {p0,p3}"),
+    (lambda g: profile_from_net_strategies(
+        build_game(parse_net(fixtures.USERONLY), single_user_simplification=True), []),
+     "user u must move at {a} (idle move removed by the single-user simplification)"),
+], ids=["user-count", "move-range", "owner", "not-enabled", "must-move"])
+def test_profile_input_errors(g4, call, message):
+    with pytest.raises(InputError) as err:
+        call(g4)
+    assert str(err.value) == message

@@ -14,6 +14,7 @@ from petrigames.randnet import random_net
 from petrigames.unfold import (
     NetStrategy,
     Play,
+    check_strategy,
     consistent_with,
     cut_order,
     cut_step,
@@ -490,3 +491,16 @@ def test_wide_draw_and_its_prefixes_unchanged():
         text = "".join(_prefix_text(net, 8, max_size) for net in nets)
         digests[max_size] = hashlib.sha256(text.encode("utf-8"))
     assert {key: h.hexdigest() for key, h in digests.items()} == WIDE_DRAW_DIGESTS
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bp: cut_step(bp, initial_cut(bp), "e9"), "unknown event 'e9'"),
+    (lambda bp: is_maximal_refinement(bp, []), "empty cut sequence"),
+    (lambda bp: materialise_play(F4, Play(steps=(("t0",), ()))), "empty step group in play"),
+    (lambda bp: check_strategy(F4, NetStrategy("u", {F4.initial: {"t0"}})),
+     "strategy for u chooses foreign transition t0"),
+], ids=["cut-step", "refinement", "empty-step", "foreign"])
+def test_unfold_input_errors(call, message):
+    with pytest.raises(InputError) as err:
+        call(unfold_prefix(F4, 2))
+    assert str(err.value) == message
