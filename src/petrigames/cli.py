@@ -313,10 +313,13 @@ def _check(config: argparse.Namespace, report: Report, net) -> int:
     if config.command == "synthesize" and not isinstance(formula, Coalition):
         raise InputError("synthesize needs a formula with an outermost "
                          "coalition quantifier")
+    # the plain report reads the verdict at the initial state only; the
+    # machine block prints every state set, and both cross-checks them
     g, _, verdict = check_net(
         net, formula, engine=config.engine,
         single_user_simplification=config.single_user_simplification,
-        max_states=config.max_states, max_profiles=config.max_profiles)
+        max_states=config.max_states, max_profiles=config.max_profiles,
+        every_state=config.machine or config.engine == "both")
     report.record("formula", format_formula(formula))
     report.record("engine", config.engine)
     report.record("satisfied", verdict.satisfied)

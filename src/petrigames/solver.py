@@ -22,10 +22,12 @@ canonically first winning profile:
   exactly, and only slots whose state it can reach are branched on, so
   both engines find identical witnesses.
 
-One call, :func:`_label`, gives ``model_check`` (every state) and
-``synthesize`` (``q0`` alone) the won states and ``q0``'s witness under
-each engine; ``both`` runs the two labellings and compares their state
-sets and ``q0``'s witness, the only one a report prints.
+One call, :func:`_label`, gives ``model_check`` and ``synthesize`` the
+won states and ``q0``'s witness under each engine.  ``model_check``
+decides its coalitions at every state, or, without ``every_state``, its
+outermost ones at ``q0`` alone, as ``synthesize`` does.  ``both`` runs
+the two labellings and compares their state sets and ``q0``'s witness,
+the only one a report prints.
 :func:`_verdict` builds every :class:`Verdict`: the witness, or else the
 lasso and reason of the canonically first profile (every move 0), so an
 unsatisfied goal prints the same evidence under every engine.
@@ -68,6 +70,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import BoundExceeded, EngineDisagreement, InputError
 from .formulas import (
     And,
+    Coalition,
     Formula,
     Not,
     Or,
@@ -215,6 +218,8 @@ class Verdict:
     witness: Optional[GameProfile] = None
     counterexample: Optional[LassoComputation] = None
     reason: str = ""
+    # subformula text -> its states' markings, sorted; set by model_check
+    # only when it labels every state (``every_state``)
     state_sets: dict = field(default_factory=dict)
 
 
@@ -794,15 +799,23 @@ def synthesize_fixpoint(g: GameStructure, constraints: Sequence[FairnessConstrai
 def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
                 formula: Formula, q0: Optional[int] = None,
                 engine: str = "enumerate",
-                max_profiles: int = DEFAULT_PROFILE_BOUND) -> Verdict:
+                max_profiles: int = DEFAULT_PROFILE_BOUND,
+                every_state: bool = True) -> Verdict:
     """Bottom-up labelling, one subformula at a time with every operand
     before its parent: boolean connectives as set operations, coalition
     subformulas decided at every state.  All states of one coalition
     subformula are labelled on one arena, which is dropped when the call
     returns, and every arena reads one label table, built once.
-    Each coalition is one :func:`_label` call over every state.  Every
-    engine gives the same state sets, and one :func:`_verdict`, for the
-    outermost coalition at ``q0``, builds the only lasso."""
+    Each coalition is one :func:`_label` call.  Every engine gives the
+    same state sets, and one :func:`_verdict`, for the outermost
+    coalition at ``q0``, builds the only lasso.
+
+    With ``every_state`` false, a coalition under no other coalition is
+    decided at ``q0`` alone: the boolean connectives above it are read at
+    ``q0`` only.  A coalition under another one is still decided at every
+    state, since its parent reads it there.  The verdict, witness,
+    counterexample and reason are unchanged, and ``state_sets`` is left
+    empty rather than partial."""
     _require_engine(engine)
     violations = check_fragment(formula, g.net)
     if violations:
@@ -812,6 +825,9 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
     constraints = tuple(constraints)
     labels = _label_table(g, constraints)
     all_states = frozenset(range(len(g.states)))
+    # the subformulas under some coalition, which reads them at every state
+    inner = {format_formula(sub) for node in subformulas(formula)
+             if isinstance(node, Coalition) for arg in node.args for sub in subformulas(arg)}
     state_sets: dict = {}
     root = Verdict(False)       # the outermost coalition's verdict, if any
     for node in reversed(list(subformulas(formula))):   # operands first
@@ -833,15 +849,16 @@ def model_check(g: GameStructure, constraints: Sequence[FairnessConstraint],
             # a coalition: one arena for the objective, shared by all states
             game = _FairGame(g, constraints, PathObjective.from_state_sets(
                 g, node.op, *args), labels)
-            result, witness = _label(game, q0, range(len(g.states)), engine,
-                                     max_profiles)
+            states = range(len(g.states)) if every_state or key in inner else [q0]
+            result, witness = _label(game, q0, states, engine, max_profiles)
             if node is formula:     # the only verdict that is printed
                 root = _verdict(game, q0, witness)
         state_sets[key] = result
     root.satisfied = q0 in state_sets[format_formula(formula)]
-    root.state_sets = {
-        key: tuple(sorted((g.states[qi] for qi in states), key=marking_key))
-        for key, states in sorted(state_sets.items())}
+    if every_state:
+        root.state_sets = {
+            key: tuple(sorted((g.states[qi] for qi in states), key=marking_key))
+            for key, states in sorted(state_sets.items())}
     return root
 
 
@@ -853,16 +870,19 @@ def _label_fixpoint(game: _FairGame, q0: int, states: Sequence[int]) -> tuple:
     ``q0`` comes first, then the other states in their order.  A state is
     lost when the adversary wins from its root against users with every
     slot free, which one solve (:meth:`_FairGame.solve`) from the roots of
-    all of ``states`` answers.  The slot
-    search runs at the first state still pending, and a witness it finds
-    is checked exactly against every later pending state in one pass
+    all of ``states`` answers; for ``q0`` alone that solve is skipped, as
+    the search's first node is the same solve from the same root.  The
+    slot search runs at the first state still pending, and a witness it
+    finds is checked exactly against every later pending state in one pass
     (:func:`_winners`), which retires the states it wins from.  So a state
     is searched only when no witness found at an earlier state wins there.
     Every bit is exact, and no lasso is built.
     """
-    free = [None] * len(_slot_sizes(game.g))
-    won, _ = game.solve(free, [game.start(qi) for qi in states])
-    lost = {qi for qi, adversary in zip(states, won) if adversary}
+    lost = set()
+    if len(states) > 1:
+        free = [None] * len(_slot_sizes(game.g))
+        won, _ = game.solve(free, [game.start(qi) for qi in states])
+        lost = {qi for qi, adversary in zip(states, won) if adversary}
     order = [q0] + [qi for qi in states if qi != q0]
     pending = [game.start(qi) for qi in order if qi not in lost]
     witnesses, winning = [], set()
@@ -879,14 +899,16 @@ def _label_fixpoint(game: _FairGame, q0: int, states: Sequence[int]) -> tuple:
 def check_net(net: NetSystem, formula: Formula, engine: str = "enumerate",
               single_user_simplification: bool = False,
               max_states: int = DEFAULT_STATE_BOUND,
-              max_profiles: int = DEFAULT_PROFILE_BOUND) -> tuple:
+              max_profiles: int = DEFAULT_PROFILE_BOUND,
+              every_state: bool = True) -> tuple:
     """Convenience front door: build the game and fairness constraints,
-    then model-check the formula at the initial state."""
+    then model-check the formula at the initial state
+    (:func:`model_check`, which reads ``every_state``)."""
     g = build_game(net, single_user_simplification=single_user_simplification,
                    max_states=max_states)
     constraints = build_fairness(net, g)
     verdict = model_check(g, constraints, formula, engine=engine,
-                          max_profiles=max_profiles)
+                          max_profiles=max_profiles, every_state=every_state)
     return g, constraints, verdict
 
 

@@ -5,10 +5,11 @@ import itertools
 import random
 import sys
 
+from petrigames import fixtures
 from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, TrueConst, \
-    holds_in, path_satisfies
+    holds_in, parse_formula, path_satisfies
 from petrigames.game import LassoComputation, lasso_is_fair
-from petrigames.nets import enabled_set, fire, reachability_graph
+from petrigames.nets import enabled_set, fire, parse_net, reachability_graph
 from petrigames.randnet import random_net
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut
 
@@ -45,6 +46,12 @@ def formula_pool(net):
 
 
 
+def pool_goal(net, pf):
+    """The grand coalition's goal of the pool path formula ``pf``."""
+    args = (pf.left,) if pf.op == "G" else (pf.left, pf.right)
+    return Coalition(tuple(net.users), pf.op, args)
+
+
 def nested_goals(net):
     """Two nested grand-coalition goals over the net's places:
     ``<<A>> G <<A>> F p`` and ``<<A>> U(<<A>> G !p, q)``."""
@@ -56,6 +63,29 @@ def nested_goals(net):
         Coalition(users, "G", (Coalition(users, "U", (TrueConst(), p)),)),
         Coalition(users, "U", (Coalition(users, "G", (Not(p),)), q)),
     )
+
+
+#: FIG4's goals for the plain report: the README's two, a nested one, and
+#: top-level boolean forms whose coalitions lie under ``!`` or ``&`` but
+#: under no other coalition
+F4_REPORT_GOALS = ("<<u>> F ((p0 & p3) | (p1 & p4))", "<<u>> F (p0 & p3)",
+                   "<<u>> G <<u>> F p3", "!<<u>> F p3", "!<<u>> F (p0 & p3)",
+                   "<<u>> G true & <<u>> F p3", "<<u>> G true & <<u>> F (p0 & p3)")
+
+
+def report_goals(wide_draw=True):
+    """``(net, goals)`` on which labelling the outermost coalitions at q0
+    alone must keep the verdict: ``corpus_net(1..40)`` with its pool
+    goals, the wide draw of seeds 1..40 with its pool and nested goals
+    (unless ``wide_draw`` is false), and FIG4 with
+    :data:`F4_REPORT_GOALS`."""
+    for seed in range(1, 41):
+        net = corpus_net(seed)
+        yield net, [pool_goal(net, pf) for pf in formula_pool(net)]
+    for seed in range(1, 41) if wide_draw else ():
+        net = corpus_net(seed, **WIDE_DRAW)
+        yield net, [pool_goal(net, pf) for pf in formula_pool(net)] + list(nested_goals(net))
+    yield parse_net(fixtures.FIG4), [parse_formula(text) for text in F4_REPORT_GOALS]
 
 
 def chain_net(k):

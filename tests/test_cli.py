@@ -11,11 +11,11 @@ import tracemalloc
 import pytest
 
 from helpers import chain_net, check_first_profile_lasso, corpus_net, formula_pool, \
-    stack_depth
+    pool_goal, report_goals, stack_depth
 from petrigames import cli, fixtures, solver
 from petrigames.cli import build_parser, config_from_args, main, run
 from petrigames.errors import InputError
-from petrigames.formulas import MAX_NESTING, Coalition, format_formula
+from petrigames.formulas import MAX_NESTING, format_formula
 from petrigames.game import build_fairness, build_game, format_lasso, parse_lasso
 from petrigames.nets import DEFAULT_STATE_BOUND, format_net, parse_net
 from petrigames.solver import parse_profile
@@ -254,8 +254,7 @@ def test_unsatisfied_evidence_is_the_same_under_every_engine(tmp_path):
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
-            args = (pf.left,) if pf.op == "G" else (pf.left, pf.right)
-            goal = Coalition(tuple(net.users), pf.op, args)
+            goal = pool_goal(net, pf)
             reports = {}
             for engine in solver.ENGINES:
                 code, out = invoke(["check", str(path), "--machine", "--engine", engine,
@@ -270,6 +269,48 @@ def test_unsatisfied_evidence_is_the_same_under_every_engine(tmp_path):
                 in reports["enumerate"][1]
             check_first_profile_lasso(g, fcs, pf, lasso, g.initial_state())
     assert unsatisfied > 40
+
+
+@pytest.mark.parametrize("engine", ["enumerate", "fixpoint"])
+def test_plain_check_report_is_the_machine_report_up_to_its_block(tmp_path, engine):
+    # without --machine the outermost coalitions are decided at the
+    # initial state alone; the report keeps every byte before the block
+    # (the wide draw's verdicts are compared in-process, in test_solver.py)
+    for net, goals in report_goals(wide_draw=False):
+        path = tmp_path / "net.net"
+        path.write_text(format_net(net))
+        for goal in goals:
+            argv = ["check", str(path), "--engine", engine, "--formula", format_formula(goal)]
+            code, plain = invoke(argv)
+            machine_code, machine = invoke(argv + ["--machine"])
+            assert machine_code == code
+            assert machine.startswith(plain + "---\n"), (net.name, argv[-1])
+
+
+@pytest.mark.parametrize("formula, extra, labelled", [
+    ("<<u>> F p3", [], ["q0"]),
+    ("<<u>> F p3", ["--engine", "fixpoint"], ["q0"]),
+    ("!<<u>> F p3", [], ["q0"]),
+    ("<<u>> G true & <<u>> F p3", ["--engine", "fixpoint"], ["q0", "q0"]),
+    ("<<u>> G <<u>> F p3", [], ["all", "q0"]),
+    ("<<u>> G <<u>> F p3", ["--engine", "fixpoint"], ["all", "q0"]),
+    ("<<u>> G <<u>> F p3", ["--machine"], ["all", "all"]),
+    ("<<u>> G <<u>> F p3", ["--machine", "--engine", "fixpoint"], ["all", "all"]),
+    ("<<u>> G <<u>> F p3", ["--engine", "both"], ["all", "all"]),
+    ("<<u>> G true & <<u>> F p3", ["--machine"], ["all", "all"]),
+    ("!<<u>> F p3", ["--engine", "both"], ["all"]),
+])
+def test_check_labels_at_every_state_only_for_the_machine_block(f4_path, monkeypatch,
+                                                                 formula, extra, labelled):
+    # each coalition's labelling, inner ones first: at the initial state
+    # alone ("q0") or at every state ("all")
+    states = len(build_game(parse_net(fixtures.FIG4)).states)
+    sizes = []
+    label = solver._label
+    monkeypatch.setattr(solver, "_label", lambda game, q0, at, *rest:
+                        sizes.append(len(at)) or label(game, q0, at, *rest))
+    invoke(["check", f4_path, "--formula", formula] + extra)
+    assert sizes == [1 if where == "q0" else states for where in labelled]
 
 
 def test_export_game_dot(f4_path, tmp_path):

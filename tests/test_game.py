@@ -99,6 +99,21 @@ def test_deadlock_net_game():
     assert g.tau(0, vec) == 0
 
 
+@pytest.mark.parametrize("text", [fixtures.FIG4, chain_net(2)], ids=["F4", "chain2"])
+def test_canonical_vectors_hold_a_move_of_every_player(text):
+    # the scheduled player's move, every other player's idle move or else
+    # its move 0, and the scheduler's move selecting the scheduled player
+    g = build_game(parse_net(text))
+    bad = []
+    for qi in range(len(g.states)):
+        for a in range(g.player_count - 1):
+            for j in range(g.d(a, qi)):
+                vec = g.vector_for(qi, a, j)
+                if any(move not in range(g.d(p, qi)) for p, move in enumerate(vec)):
+                    bad.append((qi, a, j, vec))
+    assert bad == []
+
+
 def test_user_move_counts_match_enabled_rule(g4):
     from petrigames.nets import enabled_set
     for qi, m in enumerate(g4.states):

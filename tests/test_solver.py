@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from helpers import WIDE_DRAW, chain_net, check_first_profile_lasso, corpus_net, \
-    formula_pool, monitor_start, monitor_step, nested_goals, refute_profile, stack_depth
+    formula_pool, monitor_start, monitor_step, nested_goals, pool_goal, refute_profile, \
+    report_goals, stack_depth
 from petrigames import fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, Prop, format_formula, holds_in, \
@@ -433,11 +434,6 @@ def test_unsatisfied_chain_goal_matches_fresh_synthesis():
         == (root.witness, root.counterexample, root.reason)
 
 
-def _pool_goal(net, pf):
-    args = (pf.left,) if pf.op == "G" else (pf.left, pf.right)
-    return Coalition(tuple(net.users), pf.op, args)
-
-
 def test_fixpoint_state_sets_match_enumerate_on_corpus():
     # the whole verdict on the whole corpus, since both engines read the
     # arena's one walk and the fair game reads the monitor rule from it
@@ -446,7 +442,7 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
-            formula = _pool_goal(net, pf)
+            formula = pool_goal(net, pf)
             exhaustive = model_check(g, fcs, formula, engine="enumerate")
             labelled = model_check(g, fcs, formula, engine="fixpoint")
             assert labelled.state_sets == exhaustive.state_sets, (seed, pf)
@@ -595,7 +591,7 @@ def test_fixpoint_labelling_builds_only_printed_lassos(monkeypatch):
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
-            verdict = model_check(g, fcs, _pool_goal(net, pf), engine="fixpoint")
+            verdict = model_check(g, fcs, pool_goal(net, pf), engine="fixpoint")
             printed += verdict.counterexample is not None
     assert printed > 0
     assert len(built) == printed
@@ -624,7 +620,7 @@ def test_model_check_builds_at_most_one_lasso(monkeypatch, engine):
         net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
-        for formula in [_pool_goal(net, pf) for pf in formula_pool(net)] \
+        for formula in [pool_goal(net, pf) for pf in formula_pool(net)] \
                 + list(nested_goals(net)):
             before = len(built)
             verdict = model_check(g, fcs, formula, engine=engine)
@@ -675,7 +671,7 @@ def test_model_check_builds_the_label_table_once(monkeypatch):
         net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
-        for formula in [_pool_goal(net, pf) for pf in formula_pool(net)] \
+        for formula in [pool_goal(net, pf) for pf in formula_pool(net)] \
                 + list(nested_goals(net)):
             for engine in solver.ENGINES:
                 before = len(built)
@@ -691,7 +687,7 @@ def test_enumerate_labelling_builds_one_product_graph_per_profile(monkeypatch):
     net = corpus_net(1)
     g = build_game(net)
     fcs = build_fairness(net, g)
-    formula = _pool_goal(net, formula_pool(net)[2])
+    formula = pool_goal(net, formula_pool(net)[2])
     built = _count_calls(monkeypatch, "_product")
     verdict = model_check(g, fcs, formula)
     assert verdict.satisfied
@@ -763,7 +759,7 @@ def test_engines_agree_on_the_wide_draw_and_their_evidence_rechecks():
         g = build_game(net)
         fcs = build_fairness(net, g)
         q0 = g.initial_state()
-        for goal in [_pool_goal(net, pf) for pf in formula_pool(net)] \
+        for goal in [pool_goal(net, pf) for pf in formula_pool(net)] \
                 + list(nested_goals(net)):
             verdict = model_check(g, fcs, goal, engine="both")
             inner = {format_formula(arg): set(verdict.state_sets[format_formula(arg)])
@@ -782,15 +778,62 @@ def test_engines_agree_on_the_wide_draw_and_their_evidence_rechecks():
     assert rechecked == {"witness": 191, "lasso": 89}
 
 
+@pytest.mark.parametrize("engine", ["enumerate", "fixpoint"])
+def test_outermost_coalitions_at_q0_alone_keep_the_verdict(engine):
+    # the plain report's labelling decides each coalition under no other
+    # coalition at q0 alone; the verdict and its evidence are those of the
+    # labelling at every state, and no partial state sets are returned
+    seen = set()
+    for net, goals in report_goals():
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for goal in goals:
+            full = model_check(g, fcs, goal, engine=engine)
+            alone = model_check(g, fcs, goal, engine=engine, every_state=False)
+            assert (alone.satisfied, alone.witness, alone.counterexample, alone.reason) \
+                == (full.satisfied, full.witness, full.counterexample, full.reason), \
+                (net.name, format_formula(goal))
+            assert full.state_sets and alone.state_sets == {}
+            seen.add((alone.satisfied, alone.witness is not None,
+                      alone.counterexample is not None))
+    assert seen >= {(True, True, False), (True, False, False), (False, False, True),
+                    (False, False, False)}
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = solver._FairGame.solve
+    monkeypatch.setattr(solver._FairGame, "solve",
+                        lambda self, *args: calls.append(args) or solve(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("text, goal, satisfied", [
+    (chain_net(2), "<<u0,u1>> F x0", True),
+    (fixtures.FIG4, "<<u>> F (p0 & p3)", False),
+])
+def test_fixpoint_at_q0_alone_solves_the_all_free_game_once(monkeypatch, text, goal,
+                                                            satisfied):
+    # at q0 alone the slot search's first node is the all-free solve from
+    # q0, so no up-front solve asks the same question first
+    g, fcs = _game(text)
+    calls = _count_solves(monkeypatch)
+    formula = parse_formula(goal)
+    verdict = model_check(g, fcs, formula, engine="fixpoint", every_state=False)
+    assert verdict.satisfied == satisfied
+    assert len(calls) == 1
+    calls.clear()
+    verdict = synthesize_fixpoint(g, fcs, PathFormula.from_coalition(formula))
+    assert verdict.satisfied == satisfied
+    assert len(calls) == 1
+
+
 def test_fixpoint_probes_the_least_completion_first(monkeypatch):
     # chain(4)'s all-zero profile wins, so the search stops at its root
     # instead of solving once per slot; the witness is pinned as the sha256
     # of its strategy lines
     g, fcs = _game(chain_net(4))
-    calls = []
-    solve = solver._FairGame.solve
-    monkeypatch.setattr(solver._FairGame, "solve",
-                        lambda self, *args: calls.append(args) or solve(self, *args))
+    calls = _count_solves(monkeypatch)
     verdict = model_check(g, fcs, parse_formula("<<u0,u1,u2,u3>> F x0"),
                           engine="fixpoint")
     assert verdict.satisfied
