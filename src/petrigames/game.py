@@ -398,35 +398,32 @@ def play_to_computations(net: NetSystem, g: GameStructure,
                                                max(bound, 0))]
                    for fired in mat.step_events[: mat.cycle_starts_at]]
 
-    # a gap's steps depend only on its order and the state it starts
-    # from, and the cycle only on its start: each is walked once and
-    # shared by every computation that reaches it
-    walks: dict = {}     # (gap, order, start state) -> (steps, end state)
-    cycles: dict = {}    # start state -> cycle steps
-    computations = []
+    # every order of a gap fires the same events from the same marking, so
+    # each gap starts from one state whatever came before: each order is
+    # walked once, and the cycle once, and shared by every computation
+    walks: dict = {}     # (gap, order) -> (steps, end state)
+    prefixes = []
     for choice in itertools.product(*(range(len(orders)) for orders in gap_choices)):
-        if len(computations) >= bound:
+        if len(prefixes) >= bound:
             break
         prefix: list = []
         qi = g.initial_state()
         for gap, i in enumerate(choice):
-            walk = walks.get((gap, i, qi))
+            walk = walks.get((gap, i))
             if walk is None:
-                walk = walks[gap, i, qi] = _walk(g, qi, gap_choices[gap][i])
+                walk = walks[gap, i] = _walk(g, qi, gap_choices[gap][i])
             steps, qi = walk
             prefix += steps
-        cycle = cycles.get(qi)
-        if cycle is None:
-            if play.cycle:
-                cycle, _ = _walk(g, qi, play.cycle)
-            else:
-                idle = g.idle_move(g.env_player, qi)
-                cycle = ((qi, g.vector_for(qi, g.env_player, idle)),)
-            cycles[qi] = cycle
-        computations.append(LassoComputation(tuple(prefix), cycle))
-    if not computations:
+        prefixes.append(tuple(prefix))
+    if not prefixes:
         raise BoundExceeded(
             f"no computation within linearisation bound {bound}", bound)
+    if play.cycle:
+        cycle, _ = _walk(g, qi, play.cycle)
+    else:
+        idle = g.idle_move(g.env_player, qi)
+        cycle = ((qi, g.vector_for(qi, g.env_player, idle)),)
+    computations = [LassoComputation(prefix, cycle) for prefix in prefixes]
 
     fair = [_cycle_fairness(g, constraints, lam.cycle).fair for lam in computations]
     if not any(fair):

@@ -431,12 +431,11 @@ def _extract_lasso(game: _FairGame, flat: Sequence[int],
         edge = next(e for e in adjacency[pos] if takes(pos, e))
         tour.append((pos, edge))
         pos = edge[0]
-    if pos != anchor or not tour:
-        if not tour and pos == anchor:
-            edge = next(e for e in adjacency[anchor] if e[0] in component)
-            tour.append((anchor, edge))
-            pos = edge[0]
-        tour.extend(bfs(pos, lambda n: n == anchor, allowed=component))
+    if not tour:
+        edge = next(e for e in adjacency[anchor] if e[0] in component)
+        tour.append((anchor, edge))
+        pos = edge[0]
+    tour.extend(bfs(pos, lambda n: n == anchor, allowed=component))
 
     def steps(edge_list):
         return tuple((node[0], _profile_vector(g, flat, node[0], a, j))

@@ -22,13 +22,12 @@ pasts together are not conflict-free, and a run is conflict-free whole.
 
 Infinite plays are kept finite as a prefix of single- or multi-event steps
 plus a lasso: a segment of transitions repeated forever at the marking
-level.  Validation materialises the prefix and two passes of the lasso,
-which is enough to decide every per-cycle condition exactly.
+level.  Validation materialises the prefix and one pass of the lasso,
+which every later pass repeats from the same marking.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -378,22 +377,23 @@ class Play:
 
 
 class MaterialisedPlay:
-    """The concrete run of a play: prefix plus ``passes`` copies of the cycle."""
+    """The concrete run of a play: its prefix plus one pass of the cycle."""
 
     def __init__(self, bp: BranchingProcess, cuts: list, step_events: list,
-                 cycle_starts_at: int, pass_boundaries: list):
+                 cycle_starts_at: int, final: Marking):
         self.bp = bp                          # its events in firing order
         self.cuts = cuts                      # recorded cuts, cut 0 = initial
         self.step_events = step_events        # event ids per recorded step
         self.cycle_starts_at = cycle_starts_at  # index into step_events
-        self.pass_boundaries = pass_boundaries  # event count at end of each pass
+        self.final = final                    # marking after every event, trailing included
 
     def markings(self) -> list:
         return [self.bp.mu(c) for c in self.cuts]
 
 
-def materialise_play(net: NetSystem, play: Play, passes: int = 2) -> MaterialisedPlay:
-    """Fire the play's transitions, building its run and recorded cuts.
+def materialise_play(net: NetSystem, play: Play) -> MaterialisedPlay:
+    """Fire the play's transitions, building its run and recorded cuts:
+    the prefix, one pass of the cycle, then the trailing events.
 
     Raises InputError when a listed transition is not enabled where it
     appears or when the cycle does not return to its starting marking.
@@ -423,43 +423,20 @@ def materialise_play(net: NetSystem, play: Play, passes: int = 2) -> Materialise
         cuts.append(frozenset(current.values()))
 
     cycle_starts_at = len(step_events)
-    pass_boundaries = []
     if play.cycle:
         start_marking = frozenset(current)
-        for _ in range(passes):
-            for t in play.cycle:
-                step_events.append((fire_label(t),))
-                cuts.append(frozenset(current.values()))
-            if frozenset(current) != start_marking:
-                raise InputError(
-                    "play cycle does not return to its starting marking "
-                    f"({format_marking(start_marking)} vs {format_marking(frozenset(current))})")
-            pass_boundaries.append(len(bp.events))
+        for t in play.cycle:
+            step_events.append((fire_label(t),))
+            cuts.append(frozenset(current.values()))
+        if frozenset(current) != start_marking:
+            raise InputError(
+                "play cycle does not return to its starting marking "
+                f"({format_marking(start_marking)} vs {format_marking(frozenset(current))})")
 
     for t in play.trailing:
         fire_label(t)
 
-    return MaterialisedPlay(bp, cuts, step_events, cycle_starts_at, pass_boundaries)
-
-
-def _forever_surviving_labels(net: NetSystem, play: Play, mat: MaterialisedPlay) -> frozenset:
-    """Places whose current condition is never consumed again, at any point
-    of the (possibly infinite) run.
-
-    For lasso plays a condition created in the prefix or the first cycle
-    pass survives forever iff it has no consumer through the second pass:
-    the cycle acts identically on every later pass.
-    """
-    bp = mat.bp
-    consumed = frozenset().union(*(e.pre for e in bp.events.values()))
-    if play.cycle:
-        first_pass_end = mat.pass_boundaries[0]
-        window = set(itertools.islice(bp.events, first_pass_end))
-        candidates = [c for c in bp.conditions.values()
-                      if c.producer is None or c.producer in window]
-    else:
-        candidates = list(bp.conditions.values())
-    return frozenset(c.label for c in candidates if c.cid not in consumed)
+    return MaterialisedPlay(bp, cuts, step_events, cycle_starts_at, frozenset(current))
 
 
 def validate_play(net: NetSystem, play: Play, horizon: int) -> list[str]:
@@ -467,20 +444,24 @@ def validate_play(net: NetSystem, play: Play, horizon: int) -> list[str]:
 
     (1) no uncontrollable event can be added to the run; (2) a finite play
     ends in a deadlock; (3) every event precedes some recorded cut.
+
+    An event can be added when its pre-set lies in the run's final marking
+    less the places some cycle transition reads: only those hold a condition
+    that no later pass of the cycle consumes.
     """
     return _validate_play(net, play, horizon)[0]
 
 
 def _validate_play(net: NetSystem, play: Play, horizon: int) -> tuple:
-    """:func:`validate_play`'s diagnostics and the two-pass run they read."""
+    """:func:`validate_play`'s diagnostics and the run they read."""
     if play.trailing and play.cycle:
         raise InputError("trailing events are only meaningful for finite plays")
     needed = sum(len(s) for s in play.steps) + len(play.cycle) + len(play.trailing)
     if horizon < needed:
         raise InputError(
             f"horizon {horizon} is smaller than the play's {needed} events")
-    mat = materialise_play(net, play, passes=2)
-    survivors = _forever_surviving_labels(net, play, mat)
+    mat = materialise_play(net, play)
+    survivors = mat.final.difference(*map(net.pre, play.cycle))
 
     diags: list[str] = []
     for t in sorted(net.transitions):
@@ -542,7 +523,7 @@ def consistent_with(net: NetSystem, play: Play,
     for strategy in strategies:
         check_strategy(net, strategy)
         profile[strategy.owner] = strategy
-    mat = materialise_play(net, play, passes=1)
+    mat = materialise_play(net, play)
     markings = mat.markings()
 
     diags: list[str] = []

@@ -11,7 +11,7 @@ from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, True
 from petrigames.game import LassoComputation, lasso_is_fair
 from petrigames.nets import enabled_set, fire, parse_net, reachability_graph
 from petrigames.randnet import random_net
-from petrigames.unfold import Play, cut_step, enabled_events, initial_cut
+from petrigames.unfold import Play, cut_step, enabled_events, initial_cut, materialise_play
 
 #: the caps of the wide draw, ``random_net(seed, **WIDE_DRAW)``: up to
 #: three users, and nets whose profile spaces and prefixes the default
@@ -483,6 +483,38 @@ def random_valid_play(net, rng, prefix_depth=6):
     return Play.from_sequence(prefix, cycle)
 
 
+def random_play_walk(net, rng, max_steps=10):
+    """A random firing sequence as a play, valid or not: a closed walk,
+    cut where a marking repeats, when one comes within ``max_steps``;
+    otherwise a finite play, whose last event is trailing half the time."""
+    marking, fired, seen = net.initial, [], {net.initial: 0}
+    for _ in range(max_steps):
+        enabled = sorted(enabled_set(net, marking))
+        if not enabled:
+            break
+        t = rng.choice(enabled)
+        fired.append(t)
+        marking = fire(net, marking, t)
+        if marking in seen:
+            return Play.from_sequence(fired[:seen[marking]], fired[seen[marking]:])
+        seen[marking] = len(fired)
+    if fired and rng.random() < 0.5:
+        return Play(tuple((t,) for t in fired[:-1]), (), (fired[-1],))
+    return Play.from_sequence(fired)
+
+
+def merge_steps(play, rng):
+    """The same play with random runs of consecutive prefix steps merged
+    into one ``+`` step."""
+    steps = []
+    for step in play.steps:
+        if steps and rng.random() < 0.5:
+            steps[-1] += step
+        else:
+            steps.append(step)
+    return Play(tuple(steps), play.cycle, play.trailing)
+
+
 # -- bounded net-side play checking -------------------------------------------------
 
 _PENDING, _SAT, _FAILED = 0, 1, 2
@@ -657,3 +689,26 @@ def reference_cut_order(bp, cut1, cut2, consumers):
 def reference_is_run(bp, consumers):
     """Conflict-free: no condition feeds two events."""
     return all(len(cs) <= 1 for cs in consumers.values())
+
+
+# -- the two-pass rule for a play's addable events --------------------------------
+
+def reference_play_diagnostics(net, play):
+    """:func:`validate_play`'s diagnostics by the two-pass rule, for a play
+    whose cycle returns to its start marking.  Materialise the prefix and
+    two passes of the cycle; a condition created in the prefix or the first
+    pass survives forever when nothing in the whole run consumes it."""
+    run = materialise_play(net, Play(play.steps, play.cycle * 2, play.trailing)).bp
+    consumers = reference_consumers(run)
+    first_pass = set(itertools.islice(
+        run.events, sum(map(len, play.steps)) + len(play.cycle)))
+    survivors = {c.label for c in run.conditions.values()
+                 if not consumers[c.cid] and
+                 (not play.cycle or c.producer is None or c.producer in first_pass)}
+    diags = [f"uncontrollable event {t} addable" for t in sorted(net.transitions)
+             if not net.is_controllable(t) and net.pre(t) <= survivors]
+    if not play.cycle:
+        diags += [f"controllable event {t} addable at the final cut"
+                  for t in sorted(net.transitions)
+                  if net.is_controllable(t) and net.pre(t) <= survivors]
+    return diags + [f"event {t} not covered by any cut" for t in play.trailing]

@@ -115,7 +115,7 @@ def test_check_fragment():
 def test_state_props():
     assert state_props(S({"p0", "p3"})) == S({"p0", "p3"})
     assert state_props(S()) == S()
-    mat = materialise_play(F4, Play.from_sequence(["t3"]), passes=1)
+    mat = materialise_play(F4, Play.from_sequence(["t3"]))
     cut = mat.cuts[-1]
     assert state_props(cut, mat.bp) == S({"p0", "p3"})
 

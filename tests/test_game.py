@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 
-from helpers import chain_net
+from helpers import chain_net, corpus_net, merge_steps, random_valid_play
 from petrigames import fixtures, game
-from petrigames.errors import InputError, PreconditionError
+from petrigames.errors import BoundExceeded, InputError, PreconditionError
 from petrigames.game import (
     LassoComputation,
     build_fairness,
@@ -17,7 +20,8 @@ from petrigames.game import (
     stutter_remove,
 )
 from petrigames.nets import parse_net
-from petrigames.unfold import Play, format_play, parse_play, validate_play
+from petrigames.unfold import Play, format_play, interleavings, materialise_play, parse_play, \
+    validate_play
 
 F4 = parse_net(fixtures.FIG4)
 S = frozenset
@@ -346,6 +350,67 @@ def test_play_to_computations_draws_only_bound_orders(monkeypatch):
     lassos = play_to_computations(net, g, fcs, play, bound=1)
     assert len(drawn) == 2 and max(drawn) <= 1
     assert any(lasso_is_fair(g, fcs, lam).fair for lam in lassos)
+
+
+def _walk_labels(g, qi, labels):
+    """Fire ``labels`` from ``qi``, each scheduled for its owner: the steps
+    and the state reached."""
+    steps = []
+    for t in labels:
+        player = g.player_names.index(g.net.location_of(t))
+        steps.append((qi, g.vector_for(qi, player, g.moves[player][qi].index(t))))
+        qi = g.tau(*steps[-1])
+    return steps, qi
+
+
+def test_play_orders_end_at_one_state_and_need_no_walk_cache():
+    """On valid plays with runs of prefix steps merged into ``+`` steps,
+    every order of a gap ends at one state, and the computations equal
+    those walked from scratch for every choice of orders."""
+    rng = random.Random(1)
+    bound = 100
+    nets = [parse_net(getattr(fixtures, name)) for name in
+            ("FIG4", "TOGGLE2", "DEADLOCK", "USERONLY", "COOP2")] + \
+        [corpus_net(seed) for seed in range(1, 61)]
+    several = 0
+    for net in nets:
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for _ in range(2):
+            play = merge_steps(random_valid_play(net, rng), rng)
+            mat = materialise_play(net, play)
+            gaps = [[[mat.bp.events[e].label for e in order]
+                     for order in interleavings(mat.bp, fired)]
+                    for fired in mat.step_events[:mat.cycle_starts_at]]
+            qi = g.initial_state()
+            for orders in gaps:
+                ends = {_walk_labels(g, qi, order)[1] for order in orders}
+                assert len(ends) == 1, format_play(play)
+                (qi,) = ends
+                several += len(orders) > 1
+
+            expected = []
+            for choice in itertools.islice(itertools.product(*gaps), bound):
+                prefix, qi = _walk_labels(g, g.initial_state(), sum(choice, []))
+                if play.cycle:
+                    cycle = _walk_labels(g, qi, play.cycle)[0]
+                else:
+                    idle = g.idle_move(g.env_player, qi)
+                    cycle = [(qi, g.vector_for(qi, g.env_player, idle))]
+                expected.append(LassoComputation(tuple(prefix), tuple(cycle)))
+            lassos = play_to_computations(net, g, fcs, play, bound=bound)
+            repaired = not any(lasso_is_fair(g, fcs, lam).fair for lam in expected)
+            assert tuple(lassos[:len(expected)]) == tuple(expected)
+            assert len(lassos) == len(expected) + repaired
+    assert several
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_play_to_computations_rejects_a_non_positive_bound(g4, fc4, bound):
+    play = Play(steps=(("t0", "t3"),), cycle=("t5", "t1", "t0", "t3"))
+    with pytest.raises(BoundExceeded) as err:
+        play_to_computations(F4, g4, fc4, play, bound=bound)
+    assert str(err.value) == f"no computation within linearisation bound {bound}"
 
 
 def test_round_trip_play_computation_play(g4, fc4):

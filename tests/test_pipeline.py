@@ -432,7 +432,7 @@ def test_translate_play_decides_fairness_once_per_computation(tmp_path, monkeypa
 
 
 def test_translate_play_materialises_once(tmp_path, monkeypatch):
-    # validation's two-pass run also gives the linearised prefix gaps
+    # validation's run also gives the linearised prefix gaps
     built = []
     init = unfold_module.MaterialisedPlay.__init__
 

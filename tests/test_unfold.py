@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from helpers import WIDE_DRAW, chain_net, corpus_net, reference_consumers, \
-    reference_cut_order, reference_is_cut, reference_is_run, reference_relation, \
-    undo_play
+from helpers import WIDE_DRAW, chain_net, corpus_net, merge_steps, random_play_walk, \
+    random_valid_play, reference_consumers, reference_cut_order, reference_is_cut, \
+    reference_is_run, reference_play_diagnostics, reference_relation, undo_play
 from petrigames import fixtures
 from petrigames.errors import BoundExceeded, InputError, PreconditionError
 from petrigames.nets import enabled_set, fire, format_net, parse_net, reachability_graph
@@ -198,7 +198,7 @@ def test_every_cut_maps_to_reachable_marking():
 def test_is_run():
     assert is_run(unfold_prefix(F4, 0))
     assert not is_run(unfold_prefix(F4, 1))  # t2.1 and t3.1 compete for p2.1
-    mat = materialise_play(F4, Play.from_sequence(["t0"]), passes=1)
+    mat = materialise_play(F4, Play.from_sequence(["t0"]))
     assert is_run(mat.bp)
 
 
@@ -243,7 +243,7 @@ def test_cuts_order_and_conflict_match_the_pairwise_definitions():
 
 
 def test_is_maximal_refinement():
-    mat = materialise_play(F4, Play.from_sequence(["t0", "t3"]), passes=1)
+    mat = materialise_play(F4, Play.from_sequence(["t0", "t3"]))
     bp = mat.bp
     cuts = mat.cuts
     assert is_maximal_refinement(bp, cuts)
@@ -255,7 +255,7 @@ def test_is_maximal_refinement():
 
 
 def test_maximal_refinement_markings_form_reachability_path():
-    mat = materialise_play(F4, Play.from_sequence(["t3", "t0", "t5"]), passes=1)
+    mat = materialise_play(F4, Play.from_sequence(["t3", "t0", "t5"]))
     assert is_maximal_refinement(mat.bp, mat.cuts)
     graph = reachability_graph(F4)
     markings = mat.markings()
@@ -297,6 +297,27 @@ def test_validate_play_horizon_too_small():
     play = Play.from_sequence(["t3", "t5", "t3"])
     with pytest.raises(InputError):
         validate_play(F4, play, horizon=2)
+
+
+def test_validate_play_matches_the_two_pass_rule():
+    """One pass of the cycle decides the addable events as the prefix and
+    two passes with a consumer scan do, on the fixtures and
+    ``random_net(1..60)``: for random valid plays, random closed and open
+    walks (some open ones with a trailing event), and the same plays with
+    runs of prefix steps merged into ``+`` steps."""
+    rng = random.Random(0)
+    nets = [parse_net(getattr(fixtures, name)) for name in UNFOLDABLE + ("CONTACT",)] + \
+        [corpus_net(seed) for seed in range(1, 61)]
+    kinds = set()
+    for net in nets:
+        plays = [random_valid_play(net, rng) for _ in range(4)] + \
+            [random_play_walk(net, rng) for _ in range(6)]
+        for play in plays + [merge_steps(play, rng) for play in plays]:
+            diags = validate_play(net, play, horizon=64)
+            assert diags == reference_play_diagnostics(net, play), format_play(play)
+            kinds.add((bool(play.cycle), bool(play.trailing), bool(diags)))
+    assert {(True, False, False), (True, False, True), (False, False, False),
+            (False, False, True), (False, True, True)} <= kinds
 
 
 def test_deadlocking_finite_play_accepted():
@@ -409,12 +430,12 @@ def test_prefix_is_read_whole(name):
         assert_read_whole(unfold_prefix(net, depth))
 
 
-@pytest.mark.parametrize("passes", [1, 2])
-def test_play_run_is_read_whole_in_firing_order(passes):
-    mat = materialise_play(parse_net(chain_net(4)), parse_play(undo_play(4)), passes=passes)
+def test_play_run_is_read_whole_in_firing_order():
+    mat = materialise_play(parse_net(chain_net(4)), parse_play(undo_play(4)))
     assert_read_whole(mat.bp)
     assert list(mat.bp.events) == [e for fired in mat.step_events for e in fired]
-    assert mat.pass_boundaries == [8 + 2 * i for i in range(1, passes + 1)]
+    assert len(mat.bp.events) == 8 + 2          # the prefix and one pass of the cycle
+    assert mat.final == mat.markings()[mat.cycle_starts_at] == mat.markings()[-1]
 
 
 def test_dot_prefix_is_deterministic():
