@@ -347,8 +347,7 @@ def _translate(config: argparse.Namespace, report: Report, net) -> int:
     constraints = build_fairness(net, g)
     if config.play_path is not None:
         play = parse_play(_read(config.play_path, "play"))
-        lassos = play_to_computations(net, g, constraints, play,
-                                      bound=config.bound)
+        lassos = play_to_computations(g, constraints, play, bound=config.bound)
         report.say(f"{len(lassos)} computation(s)")
         report.record("computations", len(lassos))
         for i, (lam, fair) in enumerate(zip(lassos, lassos.fair)):
@@ -357,7 +356,7 @@ def _translate(config: argparse.Namespace, report: Report, net) -> int:
             report.record(f"fair.{i}", fair)
         return EXIT_OK
     lasso = parse_lasso(g, _read(config.lasso_path, "lasso"))
-    text = format_play(computation_to_play(net, g, constraints, lasso))
+    text = format_play(computation_to_play(g, constraints, lasso))
     report.write(("play:\n", text))
     report.record("play", text.replace("\n", " / ").strip())
     return EXIT_OK

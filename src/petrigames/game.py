@@ -317,11 +317,10 @@ def stutter_remove(g: GameStructure, lasso: LassoComputation
     return canonical_lasso(prefix_states, cycle_states)
 
 
-def computation_to_play(net: NetSystem, g: GameStructure,
-                        constraints: Iterable[FairnessConstraint],
+def computation_to_play(g: GameStructure, constraints: Iterable[FairnessConstraint],
                         lasso: LassoComputation) -> Play:
-    """Project a fair computation to a play: one event per non-idle step,
-    one recorded cut after each event."""
+    """Project a fair computation of ``g`` to a play of ``g.net``: one
+    event per non-idle step, one recorded cut after each event."""
     report = lasso_is_fair(g, constraints, lasso)
     if not report.fair:
         raise PreconditionError(
@@ -366,26 +365,26 @@ def _walk(g: GameStructure, qi: int, tokens: Iterable, encode=_transition_step) 
 
 
 class _Computations(tuple):
-    """The computations of a play, with ``fair``: the fairness of each."""
+    """The computations of a play, with ``fair``: the fairness of each
+    (the plain ones share one cycle, so one value)."""
 
 
-def play_to_computations(net: NetSystem, g: GameStructure,
-                         constraints: Iterable[FairnessConstraint],
+def play_to_computations(g: GameStructure, constraints: Iterable[FairnessConstraint],
                          play: Play,
                          bound: int = DEFAULT_LINEARISATION_BOUND) -> tuple:
     """All computations obtained by linearising the events between
-    consecutive cuts of a valid play, up to ``bound``; a deadlocked play
-    gets the idle self-loop as its cycle.
+    consecutive cuts of a valid play of ``g.net``, up to ``bound``; a
+    deadlocked play gets the idle self-loop as its cycle.
 
-    At least one returned computation is fair: when no plain
-    linearisation is, the first one is repaired by appending idle steps
-    for every player the cycle never schedules.  The returned tuple's
-    ``fair`` attribute holds each computation's fairness, decided once by
-    :func:`_cycle_fairness`: ``tau`` built them, so none is validated.
+    At least one returned computation is fair: when the plain
+    linearisations are not, the first one is repaired by appending idle
+    steps for every player the cycle never schedules.  The returned
+    tuple's ``fair`` attribute holds each computation's fairness, decided
+    by :func:`_cycle_fairness` once for the cycle the plain ones share and
+    once for the repaired one (``tau`` built them, so none is validated).
     """
     constraints = tuple(constraints)
-    needed = sum(len(s) for s in play.steps) + len(play.cycle) + len(play.trailing)
-    diags, mat = _validate_play(net, play, horizon=needed)
+    diags, mat = _validate_play(g.net, play)
     if diags:
         raise PreconditionError("not a valid play: " + "; ".join(diags))
     bp = mat.bp
@@ -425,8 +424,8 @@ def play_to_computations(net: NetSystem, g: GameStructure,
         cycle = ((qi, g.vector_for(qi, g.env_player, idle)),)
     computations = [LassoComputation(prefix, cycle) for prefix in prefixes]
 
-    fair = [_cycle_fairness(g, constraints, lam.cycle).fair for lam in computations]
-    if not any(fair):
+    fair = [_cycle_fairness(g, constraints, cycle).fair] * len(computations)
+    if not fair[0]:
         computations.append(_repair_fairness(g, computations[0]))
         fair.append(_cycle_fairness(g, constraints, computations[-1].cycle).fair)
     result = _Computations(computations)
@@ -484,14 +483,14 @@ def parse_lasso(g: GameStructure, text: str) -> LassoComputation:
                 f"player {name} has no idle move at {format_marking(g.states[qi])}")
         return (qi, g.vector_for(qi, player, idle))
 
-    def single(step: tuple) -> str:
-        if len(step) != 1:
+    def single(token: str) -> str:
+        if "+" in token:
             raise InputError("lasso files take one move per step")
-        return step[0]
+        return token
 
     # map is lazy, so each step is checked in file order as it is walked
-    prefix, qi = _walk(g, g.initial_state(), map(single, play.steps), encode)
-    cycle, _ = _walk(g, qi, play.cycle, encode)
+    prefix, qi = _walk(g, g.initial_state(), map(single, map("+".join, play.steps)), encode)
+    cycle, _ = _walk(g, qi, map(single, play.cycle), encode)
     lasso = LassoComputation(prefix, cycle)
     validate_lasso(g, lasso)
     return lasso

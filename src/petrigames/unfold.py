@@ -439,8 +439,8 @@ def materialise_play(net: NetSystem, play: Play) -> MaterialisedPlay:
     return MaterialisedPlay(bp, cuts, step_events, cycle_starts_at, frozenset(current))
 
 
-def validate_play(net: NetSystem, play: Play, horizon: int) -> list[str]:
-    """Check the three defining conditions of a play, up to the horizon.
+def validate_play(net: NetSystem, play: Play) -> list[str]:
+    """Check the three defining conditions of a play on its whole run.
 
     (1) no uncontrollable event can be added to the run; (2) a finite play
     ends in a deadlock; (3) every event precedes some recorded cut.
@@ -449,17 +449,13 @@ def validate_play(net: NetSystem, play: Play, horizon: int) -> list[str]:
     less the places some cycle transition reads: only those hold a condition
     that no later pass of the cycle consumes.
     """
-    return _validate_play(net, play, horizon)[0]
+    return _validate_play(net, play)[0]
 
 
-def _validate_play(net: NetSystem, play: Play, horizon: int) -> tuple:
+def _validate_play(net: NetSystem, play: Play) -> tuple:
     """:func:`validate_play`'s diagnostics and the run they read."""
     if play.trailing and play.cycle:
         raise InputError("trailing events are only meaningful for finite plays")
-    needed = sum(len(s) for s in play.steps) + len(play.cycle) + len(play.trailing)
-    if horizon < needed:
-        raise InputError(
-            f"horizon {horizon} is smaller than the play's {needed} events")
     mat = materialise_play(net, play)
     survivors = mat.final.difference(*map(net.pre, play.cycle))
 
@@ -558,7 +554,8 @@ def consistent_with(net: NetSystem, play: Play,
 def parse_play(text: str) -> Play:
     """Play file: a firing sequence, one transition per token and '+'
     joining the events of one step; a ``cycle:`` line opens the repeated
-    segment and a ``trailing:`` line the events after the last cut."""
+    segment, one event per token kept whole, and a ``trailing:`` line the
+    events after the last cut."""
     steps: list = []
     tails: dict = {"cycle:": [], "trailing:": []}
     target = None                   # the tail that a 'cycle:' or 'trailing:' line opened
@@ -571,7 +568,7 @@ def parse_play(text: str) -> Play:
             if target is None:
                 steps.append(tuple(token.split("+")))
             else:
-                target.extend(token.split("+"))
+                target.extend([token] if target is tails["cycle:"] else token.split("+"))
     return Play(tuple(steps), tuple(tails["cycle:"]), tuple(tails["trailing:"]))
 
 

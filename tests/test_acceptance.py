@@ -178,9 +178,8 @@ def test_criterion_3_fair_computations_become_plays(corpus_games):
             failures += 1
             continue
         produced += 1
-        play = computation_to_play(net, g, fcs, lam)
-        horizon = sum(len(s) for s in play.steps) + len(play.cycle)
-        if validate_play(net, play, horizon=max(horizon, 1)) != []:
+        play = computation_to_play(g, fcs, lam)
+        if validate_play(net, play) != []:
             failures += 1
     report(3, failures == 0,
            f"{produced} random fair lassos translated to plays accepted "
@@ -196,12 +195,11 @@ def test_criterion_4_plays_have_fair_computations(corpus_games):
         net, g, fcs = corpus_games[idx % len(corpus_games)]
         idx += 1
         play = random_valid_play(net, rng, prefix_depth=6)
-        horizon = sum(len(s) for s in play.steps) + len(play.cycle)
-        if validate_play(net, play, horizon=max(horizon, 1)) != []:
+        if validate_play(net, play) != []:
             continue  # generator missed; does not count as an instance
         produced += 1
         try:
-            lassos = play_to_computations(net, g, fcs, play)
+            lassos = play_to_computations(g, fcs, play)
         except BoundExceeded:
             failures += 1
             continue

@@ -729,6 +729,8 @@ def test_unwritable_output_error_is_pinned(f4_path, tmp_path):
     ("t1 t0+t3\n", "transition t1 is not a move of env at {p0,p2}"),
     ("t0+t3 pass@nobody\n", "lasso files take one move per step"),
     ("t0\ncycle: pass@nobody t1+t0\n", "unknown player in token 'pass@nobody'"),
+    # a cycle takes one move per step too
+    ("t3\ncycle: t0+t5 t3 t1\n", "lasso files take one move per step"),
 ])
 def test_lasso_file_rejections_are_pinned(f4_path, tmp_path, text, message):
     lasso = tmp_path / "bad.lasso"
@@ -758,9 +760,11 @@ NOT_ONE_FORMULA = "error: formula file must hold exactly one formula\n"
      "error: transition t1 is not enabled at marking {p0,p2} while replaying the play\n"),
     (PLAY_FILE, "t0\ncycle: t1 t5 t3 t0\ntrailing: t3\n",
      "error: trailing events are only meaningful for finite plays\n"),
+    # a cycle token is one event: '+' does not split it
+    (PLAY_FILE, "t3\ncycle: t0+t5 t3 t1\n", "error: unknown transition 't0+t5' in play\n"),
 ], ids=["no-formula", "two-formulas", "no-location", "undeclared-arc-end",
         "repeated-location", "unknown-play-transition", "play-not-enabled",
-        "trailing-and-cycle"])
+        "trailing-and-cycle", "plus-in-cycle"])
 def test_input_checks_exit_2_with_their_message(f4_path, tmp_path, argv, text, expected):
     path = tmp_path / "input"
     path.write_text(text)

@@ -256,18 +256,18 @@ def test_stutter_remove_matches_twin_without_stutters(g4):
 
 def test_computation_to_play_evasion(g4, fc4):
     lasso = LassoComputation((), evasion_cycle(g4))
-    play = computation_to_play(F4, g4, fc4, lasso)
+    play = computation_to_play(g4, fc4, lasso)
     assert play.steps == ()
     assert play.cycle == ("t0", "t3", "t5", "t1")
-    assert validate_play(F4, play, horizon=16) == []
+    assert validate_play(F4, play) == []
 
 
 def test_computation_to_play_drops_stutters(g4, fc4):
     q0 = q(g4, "p0", "p2")
     idle = (q0, g4.vector_for(q0, 0, g4.idle_move(0, q0)))
     lasso = LassoComputation((idle,), evasion_cycle(g4))
-    play = computation_to_play(F4, g4, fc4, lasso)
-    twin = computation_to_play(F4, g4, fc4, LassoComputation((), evasion_cycle(g4)))
+    play = computation_to_play(g4, fc4, lasso)
+    twin = computation_to_play(g4, fc4, LassoComputation((), evasion_cycle(g4)))
     assert play == twin
 
 
@@ -275,7 +275,7 @@ def test_computation_to_play_requires_fairness(g4, fc4):
     cycle = (step(g4, {"p0", "p2"}, "env", "t0"),
              step(g4, {"p1", "p2"}, "env", "t1"))
     with pytest.raises(PreconditionError):
-        computation_to_play(F4, g4, fc4, LassoComputation((), cycle))
+        computation_to_play(g4, fc4, LassoComputation((), cycle))
     # the t3,(t5,t3) lasso starves the permanently enabled t0, so it is
     # unfair and rejected as well
     starved = LassoComputation(
@@ -283,13 +283,13 @@ def test_computation_to_play_requires_fairness(g4, fc4):
         (step(g4, {"p0", "p3"}, "env", "t5"),
          step(g4, {"p0", "p2"}, "u", "t3")))
     with pytest.raises(PreconditionError) as err:
-        computation_to_play(F4, g4, fc4, starved)
+        computation_to_play(g4, fc4, starved)
     assert "weak:t0" in str(err.value)
 
 
 def test_play_to_computations_linearises_concurrent_events(g4, fc4):
     play = Play(steps=(("t0", "t3"),), cycle=("t5", "t1", "t0", "t3"))
-    lassos = play_to_computations(F4, g4, fc4, play)
+    lassos = play_to_computations(g4, fc4, play)
     prefixes = set()
     for lam in lassos:
         labels = []
@@ -303,7 +303,7 @@ def test_play_to_computations_linearises_concurrent_events(g4, fc4):
 
 def test_play_to_computations_single_linearisation(g4, fc4):
     play = Play.from_sequence(["t3"], cycle=["t0", "t5", "t3", "t1"])
-    lassos = play_to_computations(F4, g4, fc4, play)
+    lassos = play_to_computations(g4, fc4, play)
     assert len(lassos) == 1
     assert lasso_is_fair(g4, fc4, lassos[0]).fair
 
@@ -313,7 +313,7 @@ def test_play_to_computations_deadlock():
     g = build_game(net)
     fcs = build_fairness(net, g)
     play = Play.from_sequence(["s", "r"])
-    lassos = play_to_computations(net, g, fcs, play)
+    lassos = play_to_computations(g, fcs, play)
     assert len(lassos) >= 1
     lam = next(l for l in lassos if lasso_is_fair(g, fcs, l).fair)
     # the cycle idles at the deadlock state
@@ -326,7 +326,7 @@ def test_play_to_computations_deadlock():
 def test_play_to_computations_rejects_invalid_play(g4, fc4):
     bad = Play.from_sequence(["t3"], cycle=["t5", "t3"])  # starves t0
     with pytest.raises(PreconditionError):
-        play_to_computations(F4, g4, fc4, bad)
+        play_to_computations(g4, fc4, bad)
 
 
 def test_play_to_computations_draws_only_bound_orders(monkeypatch):
@@ -347,7 +347,7 @@ def test_play_to_computations_draws_only_bound_orders(monkeypatch):
             yield order
 
     monkeypatch.setattr(game, "interleavings", counted)
-    lassos = play_to_computations(net, g, fcs, play, bound=1)
+    lassos = play_to_computations(g, fcs, play, bound=1)
     assert len(drawn) == 2 and max(drawn) <= 1
     assert any(lasso_is_fair(g, fcs, lam).fair for lam in lassos)
 
@@ -398,7 +398,7 @@ def test_play_orders_end_at_one_state_and_need_no_walk_cache():
                     idle = g.idle_move(g.env_player, qi)
                     cycle = [(qi, g.vector_for(qi, g.env_player, idle))]
                 expected.append(LassoComputation(tuple(prefix), tuple(cycle)))
-            lassos = play_to_computations(net, g, fcs, play, bound=bound)
+            lassos = play_to_computations(g, fcs, play, bound=bound)
             repaired = not any(lasso_is_fair(g, fcs, lam).fair for lam in expected)
             assert tuple(lassos[:len(expected)]) == tuple(expected)
             assert len(lassos) == len(expected) + repaired
@@ -409,15 +409,15 @@ def test_play_orders_end_at_one_state_and_need_no_walk_cache():
 def test_play_to_computations_rejects_a_non_positive_bound(g4, fc4, bound):
     play = Play(steps=(("t0", "t3"),), cycle=("t5", "t1", "t0", "t3"))
     with pytest.raises(BoundExceeded) as err:
-        play_to_computations(F4, g4, fc4, play, bound=bound)
+        play_to_computations(g4, fc4, play, bound=bound)
     assert str(err.value) == f"no computation within linearisation bound {bound}"
 
 
 def test_round_trip_play_computation_play(g4, fc4):
     play = Play.from_sequence(["t3"], cycle=["t0", "t5", "t3", "t1"])
-    lassos = play_to_computations(F4, g4, fc4, play)
+    lassos = play_to_computations(g4, fc4, play)
     fair = next(l for l in lassos if lasso_is_fair(g4, fc4, l).fair)
-    back = computation_to_play(F4, g4, fc4, fair)
+    back = computation_to_play(g4, fc4, fair)
     assert back.cycle == play.cycle
     assert back.steps == (("t3",),)
 

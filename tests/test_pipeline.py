@@ -421,14 +421,20 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_translate_play_decides_fairness_once_per_computation(tmp_path, monkeypatch):
+@pytest.mark.parametrize("net, play, printed, decided", [
+    (chain_net(4), undo_play(4), 25, 2),  # 4! orders, then the repaired one
+    (fixtures.FIG4, "t3\ncycle: t0 t5 t3 t1\n", 1, 1),
+    (fixtures.FIG4, "t3 t0+t5\ncycle: t3 t1 t5 t0\n", 2, 1),
+], ids=["chain4-undo", "F4-fair", "F4-merged"])
+def test_translate_play_decides_fairness_once_per_play(tmp_path, monkeypatch,
+                                                       net, play, printed, decided):
+    # every plain computation shares the play's cycle: one decision for
+    # them all, and one more for a repaired computation
     calls = count_calls(monkeypatch, "_cycle_fairness")
-    code, out = invoke(tmp_path, ["translate", "{net}", "--play", "{play}"],
-                       chain_net(4), undo_play(4))
+    code, out = invoke(tmp_path, ["translate", "{net}", "--play", "{play}"], net, play)
     assert code == 0
-    printed = out.count("-- computation ")
-    assert printed == 25                  # 4! orders plus the repaired one
-    assert len(calls) == printed
+    assert out.count("-- computation ") == printed
+    assert len(calls) == decided
 
 
 def test_translate_play_materialises_once(tmp_path, monkeypatch):
@@ -455,7 +461,7 @@ def test_play_computations_are_not_validated_again(monkeypatch, k):
     g = game_module.build_game(net)
     fcs = game_module.build_fairness(net, g)
     validated = count_calls(monkeypatch, "validate_lasso")
-    lassos = game_module.play_to_computations(net, g, fcs, parse_play(undo_play(k)))
+    lassos = game_module.play_to_computations(g, fcs, parse_play(undo_play(k)))
     assert validated == []
     assert lassos.fair == tuple(game_module.lasso_is_fair(g, fcs, lam).fair
                                 for lam in lassos)

@@ -2,7 +2,7 @@
 
 import random
 
-from helpers import corpus_net, random_fair_lasso, random_valid_play
+from helpers import corpus_net, merge_steps, random_fair_lasso, random_valid_play
 from petrigames.formulas import PathFormula, TrueConst, parse_formula, path_satisfies
 from petrigames.game import (
     build_fairness,
@@ -115,10 +115,9 @@ def test_repaired_computation_is_stutter_equivalent_to_its_base():
     for net, g, fcs in GAMES:
         for _ in range(3):
             play = random_valid_play(net, rng)
-            horizon = sum(len(s) for s in play.steps) + len(play.cycle)
-            if validate_play(net, play, horizon=max(horizon, 1)):
+            if validate_play(net, play):
                 continue
-            lassos = play_to_computations(net, g, fcs, play)
+            lassos = play_to_computations(g, fcs, play)
             plain_fair = [lam for lam in lassos
                           if lasso_is_fair(g, fcs, lam).fair]
             if len(plain_fair) == len(lassos):
@@ -130,13 +129,37 @@ def test_repaired_computation_is_stutter_equivalent_to_its_base():
             assert stutter_remove(g, base) == stutter_remove(g, repaired)
 
 
+def test_computations_carry_the_fairness_of_each():
+    # the plain computations share one cycle and so one fairness decision;
+    # each must still agree with lasso_is_fair on its own lasso.  Merged
+    # '+' steps give plays with several plain computations.
+    rng = random.Random("fair-once")
+    outcomes = set()
+    for seed in range(1, 41):
+        net = corpus_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for _ in range(3):
+            base = random_valid_play(net, rng)
+            for play in (base, merge_steps(base, rng)):
+                if validate_play(net, play):
+                    continue
+                lassos = play_to_computations(g, fcs, play)
+                assert lassos.fair == tuple(lasso_is_fair(g, fcs, lam).fair
+                                            for lam in lassos)
+                fair = all(lassos.fair)
+                outcomes.add((fair, len(lassos) - (not fair) > 1))
+    # all fair, and plain ones repaired, each with several plain computations
+    assert {(True, True), (False, True)} <= outcomes
+
+
 def test_round_trip_fair_lasso_play_computation():
     rng = random.Random("roundtrip")
     for net, g, fcs in GAMES[:10]:
         for _ in range(5):
             lam = random_fair_lasso(g, fcs, rng)
-            play = computation_to_play(net, g, fcs, lam)
-            back = play_to_computations(net, g, fcs, play)
+            play = computation_to_play(g, fcs, lam)
+            back = play_to_computations(g, fcs, play)
             fair = [x for x in back if lasso_is_fair(g, fcs, x).fair]
             assert fair
             # the stutter-free projection of the original is among the

@@ -270,33 +270,27 @@ def test_valid_lasso_play_fig4():
     # t3 first, then a cycle in which every persistently enabled
     # uncontrollable transition eventually consumes its conditions
     play = Play.from_sequence(["t3"], cycle=["t0", "t5", "t3", "t1"])
-    assert validate_play(F4, play, horizon=32) == []
+    assert validate_play(F4, play) == []
 
 
 def test_play_with_starved_uncontrollable_is_rejected():
     # cycling only the user's component leaves the t0 occurrence addable
     play = Play.from_sequence(["t3"], cycle=["t5", "t3"])
-    diags = validate_play(F4, play, horizon=32)
+    diags = validate_play(F4, play)
     assert "uncontrollable event t0 addable" in diags
 
 
 def test_finite_play_must_deadlock():
     play = Play.from_sequence(["t3"])
-    diags = validate_play(F4, play, horizon=8)
+    diags = validate_play(F4, play)
     assert "uncontrollable event t5 addable" in diags
     assert "uncontrollable event t0 addable" in diags
 
 
 def test_trailing_event_not_covered_by_cut():
     play = Play(steps=(("t3",),), cycle=(), trailing=("t5",))
-    diags = validate_play(F4, play, horizon=8)
+    diags = validate_play(F4, play)
     assert any("event t5 not covered by any cut" in d for d in diags)
-
-
-def test_validate_play_horizon_too_small():
-    play = Play.from_sequence(["t3", "t5", "t3"])
-    with pytest.raises(InputError):
-        validate_play(F4, play, horizon=2)
 
 
 def test_validate_play_matches_the_two_pass_rule():
@@ -313,7 +307,7 @@ def test_validate_play_matches_the_two_pass_rule():
         plays = [random_valid_play(net, rng) for _ in range(4)] + \
             [random_play_walk(net, rng) for _ in range(6)]
         for play in plays + [merge_steps(play, rng) for play in plays]:
-            diags = validate_play(net, play, horizon=64)
+            diags = validate_play(net, play)
             assert diags == reference_play_diagnostics(net, play), format_play(play)
             kinds.add((bool(play.cycle), bool(play.trailing), bool(diags)))
     assert {(True, False, False), (True, False, True), (False, False, False),
@@ -323,12 +317,12 @@ def test_validate_play_matches_the_two_pass_rule():
 def test_deadlocking_finite_play_accepted():
     net = parse_net(fixtures.USERONLY)
     play = Play.from_sequence(["s", "r"])
-    assert validate_play(net, play, horizon=8) == []
+    assert validate_play(net, play) == []
 
 
 def test_cycle_must_close():
     with pytest.raises(InputError):
-        validate_play(F4, Play.from_sequence([], cycle=["t3"]), horizon=8)
+        validate_play(F4, Play.from_sequence([], cycle=["t3"]))
 
 
 # -- consistency ----------------------------------------------------------------
@@ -343,14 +337,14 @@ def test_consistent_play_firing_t3_first():
     # fair play that fires t3 first and follows the strategy forever:
     # the user moves per strategy at every marking where p2 is filled
     play = Play.from_sequence(["t3"], cycle=["t0", "t5", "t2", "t4", "t1", "t3"])
-    assert validate_play(F4, play, horizon=32) == []
+    assert validate_play(F4, play) == []
     ok, diags = consistent_with(F4, play, [F4_STRATEGY])
     assert ok, diags
 
 
 def test_env_only_cycle_is_finally_postponed():
     play = Play.from_sequence([], cycle=["t0", "t1"])
-    assert validate_play(F4, play, horizon=32) == []
+    assert validate_play(F4, play) == []
     ok, diags = consistent_with(F4, play, [F4_STRATEGY])
     assert not ok
     assert any("finally postponed: u" in d for d in diags)
