@@ -52,8 +52,8 @@ from .nets import (
     significant_lines,
     validate_net,
 )
-from .solver import DEFAULT_PROFILE_BOUND, ENGINES, _profile_moves, check_net, \
-    format_profile
+from .solver import DEFAULT_PROFILE_BOUND, ENGINES, _format_moves, _profile_moves, \
+    check_net
 from .unfold import DEFAULT_PREFIX_BOUND, dot_prefix, format_play, initial_cut, \
     parse_play, unfold_prefix
 
@@ -327,8 +327,9 @@ def _check(config: argparse.Namespace, report: Report, net) -> int:
     report.say(f"{format_formula(formula)}: {state_word} at "
                f"{format_marking(net.initial)}")
     if verdict.witness is not None:
-        report.write(("witness strategy:\n", format_profile(g, verdict.witness)))
-        for user, marking, move in _profile_moves(g, verdict.witness):
+        moves = list(_profile_moves(g, verdict.witness))
+        report.write(("witness strategy:\n", _format_moves(moves)))
+        for user, marking, move in moves:
             report.record(f"witness.{user}.{marking}", move)
     if verdict.counterexample is not None:
         text = format_lasso(g, verdict.counterexample)

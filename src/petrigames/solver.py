@@ -6,9 +6,10 @@ memoryless profile under which every fair computation satisfies the path
 formula (and at least one fair computation exists)?  Each only finds the
 canonically first winning profile:
 
-* ``enumerate`` (:func:`_sweep`) checks every profile exactly, in
+* ``enumerate`` (:func:`_sweep`) decides every profile exactly, in
   canonical order, at every start state still undecided; it is the
-  correctness oracle.
+  correctness oracle.  It skips each profile that agrees with a refuted
+  one on every slot that one's check read.
 * ``fixpoint`` (:func:`_label_fixpoint`) calls a state lost when the
   adversary (environment plus scheduler) forces a fair violating
   computation even against users with full memory, and otherwise runs a
@@ -447,25 +448,63 @@ def _extract_lasso(game: _FairGame, flat: Sequence[int],
 # -- enumerative engine ---------------------------------------------------------
 
 def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> dict:
-    """The enumerative witness finder, the correctness oracle: every
-    profile in canonical order, checked exactly on one arena against every
-    state of ``states`` it has not yet won from, all in one pass
-    (:func:`_winners`).  Returns each state's first winning profile, as a
-    flat slot vector, or None, keyed by the state."""
-    sizes = _slot_sizes(game.g)
+    """The enumerative witness finder, the correctness oracle: the
+    profiles in canonical order, each checked exactly on one arena against
+    every state of ``states`` it has not yet won from, all in one pass
+    (:func:`_product`).  Returns each state's first winning profile, as a
+    flat slot vector, or None, keyed by the state.
+
+    A profile's product reads only the choice slots (more than one move)
+    of the states its rows hold, its conflict: every profile agreeing with
+    a refuted one there is refuted too, and is skipped (conflict-directed
+    backjumping).  The sweep backtracks from the deepest choice slot: one
+    outside the conflict goes back to 0 and is passed over; one inside it
+    adds the conflict, less itself, to what its depth has accumulated and
+    takes its next move, or, with every move spent, passes the accumulated
+    conflict up.  Every skipped profile wins no pending state, so each
+    state's witness is still the first winner in canonical order.
+    Conflicts are masks over the choice slots' depths."""
+    g = game.g
+    sizes = _slot_sizes(g)
     space = math.prod(sizes)
     if space > max_profiles:
         raise BoundExceeded(
             f"profile space of size {space} exceeds the enumeration bound "
             f"{max_profiles}; use the fixpoint engine", max_profiles)
+    n = len(g.states)
+    slots = [slot for slot, size in enumerate(sizes) if size > 1]
+    reads = [0] * n     # per state, the depths of its choice slots
+    for depth, slot in enumerate(slots):
+        reads[slot % n] |= 1 << depth
+    spent = [0] * len(slots)    # per depth, the conflicts of its moves so far
+    flat = [0] * len(sizes)
     witnesses = dict.fromkeys(states)
     pending = [game.start(qi) for qi in states]
-    for flat in itertools.product(*map(range, sizes)):
-        won, pending = _winners(game, flat, pending)
-        witnesses.update((root[0], flat) for root in won)
+    while True:
+        profile = tuple(flat)
+        won, rows, _, _ = _product(game, profile, pending)
+        witnesses.update((root[0], profile) for root, w in zip(pending, won) if w)
+        pending = [root for root, w in zip(pending, won) if not w]
         if not pending:
-            break
-    return witnesses
+            return witnesses
+        conflict = 0
+        for qi, _ in rows:
+            conflict |= reads[qi]
+        depth = len(slots)
+        while depth:
+            depth -= 1
+            bit = 1 << depth
+            if conflict & bit:
+                spent[depth] |= conflict ^ bit
+                slot = slots[depth]
+                if flat[slot] + 1 < sizes[slot]:
+                    flat[slot] += 1
+                    break
+                conflict = spent[depth]
+            flat[slots[depth]] = 0
+            spent[depth] = 0
+        else:
+            return witnesses
 
 
 # -- fixed-point engine -----------------------------------------------------------
@@ -977,10 +1016,16 @@ def _profile_moves(g: GameStructure, profile: GameProfile):
             yield user, format_marking(m), label if label is not None else "pass"
 
 
+def _format_moves(moves: Iterable) -> str:
+    """``strategy <user>: <marking> -> <transition|pass>`` lines, one per
+    item of :func:`_profile_moves`."""
+    return "\n".join(f"strategy {user}: {marking} -> {move}"
+                     for user, marking, move in moves) + "\n"
+
+
 def format_profile(g: GameStructure, profile: GameProfile) -> str:
     """``strategy <user>: <marking> -> <transition|pass>`` lines."""
-    return "\n".join(f"strategy {user}: {marking} -> {move}"
-                     for user, marking, move in _profile_moves(g, profile)) + "\n"
+    return _format_moves(_profile_moves(g, profile))
 
 
 def parse_profile(g: GameStructure, text: str) -> GameProfile:

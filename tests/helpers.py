@@ -11,6 +11,7 @@ from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, True
 from petrigames.game import LassoComputation, lasso_is_fair
 from petrigames.nets import enabled_set, fire, parse_net, reachability_graph
 from petrigames.randnet import random_net
+from petrigames.solver import _slot_sizes, _winners
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut, materialise_play
 
 #: the caps of the wide draw, ``random_net(seed, **WIDE_DRAW)``: up to
@@ -594,6 +595,21 @@ def check_first_profile_lasso(g, constraints, pf, lasso, q0):
     assert not path_satisfies([g.w(qi) for qi, _ in lasso.prefix],
                               [g.w(qi) for qi, _ in lasso.cycle], pf)
     assert all(vec[a] == 0 for _, vec in steps for a in range(g.user_count))
+
+
+def reference_sweep(game, states):
+    """The enumerate sweep without backjumping: every profile in canonical
+    order, as ``itertools.product`` lists them, checked on ``game`` against
+    every state of ``states`` not yet won, until none is left.  Returns each
+    state's first winning flat profile, or None, keyed by the state."""
+    witnesses = dict.fromkeys(states)
+    pending = [game.start(qi) for qi in states]
+    for flat in itertools.product(*map(range, _slot_sizes(game.g))):
+        won, pending = _winners(game, flat, pending)
+        witnesses.update((root[0], flat) for root in won)
+        if not pending:
+            break
+    return witnesses
 
 
 # -- the pairwise definitions of B-cuts, their order, conflict and runs ------------

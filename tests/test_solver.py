@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from helpers import WIDE_DRAW, chain_net, check_first_profile_lasso, corpus_net, \
-    formula_pool, monitor_start, monitor_step, nested_goals, pool_goal, refute_profile, \
-    report_goals, stack_depth
-from petrigames import fixtures, solver
+    formula_pool, monitor_start, monitor_step, nested_goals, pool_goal, reference_sweep, \
+    refute_profile, report_goals, stack_depth
+from petrigames import cli, fixtures, solver
 from petrigames.errors import BoundExceeded, InputError
 from petrigames.formulas import Coalition, PathFormula, Prop, format_formula, holds_in, \
     parse_formula, path_satisfies
@@ -681,7 +681,7 @@ def test_model_check_builds_the_label_table_once(monkeypatch):
 
 def test_enumerate_labelling_builds_one_product_graph_per_profile(monkeypatch):
     # corpus_net(1)'s third pool goal holds at q0 and is lost at 3 of 7
-    # states, so the sweep tries every profile; one product graph per
+    # states, so the sweep decides every profile; one product graph per
     # profile serves every state still undecided (the parent built one
     # per state and profile)
     net = corpus_net(1)
@@ -718,6 +718,118 @@ def test_enumerate_witness_at_every_state_matches_independent_check(fair):
                 checked += 1
                 won += expected is not None
     assert 0 < won < checked
+
+
+@pytest.mark.parametrize("caps", [{}, WIDE_DRAW], ids=["corpus", "wide-draw"])
+def test_sweep_finds_the_reference_sweeps_witnesses(monkeypatch, caps):
+    # every sweep of the pool and nested goals' coalitions, labelled at
+    # every state, returns the reference sweep's witness at each state
+    compared = []
+    sweep = solver._sweep
+
+    def checked(game, states, max_profiles):
+        swept = sweep(game, states, max_profiles)
+        assert swept == reference_sweep(game, states)
+        compared.append(states)
+        return swept
+
+    monkeypatch.setattr(solver, "_sweep", checked)
+    for seed in range(1, 41):
+        net = corpus_net(seed, **caps)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for goal in [pool_goal(net, pf) for pf in formula_pool(net)] \
+                + list(nested_goals(net)):
+            model_check(g, fcs, goal)
+    assert len(compared) == 40 * 9
+
+
+PICK = """net pick
+locations env u
+place c @u init
+place x @env
+place y @env
+trans a @u pre c post x
+trans b @u pre c post y
+"""
+
+
+def test_a_refuted_profile_that_reads_no_choice_slot_ends_the_sweep(monkeypatch):
+    # from {x} the user's one choice, at {c}, is out of reach: the first
+    # profile's check reads no choice slot, so it refutes all three
+    g, fcs = _game(PICK)
+    qx = g.state_index[S({"x"})]
+    game = solver._arena(g, fcs, PathFormula.from_coalition(parse_formula("<<u>> F y")))
+    calls = _count_calls(monkeypatch, "_product")
+    assert solver._sweep(game, [qx], solver.DEFAULT_PROFILE_BOUND) == {qx: None}
+    assert len(calls) == 1
+    assert reference_sweep(game, [qx]) == {qx: None}
+    assert len(calls) == 1 + profile_space(g) == 4
+
+
+def test_a_sweep_whose_checks_read_every_slot_skips_nothing(monkeypatch):
+    # chain(2)'s F y1 at every state: each check before the last winner
+    # reaches every choice slot, so the sweep walks the reference's profiles
+    g, fcs = _game(chain_net(2))
+    game = solver._arena(g, fcs, PathFormula.from_coalition(
+        parse_formula("<<u0,u1>> F y1")))
+    states = range(len(g.states))
+    calls = _count_calls(monkeypatch, "_product")
+    swept = solver._sweep(game, states, profile_space(g))
+    walks = len(calls)
+    assert swept == reference_sweep(game, states)
+    assert all(swept.values())
+    assert walks == len(calls) - walks == 355
+
+
+def _pool_check_walks(monkeypatch, sweep):
+    """The :func:`solver._product` calls of initial-state-only
+    ``model_check`` over ``corpus_net(1..40)``'s pool goals with ``sweep``
+    as the enumerate sweep, and the verdicts."""
+    monkeypatch.setattr(solver, "_sweep", sweep)
+    calls = _count_calls(monkeypatch, "_product")
+    verdicts = []
+    for seed in range(1, 41):
+        net = corpus_net(seed)
+        g = build_game(net)
+        fcs = build_fairness(net, g)
+        for pf in formula_pool(net):
+            verdicts.append(model_check(g, fcs, pool_goal(net, pf), every_state=False))
+    monkeypatch.undo()
+    return len(calls), verdicts
+
+
+def test_enumerate_skips_the_profiles_a_refuted_one_refutes(monkeypatch):
+    # the work, not the time: the pinned count of product walks (each
+    # unsatisfied goal's lasso check included), below the reference sweep's
+    # 2876, with the same verdicts
+    walks, verdicts = _pool_check_walks(monkeypatch, solver._sweep)
+    reference, expected = _pool_check_walks(
+        monkeypatch, lambda game, states, max_profiles: reference_sweep(game, states))
+    assert verdicts == expected
+    assert walks == 2138
+    assert walks < reference
+
+
+def test_the_profile_bound_is_checked_before_any_walk(g4, fc4, monkeypatch, capsys,
+                                                     tmp_path):
+    space = profile_space(g4)
+    message = (f"profile space of size {space} exceeds the enumeration bound "
+               f"{space - 1}; use the fixpoint engine")
+    game = solver._arena(g4, fc4, REACH_BOTH)
+    calls = _count_calls(monkeypatch, "_product")
+    with pytest.raises(BoundExceeded) as raised:
+        solver._sweep(game, range(len(g4.states)), space - 1)
+    assert str(raised.value) == message
+    assert calls == []
+    path = tmp_path / "F4.net"
+    path.write_text(fixtures.FIG4)
+    argv = ["check", str(path), "--formula", "<<u>> F (p0 & p3)"]
+    assert cli.main(argv + ["--max-profiles", str(space - 1)]) == 3
+    assert capsys.readouterr().out == f"resource bound exceeded: {message}\n"
+    assert calls == []
+    assert cli.main(argv + ["--max-profiles", str(space)]) == 1
+    assert calls
 
 
 def test_engines_label_nested_goals_alike():
@@ -879,7 +991,7 @@ def test_enumerate_sweep_steps_each_product_edge_once(g4, fc4, monkeypatch):
     monkeypatch.setattr(PathObjective, "monitor_step",
                         lambda self, mon, qi: calls.append(qi) or step(self, mon, qi))
     verdict = synthesize_enumerate(g4, fc4, REACH_BOTH)
-    assert not verdict.satisfied    # so the sweep verified every profile
+    assert not verdict.satisfied    # so the sweep decided every profile
     assert len(calls) <= edges + profile_space(g4)
 
 
