@@ -3,25 +3,24 @@ structure.
 
 Two engines answer the same question -- does the grand coalition have a
 memoryless profile under which every fair computation satisfies the path
-formula (and at least one fair computation exists)?  Each only finds the
-canonically first winning profile:
+formula (and at least one fair computation exists)?  Both return the
+canonically first winning profile, found by one depth-first walk over
+the profiles' slots (:func:`_sweep`) that skips every profile agreeing
+with a refuted one on every slot that one's check read:
 
-* ``enumerate`` (:func:`_sweep`) decides every profile exactly, in
-  canonical order, at every start state still undecided; it is the
-  correctness oracle.  It skips each profile that agrees with a refuted
-  one on every slot that one's check read.
+* ``enumerate`` walks all undecided start states at once and solves
+  nothing; it is the correctness oracle.
 * ``fixpoint`` (:func:`_label_fixpoint`) calls a state lost when the
   adversary (environment plus scheduler) forces a fair violating
-  computation even against users with full memory, and otherwise runs a
-  slot search (:func:`_search`) whose witness also retires every other
-  pending state it wins from.  The search abandons a partial profile as
-  soon as the adversary wins against full memory on its free slots.
+  computation even against users with full memory, and otherwise walks
+  one state at a time, retiring every other pending state the witness
+  wins from.  Its walk also skips a partial profile as soon as the
+  adversary wins against full memory on its free slots.
   Both questions are one fair-game solve (:meth:`_FairGame.solve`), for
   any set of roots: weak fairness makes it a generalized Buechi game,
   solved by the Emerson-Lei nested fixpoint on the (state, monitor)
-  rows.  The least completion of a surviving partial profile is checked
-  exactly, and only slots whose state it can reach are branched on, so
-  both engines find identical witnesses.
+  rows.  Pruning skips refuted profiles only, so both engines find
+  identical witnesses.
 
 One call, :func:`_label`, gives ``model_check`` and ``synthesize`` the
 won states and ``q0``'s witness under each engine.  ``model_check``
@@ -55,8 +54,8 @@ step carries its label-table mask, and a component holds a fair cycle
 iff the OR of its internal steps' masks has every bit.  A start row wins
 iff it reaches a fair component and no fair violating one, the one win
 rule for a fixed profile: one Tarjan pass and one sweep down its
-condensation decide every start row, for the enumerate sweep, the
-search's probe, a witness's retiring and the exact check.
+condensation decide every start row, for the slot walk, a witness's
+retiring and the exact check.
 
 Every entry point resolves its start state ``q0`` once, with ``_start``.
 """
@@ -307,7 +306,9 @@ def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
     self-loop has none.  Tarjan numbers a component after every component
     it reaches, so one sweep in that order carries down the condensation
     whether a component reaches a fair violating component (bit 1) or a
-    fair one (bit 2)."""
+    fair one (bit 2).  The slot walk (:func:`_sweep`) checks its profiles
+    with it under both engines, as do a witness's retiring and the exact
+    check."""
     succ, _, rows = game._walk(flat, roots)
     component = _strongly_connected_components(succ, range(len(roots)))
     met = [0] * len(succ)       # per component, the OR of its internal edges
@@ -445,25 +446,39 @@ def _extract_lasso(game: _FairGame, flat: Sequence[int],
     return LassoComputation(steps(prefix_edges), steps(tour))
 
 
-# -- enumerative engine ---------------------------------------------------------
+# -- the slot walk ----------------------------------------------------------------
 
-def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> dict:
-    """The enumerative witness finder, the correctness oracle: the
-    profiles in canonical order, each checked exactly on one arena against
-    every state of ``states`` it has not yet won from, all in one pass
-    (:func:`_product`).  Returns each state's first winning profile, as a
-    flat slot vector, or None, keyed by the state.
+def _sweep(game: _FairGame, states: Sequence[int], max_profiles: float = math.inf,
+           prune: bool = False) -> dict:
+    """The one slot walk, under both engines: the profiles in canonical
+    order, each checked exactly on one arena against every state of
+    ``states`` it has not yet won from, all in one pass (:func:`_product`).
+    Returns each state's first winning profile, as a flat slot vector, or
+    None, keyed by the state.  ``enumerate``, the correctness oracle,
+    walks every state with the profile-space bound ``max_profiles``;
+    ``fixpoint`` walks one state, unbounded, with ``prune``.
 
     A profile's product reads only the choice slots (more than one move)
     of the states its rows hold, its conflict: every profile agreeing with
-    a refuted one there is refuted too, and is skipped (conflict-directed
-    backjumping).  The sweep backtracks from the deepest choice slot: one
-    outside the conflict goes back to 0 and is passed over; one inside it
-    adds the conflict, less itself, to what its depth has accumulated and
-    takes its next move, or, with every move spent, passes the accumulated
-    conflict up.  Every skipped profile wins no pending state, so each
+    a refuted one there is refuted too, and the walk jumps over it
+    (conflict-directed backjumping).  The walk backtracks from the deepest
+    choice slot: one outside the conflict goes back to 0 and is passed
+    over; one inside it adds the conflict, less itself, to what its depth
+    has accumulated and takes its next move, or, with every move spent,
+    passes the accumulated conflict up.  No profile jumped over wins a pending state, so each
     state's witness is still the first winner in canonical order.
-    Conflicts are masks over the choice slots' depths."""
+    Conflicts are masks over the choice slots' depths.
+
+    With ``prune``, each node a backtrack makes, whose slot at depth ``d``
+    has just moved, is first solved (:meth:`_FairGame.solve`) with the
+    deeper choice slots free.  If the adversary wins from every pending
+    root, the node's conflict is its choice slots, to depth ``d``, at the
+    states the solve reached, and the walk backjumps from ``d``: a free
+    slot takes every move, so no completion of a profile agreeing with the
+    node there reaches another state, and fixing a free slot only weakens
+    the users.  Otherwise the node's least completion, every deeper slot
+    at move 0, is checked as above.  The root node is not solved: with
+    every slot free, that is the caller's solve."""
     g = game.g
     sizes = _slot_sizes(g)
     space = math.prod(sizes)
@@ -480,17 +495,30 @@ def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> dict:
     flat = [0] * len(sizes)
     witnesses = dict.fromkeys(states)
     pending = [game.start(qi) for qi in states]
+    depth = len(slots)  # the depth of the slot moved last: none at the root
     while True:
-        profile = tuple(flat)
-        won, rows, _, _ = _product(game, profile, pending)
-        witnesses.update((root[0], profile) for root, w in zip(pending, won) if w)
-        pending = [root for root, w in zip(pending, won) if not w]
-        if not pending:
-            return witnesses
-        conflict = 0
-        for qi, _ in rows:
-            conflict |= reads[qi]
-        depth = len(slots)
+        refuted = False
+        if prune and depth < len(slots):
+            cut = slots[depth] + 1      # the slots past it are free
+            lost, reached = game.solve(flat[:cut] + [None] * (len(flat) - cut), pending)
+            refuted = all(lost)
+        if refuted:
+            conflict = 0
+            for qi in reached:
+                conflict |= reads[qi]
+            conflict &= (2 << depth) - 1    # the fixed slots only
+            depth += 1
+        else:
+            profile = tuple(flat)
+            won, rows, _, _ = _product(game, profile, pending)
+            witnesses.update((root[0], profile) for root, w in zip(pending, won) if w)
+            pending = [root for root, w in zip(pending, won) if not w]
+            if not pending:
+                return witnesses
+            conflict = 0
+            for qi, _ in rows:
+                conflict |= reads[qi]
+            depth = len(slots)
         while depth:
             depth -= 1
             bit = 1 << depth
@@ -507,7 +535,7 @@ def _sweep(game: _FairGame, states: Sequence[int], max_profiles: int) -> dict:
             return witnesses
 
 
-# -- fixed-point engine -----------------------------------------------------------
+# -- the fair game ----------------------------------------------------------------
 
 class _FairGame:
     """The (state, monitor) product of one objective, and its fair game as
@@ -708,67 +736,6 @@ def _adversary_region(walk: tuple, roots: int, violating: frozenset,
         alive = kept
 
 
-def _search(game: _FairGame, q0: int) -> Optional[tuple]:
-    """The canonically first memoryless profile that wins from ``q0``, as a
-    flat slot vector, or None.
-
-    A depth-first sweep fixes user moves slot by slot in canonical order,
-    and cuts a branch as soon as the adversary wins the fair game against
-    users with unrestricted memory on the free slots (sound: the
-    restriction only weakens the users).  Where it does not, the node's
-    least completion (every free slot at move 0) is checked exactly if it
-    changed since the last check, at the root or after a backtrack moved a
-    slot; a winning one is the witness, since every earlier subtree is
-    refuted.  The sweep branches only on slots whose state the node's
-    masked walk reaches: no completion reaches the others, so their slots
-    stay 0 until the sweep backtracks past them.  It keeps its own slot
-    stack, so its depth is not bounded by recursion.
-    """
-    root = game.start(q0)
-    n = len(game.g.states)
-    sizes = _slot_sizes(game.g)
-    slots = [slot for slot, size in enumerate(sizes) if size > 1]
-    fixed = [None] * len(sizes)     # None while a slot is free
-    skipped = [False] * len(slots)  # fixed to 0 without branching
-    depth = 0       # slots[:depth] are fixed
-    probe = True    # the least completion changed since the last check
-    while True:
-        (won,), reached = game.solve(fixed, [root])
-        if not won:
-            if probe:
-                flat = tuple(j or 0 for j in fixed)
-                if _winners(game, flat, [root])[0]:
-                    return flat
-                probe = False
-            # fix slots to 0 in order, branching on the first reached one,
-            # up to the next reached one
-            branched = False
-            while depth < len(slots):
-                slot = slots[depth]
-                skipped[depth] = slot % n not in reached
-                if not skipped[depth]:
-                    if branched:
-                        break
-                    branched = True
-                fixed[slot] = 0
-                depth += 1
-            if depth < len(slots):
-                continue
-            # every slot is fixed: the vector is the last, refuted check's
-        # backtrack to the deepest branched slot with an untried move
-        while depth:
-            depth -= 1
-            slot = slots[depth]
-            if not skipped[depth] and fixed[slot] + 1 < sizes[slot]:
-                fixed[slot] += 1
-                depth += 1
-                probe = True
-                break
-            fixed[slot] = None
-        else:
-            return None
-
-
 # -- verdicts ---------------------------------------------------------------------
 
 ENGINES = ("enumerate", "fixpoint", "both")
@@ -908,25 +875,22 @@ def _label_fixpoint(game: _FairGame, q0: int, states: Sequence[int]) -> tuple:
     ``q0`` comes first, then the other states in their order.  A state is
     lost when the adversary wins from its root against users with every
     slot free, which one solve (:meth:`_FairGame.solve`) from the roots of
-    all of ``states`` answers; for ``q0`` alone that solve is skipped, as
-    the search's first node is the same solve from the same root.  The
-    slot search runs at the first state still pending, and a witness it
-    finds is checked exactly against every later pending state in one pass
-    (:func:`_winners`), which retires the states it wins from.  So a state
-    is searched only when no witness found at an earlier state wins there.
-    Every bit is exact, and no lasso is built.
+    all of ``states`` answers, for ``q0`` alone too.  The pruned slot walk
+    (:func:`_sweep`) runs at the first state still pending, and a witness
+    it finds is checked exactly against every later pending state in one
+    pass (:func:`_winners`), which retires the states it wins from.  So a
+    state is walked only when no witness found at an earlier state wins
+    there.  Every bit is exact, and no lasso is built.
     """
-    lost = set()
-    if len(states) > 1:
-        free = [None] * len(_slot_sizes(game.g))
-        won, _ = game.solve(free, [game.start(qi) for qi in states])
-        lost = {qi for qi, adversary in zip(states, won) if adversary}
+    free = [None] * len(_slot_sizes(game.g))
+    won, _ = game.solve(free, [game.start(qi) for qi in states])
+    lost = {qi for qi, adversary in zip(states, won) if adversary}
     order = [q0] + [qi for qi in states if qi != q0]
     pending = [game.start(qi) for qi in order if qi not in lost]
     witnesses, winning = [], set()
     while pending:
         root = pending.pop(0)
-        witness = _search(game, root[0])
+        witness = _sweep(game, [root[0]], prune=True)[root[0]]
         if witness is not None:
             won, pending = _winners(game, witness, pending)
             witnesses.append(witness)

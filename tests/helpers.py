@@ -8,10 +8,11 @@ import sys
 from petrigames import fixtures
 from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, TrueConst, \
     holds_in, parse_formula, path_satisfies
-from petrigames.game import LassoComputation, lasso_is_fair
-from petrigames.nets import enabled_set, fire, parse_net, reachability_graph
+from petrigames.game import LassoComputation, build_fairness, build_game, lasso_is_fair
+from petrigames.nets import NetSystem, enabled_set, fire, parse_net, reachability_graph
 from petrigames.randnet import random_net
-from petrigames.solver import _slot_sizes, _winners
+from petrigames.solver import PathObjective, _FairGame, _label_fixpoint, _slot_sizes, \
+    _winners, model_check
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut, materialise_play
 
 #: the caps of the wide draw, ``random_net(seed, **WIDE_DRAW)``: up to
@@ -104,6 +105,111 @@ def chain_net(k):
                   f"trans ra{i} @env pre x{i} post c{i}",
                   f"trans rb{i} @env pre y{i} post c{i}"]
     return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def small_scope_nets():
+    """Every net of the small scope, in canonical order, built once per
+    test session: 2 or 3 places, 1 to 3 transitions and 1 or 2 users, up
+    to renaming places and reordering transitions.  Every user owns a
+    place, a transition sits at the one location of its pre-set's places,
+    no two transitions have the same pre- and post-set, and the initial
+    marking is not empty.  A net is kept when it is contact-free and
+    reaches at least 2 markings, searched here on bitmask markings without
+    ``petrigames.nets``.  Each net is the least of its renamings: its
+    transitions, as sorted ``(pre, post)`` masks, and then its initial
+    mask."""
+    nets = []
+    for size, users in itertools.product((2, 3), (1, 2)):
+        places, full = range(size), 1 << size
+
+        def rename(mask, perm):
+            return sum(1 << perm[i] for i in places if mask >> i & 1)
+
+        # place owners in ascending order, so renamings keep every owner
+        for owners in itertools.combinations_with_replacement(range(users + 1), size):
+            if not set(range(1, users + 1)) <= set(owners):
+                continue
+            perms = [perm for perm in itertools.permutations(places)
+                     if all(owners[i] == owners[j] for i, j in enumerate(perm))]
+            moves = [(pre, post) for pre in range(1, full) for post in range(1, full)
+                     if len({owners[i] for i in places if pre >> i & 1}) == 1]
+            for count in (1, 2, 3):
+                for trans in itertools.combinations(moves, count):
+                    images = [tuple(sorted((rename(pre, perm), rename(post, perm))
+                                           for pre, post in trans)) for perm in perms]
+                    if min(images) != trans:
+                        continue
+                    keep = [perm for perm, image in zip(perms, images) if image == trans]
+                    for initial in range(1, full):
+                        if min(rename(initial, perm) for perm in keep) == initial \
+                                and _mask_states(trans, initial) >= 2:
+                            nets.append(_scope_net(len(nets), owners, trans, initial))
+    return tuple(nets)
+
+
+def _mask_states(trans, initial):
+    """The number of markings ``initial`` reaches under the ``(pre, post)``
+    masks ``trans``, or 0 when some reachable marking has contact."""
+    seen, stack = {initial}, [initial]
+    while stack:
+        m = stack.pop()
+        for pre, post in trans:
+            if m & pre == pre:
+                if m & post:
+                    return 0
+                target = m ^ pre | post
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+    return len(seen)
+
+
+def _scope_net(index, owners, trans, initial):
+    """The net ``scope<index>``: place ``p<i>`` at location ``owners[i]``
+    (0 is the environment), transition ``t<k>`` from ``trans[k]``."""
+    locations = ["env"] + [f"u{a}" for a in range(1, max(owners) + 1)]
+    names = [f"p{i}" for i in range(len(owners))]
+    assignment = {p: locations[a] for p, a in zip(names, owners)}
+    flow = []
+    for k, (pre, post) in enumerate(trans):
+        assignment[f"t{k}"] = locations[owners[pre.bit_length() - 1]]
+        flow += [(p, f"t{k}") for i, p in enumerate(names) if pre >> i & 1]
+        flow += [(f"t{k}", p) for i, p in enumerate(names) if post >> i & 1]
+    return NetSystem(f"scope{index}", names, [f"t{k}" for k in range(len(trans))], flow,
+                     [p for i, p in enumerate(names) if initial >> i & 1], locations,
+                     assignment)
+
+
+def small_scope_goals(net):
+    """The small scope's path formulas over the net's places: ``G true``,
+    ``F p`` and ``G !p`` for each place, and ``p U q`` for each ordered
+    pair of distinct places."""
+    places = [Prop(p) for p in sorted(net.places)]
+    return ([PathFormula("G", TrueConst())]
+            + [PathFormula("U", TrueConst(), p) for p in places]
+            + [PathFormula("G", Not(p)) for p in places]
+            + [PathFormula("U", p, q) for p, q in itertools.permutations(places, 2)])
+
+
+def check_small_scope_net(net):
+    """The engines' cross-check on every small-scope goal of ``net``, at
+    every state: ``model_check(engine="both")`` raises on a disagreement,
+    and the fixpoint labelling's state set, and its witness at each state
+    labelled alone, are the reference sweep's.  Returns the goal count."""
+    g = build_game(net)
+    fcs = build_fairness(net, g)
+    states = range(len(g.states))
+    goals = small_scope_goals(net)
+    for pf in goals:
+        model_check(g, fcs, pool_goal(net, pf), engine="both")
+        game = _FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
+        expected = reference_sweep(game, states)
+        won, _ = _label_fixpoint(game, g.initial_state(), states)
+        assert won == {qi for qi in states if expected[qi] is not None}, (net.name, pf)
+        for qi in states:
+            assert _label_fixpoint(game, qi, [qi])[1] == expected[qi], (net.name, pf, qi)
+    return len(goals)
 
 
 def undo_play(k):

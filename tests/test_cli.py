@@ -206,17 +206,17 @@ def test_machine_witness_keys_keep_arrows_in_names(tmp_path):
 
 
 def test_engine_both_compares_witnesses(f4_path, monkeypatch):
-    search = solver._search
+    label = solver._label_fixpoint
 
-    def other_witness(game, q0):
-        # a valid flat vector, not the witness: the fixpoint labelling
-        # checks it against the other pending states
-        witness = search(game, q0)
-        return None if witness is None else (0,) * len(witness)
+    def other_witness(game, q0, states):
+        # the fixpoint labelling's states, with a valid flat vector that is
+        # not its witness
+        won, witness = label(game, q0, states)
+        return won, None if witness is None else (0,) * len(witness)
 
     code, _ = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
     assert code == 0
-    monkeypatch.setattr(solver, "_search", other_witness)
+    monkeypatch.setattr(solver, "_label_fixpoint", other_witness)
     code, out = invoke(["check", f4_path, "--formula", GOAL_EITHER, "--engine", "both"])
     assert code == 4
     assert "engines disagree on the witness profile" in out

@@ -452,12 +452,13 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
             assert labelled.reason == exhaustive.reason, (seed, pf)
             if seed > 20:
                 continue
-            # the slot search's witness at every state, not only at q0
+            # the pruned one-root walk's witness at every state, not only at q0
             game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
             states = range(len(g.states))
             swept = solver._sweep(game, states, solver.DEFAULT_PROFILE_BOUND)
             for qi in states:
-                assert solver._search(game, qi) == swept[qi], (seed, pf, qi)
+                assert solver._sweep(game, [qi], prune=True) == {qi: swept[qi]}, \
+                    (seed, pf, qi)
 
 
 def _flat(profile):
@@ -562,8 +563,8 @@ def test_refute_matches_independent_profile_check(fair, monkeypatch):
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(solver, name)
-    monkeypatch.setattr(solver, name,
-                        lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(solver, name, lambda *args, **kwargs:
+                        calls.append(args) or original(*args, **kwargs))
     return calls
 
 
@@ -573,9 +574,13 @@ def _count_calls(monkeypatch, name):
 ])
 def test_fixpoint_labelling_searches_only_where_needed(monkeypatch, goal, searches, lassos):
     # chain(3) has 54 states: the all-states region and the witnesses
-    # already found decide all but at most one of the non-root ones
+    # already found decide all but at most one of the non-root ones, so
+    # at most two pruned slot walks run
     g, fcs = _game(chain_net(3))
-    searched = _count_calls(monkeypatch, "_search")
+    searched = []
+    sweep = solver._sweep
+    monkeypatch.setattr(solver, "_sweep", lambda game, states, prune:
+                        searched.append(states) or sweep(game, states, prune=prune))
     built = _count_calls(monkeypatch, "_extract_lasso")
     verdict = model_check(g, fcs, parse_formula(f"<<u0,u1,u2>> {goal}"), engine="fixpoint")
     assert verdict.satisfied == (lassos == 0)
@@ -782,33 +787,46 @@ def test_a_sweep_whose_checks_read_every_slot_skips_nothing(monkeypatch):
     assert walks == len(calls) - walks == 355
 
 
-def _pool_check_walks(monkeypatch, sweep):
-    """The :func:`solver._product` calls of initial-state-only
-    ``model_check`` over ``corpus_net(1..40)``'s pool goals with ``sweep``
-    as the enumerate sweep, and the verdicts."""
+def _pool_check_walks(monkeypatch, sweep, engine="enumerate"):
+    """The :func:`solver._product` and :meth:`solver._FairGame.solve` calls
+    of initial-state-only ``model_check`` under ``engine`` over
+    ``corpus_net(1..40)``'s pool goals with ``sweep`` as the slot walk, and
+    the verdicts."""
     monkeypatch.setattr(solver, "_sweep", sweep)
     calls = _count_calls(monkeypatch, "_product")
+    solves = _count_solves(monkeypatch)
     verdicts = []
     for seed in range(1, 41):
         net = corpus_net(seed)
         g = build_game(net)
         fcs = build_fairness(net, g)
         for pf in formula_pool(net):
-            verdicts.append(model_check(g, fcs, pool_goal(net, pf), every_state=False))
+            verdicts.append(model_check(g, fcs, pool_goal(net, pf), engine=engine,
+                                        every_state=False))
     monkeypatch.undo()
-    return len(calls), verdicts
+    return len(calls), len(solves), verdicts
 
 
 def test_enumerate_skips_the_profiles_a_refuted_one_refutes(monkeypatch):
     # the work, not the time: the pinned count of product walks (each
     # unsatisfied goal's lasso check included), below the reference sweep's
-    # 2876, with the same verdicts
-    walks, verdicts = _pool_check_walks(monkeypatch, solver._sweep)
-    reference, expected = _pool_check_walks(
+    # 2876, with the same verdicts and no solve
+    walks, solves, verdicts = _pool_check_walks(monkeypatch, solver._sweep)
+    reference, _, expected = _pool_check_walks(
         monkeypatch, lambda game, states, max_profiles: reference_sweep(game, states))
     assert verdicts == expected
     assert walks == 2138
     assert walks < reference
+    assert solves == 0
+
+
+def test_fixpoint_prunes_the_same_slot_walk(monkeypatch):
+    # the work, not the time: the pinned counts of solves (the all-free
+    # one per goal included) and product walks of the pruned walk, with
+    # enumerate's verdicts
+    walks, solves, verdicts = _pool_check_walks(monkeypatch, solver._sweep, "fixpoint")
+    assert verdicts == _pool_check_walks(monkeypatch, solver._sweep)[2]
+    assert (solves, walks) == (1556, 1301)
 
 
 def test_the_profile_bound_is_checked_before_any_walk(g4, fc4, monkeypatch, capsys,
@@ -926,8 +944,8 @@ def _count_solves(monkeypatch):
 ])
 def test_fixpoint_at_q0_alone_solves_the_all_free_game_once(monkeypatch, text, goal,
                                                             satisfied):
-    # at q0 alone the slot search's first node is the all-free solve from
-    # q0, so no up-front solve asks the same question first
+    # at q0 alone the up-front all-free solve from q0 is the only root
+    # solve: the pruned walk never solves its root node again
     g, fcs = _game(text)
     calls = _count_solves(monkeypatch)
     formula = parse_formula(goal)
