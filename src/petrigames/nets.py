@@ -591,10 +591,12 @@ def format_net(net: NetSystem) -> str:
 def dot_reachability(graph: ReachabilityGraph,
                      labels: Optional[Sequence[str]] = None) -> Iterator[str]:
     """DOT rendering of the reachability graph (stable across runs), given
-    the states' :func:`format_marking` labels or making them."""
+    the states' :func:`format_marking` labels or making them.  The search
+    starts at the initial marking, so its canonical index is the rank of
+    search index 0."""
     if labels is None:
         labels = [format_marking(m) for m in graph.states]
-    return _dot_graph("reachability", labels, graph.index[graph.initial], graph.out)
+    return _dot_graph("reachability", labels, graph._rank[0], graph.out)
 
 
 def _dot_graph(kind: str, labels: Sequence[str], initial: int,

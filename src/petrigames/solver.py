@@ -34,11 +34,13 @@ unsatisfied goal prints the same evidence under every engine.
 
 Both engines read one product of the game with a monitor automaton for
 the path formula (2 states for G, 3 for U): ``_FairGame`` builds, lazily
-and once, a row per (state, monitor) node listing the node each move
-reaches, and one walk over these rows (:meth:`_FairGame._walk`) serves
-the exact check and the fair game's solve.  ``model_check``
-shares one such arena among all the states it labels for a coalition,
-and one label table (:func:`_label_table`) among all its arenas.
+and once, the steps of each (state, monitor) row, one ``(target, mask,
+move)`` triple per move: the row it reaches, the weak fairness
+constraints it meets and its ``(player, move index)``.  One walk over
+these steps (:meth:`_FairGame._walk`) serves the exact check, its lasso
+and the fair game's solve.  ``model_check`` shares one such arena among
+all the states it labels for a coalition, and one label table
+(:func:`_label_table`) among all its arenas.
 
 Inside the solver a memoryless profile is one flat vector of move
 indices: slot ``a * n + qi`` holds user ``a``'s move at state ``qi`` of
@@ -55,7 +57,7 @@ iff the OR of its internal steps' masks has every bit.  A start row wins
 iff it reaches a fair component and no fair violating one, the one win
 rule for a fixed profile: one Tarjan pass and one sweep down its
 condensation decide every start row, for the slot walk, a witness's
-retiring and the exact check.
+retiring and the exact check, whose lasso follows the same steps.
 
 Every entry point resolves its start state ``q0`` once, with ``_start``.
 """
@@ -65,7 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, EngineDisagreement, InputError
 from .formulas import (
@@ -257,49 +259,32 @@ def verify_profile(g: GameStructure, constraints: Sequence[FairnessConstraint],
 def _check(game: _FairGame, flat: Sequence[int], q0: int) -> VerifyOutcome:
     """:func:`verify_profile` on a flat profile, decided by :func:`_product`
     on integer-numbered rows.  A lost root reaches every row of the
-    product, so its lasso goes to the fair violating component holding the
-    least row; the ``(target, player, move)`` edges the lasso needs are
-    rebuilt only then."""
-    g = game.g
-    root = game.start(q0)
-    (won,), rows, component, violating = _product(game, flat, [root])
+    product, so its lasso (:func:`_extract_lasso`) goes to the fair
+    violating component holding the least row, along the product's own
+    steps."""
+    (won,), rows, component, violating, steps = _product(game, flat, [game.start(q0)])
     if won:
         return VerifyOutcome(True, None, "")
     if not violating:
         return VerifyOutcome(
             False, None, "profile admits no fair computation from the initial state")
     c = component[min(violating, key=rows.__getitem__)]
-    # the lasso's shortest paths break ties by edge order
-    adjacency = {}
-    for qi, mon in rows:
-        row = game.row(qi, mon)
-        edges = [(row[a][j], a, j) for a, j in enumerate(flat[qi::len(g.states)])]
-        edges.extend((target, g.env_player, j)
-                     for j, target in enumerate(row[g.env_player]))
-        adjacency[(qi, mon)] = sorted(edges)
-    lasso = _extract_lasso(game, flat, adjacency, root, frozenset(
-        node for node, cv in zip(rows, component) if cv == c))
+    lasso = _extract_lasso(game, flat, rows, steps, frozenset(
+        v for v, cv in enumerate(component) if cv == c))
     return VerifyOutcome(False, lasso, "fair violating computation found")
-
-
-def _winners(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
-    """``(won, lost)``: the rows of ``roots`` from which the flat profile
-    wins, and the rest, from one :func:`_product` for all of them."""
-    won = _product(game, flat, roots)[0]
-    return [r for r, w in zip(roots, won) if w], [r for r, w in zip(roots, won) if not w]
 
 
 def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
     """The one win rule for a fixed profile: a root wins iff its rows reach
     a fair strongly connected component and no fair violating one.
-    Returns ``(won, rows, component, violating)``: per root whether the
-    flat profile wins from it; the rows it reaches from ``roots``;
-    every row's component number; and the rows of fair violating
-    components.
+    Returns ``(won, rows, component, violating, steps)``: per root whether
+    the flat profile wins from it; the rows it reaches from ``roots``;
+    every row's component number; the rows of fair violating components;
+    and every row's steps.
 
     The graph is the masked walk (:meth:`_FairGame._walk`) with every slot
-    fixed, so each row has ``(target, mask)`` steps, one per user and one
-    per environment move, with the label table's raw masks.  Every mask
+    fixed, so each row has ``(target, mask, move)`` steps, one per user and
+    one per environment move, with the label table's raw masks.  Every mask
     has the top bit, so a component holds a fair cycle iff the OR of its
     internal steps' masks has every bit: a constraint disabled at one of
     its rows is met by that row's internal steps, and a single row with no
@@ -308,16 +293,16 @@ def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
     whether a component reaches a fair violating component (bit 1) or a
     fair one (bit 2).  The slot walk (:func:`_sweep`) checks its profiles
     with it under both engines, as do a witness's retiring and the exact
-    check."""
-    succ, _, rows = game._walk(flat, roots)
-    component = _strongly_connected_components(succ, range(len(roots)))
-    met = [0] * len(succ)       # per component, the OR of its internal edges
-    for v, edges in enumerate(succ):
+    check, whose lasso follows the same steps."""
+    steps, _, rows = game._walk(flat, roots)
+    component = _strongly_connected_components(steps, range(len(roots)))
+    met = [0] * len(steps)      # per component, the OR of its internal steps
+    for v, edges in enumerate(steps):
         c = component[v]
-        for t, mask in edges:
+        for t, mask, _ in edges:
             if component[t] == c:
                 met[c] |= mask
-    reach = [0] * len(succ)
+    reach = [0] * len(steps)
     violating = []
     for v in sorted(range(len(rows)), key=component.__getitem__):
         c = component[v]
@@ -327,17 +312,17 @@ def _product(game: _FairGame, flat: Sequence[int], roots: Sequence) -> tuple:
                 violating.append(v)
             else:
                 reach[c] |= 2
-        for t, _ in succ[v]:
+        for t, _, _ in steps[v]:
             reach[c] |= reach[component[t]]
     won = [reach[component[i]] == 2 for i in range(len(roots))]
-    return won, rows, component, violating
+    return won, rows, component, violating, steps
 
 
 def _strongly_connected_components(succ: Sequence, roots: Iterable) -> list:
     """Iterative Tarjan on the nodes ``0..n-1`` of ``succ``, all reachable
-    from the nodes ``roots``, where ``succ[v]`` lists ``(target, mask)``
-    edges.  Returns every node's component number, numbered in the order
-    found: a component's number exceeds those of all it reaches."""
+    from the nodes ``roots``, where ``succ[v]`` lists ``(target, mask,
+    move)`` steps.  Returns every node's component number, numbered in the
+    order found: a component's number exceeds those of all it reaches."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
@@ -352,7 +337,7 @@ def _strongly_connected_components(succ: Sequence, roots: Iterable) -> list:
         work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
-            for t, _ in edges:
+            for t, _, _ in edges:
                 if index[t] < 0:
                     index[t] = low[t] = counter
                     counter += 1
@@ -375,88 +360,86 @@ def _strongly_connected_components(succ: Sequence, roots: Iterable) -> list:
     return component
 
 
-def _extract_lasso(game: _FairGame, flat: Sequence[int],
-                   adjacency: Mapping, root, component: frozenset
-                   ) -> LassoComputation:
-    """Deterministic counterexample: shortest path to the component, then a
-    tour visiting a witness (disabled position or taken edge) for every
-    constraint, closed back to its anchor.  Where a constraint is enabled
-    at every row of the component, its label-table bit marks the edges
-    that take it."""
+def _extract_lasso(game: _FairGame, flat: Sequence[int], rows: Sequence,
+                   steps: Sequence, component: frozenset) -> LassoComputation:
+    """Deterministic counterexample on a :func:`_product`'s ``rows`` and
+    ``(target, mask, move)`` ``steps``: a shortest path from row 0, the
+    root, to the component's least row, then a tour visiting a witness
+    (disabled position or taken step) for every constraint, closed back to
+    that anchor.  Where a constraint is enabled at every row of the
+    component, its mask bit marks the steps that take it."""
     g = game.g
+    # shortest paths break ties by the target's (state, monitor), then the move
+    steps = [sorted(row, key=lambda step: (rows[step[0]], step[2])) for row in steps]
 
     def bfs(source, goal_test, allowed=None):
-        # returns the edge list of a shortest path; ties broken by edge order
+        # returns the (row, step) list of a shortest path
         seen = {source: None}
         queue = [source]
         while queue:
             nxt = []
-            for node in queue:
-                if goal_test(node):
+            for v in queue:
+                if goal_test(v):
                     path = []
-                    while seen[node] is not None:
-                        prev, edge = seen[node]
-                        path.append((prev, edge))
-                        node = prev
+                    while seen[v] is not None:
+                        prev, step = seen[v]
+                        path.append((prev, step))
+                        v = prev
                     return list(reversed(path))
-                for edge in adjacency[node]:
-                    target = edge[0]
+                for step in steps[v]:
+                    target = step[0]
                     if allowed is not None and target not in allowed:
                         continue
                     if target not in seen:
-                        seen[target] = (node, edge)
+                        seen[target] = (v, step)
                         nxt.append(target)
             queue = nxt
         raise AssertionError("bfs goal unreachable")
 
-    anchor = min(component)
-    prefix_edges = bfs(root, lambda n: n == anchor)
+    anchor = min(component, key=rows.__getitem__)
+    prefix = bfs(0, lambda v: v == anchor)
 
     tour = []
     pos = anchor
     for i, fc in enumerate(game.constraints):
-        if any(not fc.enabled(n[0]) for n in component):
-            segment = bfs(pos, lambda n: not fc.enabled(n[0]), allowed=component)
+        if any(not fc.enabled(rows[v][0]) for v in component):
+            segment = bfs(pos, lambda v: not fc.enabled(rows[v][0]), allowed=component)
             tour.extend(segment)
             pos = segment[-1][1][0] if segment else pos
             continue
 
-        def takes(node, edge):
-            target, a, j = edge
-            return target in component and game.labels[node[0]][a][j] >> i & 1
+        def takes(step):
+            return step[0] in component and step[1] >> i & 1
 
-        taken_sources = {n for n in component
-                         if any(takes(n, edge) for edge in adjacency[n])}
-        segment = bfs(pos, lambda n: n in taken_sources, allowed=component)
+        taken_sources = {v for v in component if any(map(takes, steps[v]))}
+        segment = bfs(pos, taken_sources.__contains__, allowed=component)
         tour.extend(segment)
         pos = segment[-1][1][0] if segment else pos
-        edge = next(e for e in adjacency[pos] if takes(pos, e))
-        tour.append((pos, edge))
-        pos = edge[0]
+        step = next(filter(takes, steps[pos]))
+        tour.append((pos, step))
+        pos = step[0]
     if not tour:
-        edge = next(e for e in adjacency[anchor] if e[0] in component)
-        tour.append((anchor, edge))
-        pos = edge[0]
-    tour.extend(bfs(pos, lambda n: n == anchor, allowed=component))
+        step = next(step for step in steps[anchor] if step[0] in component)
+        tour.append((anchor, step))
+        pos = step[0]
+    tour.extend(bfs(pos, lambda v: v == anchor, allowed=component))
 
-    def steps(edge_list):
-        return tuple((node[0], _profile_vector(g, flat, node[0], a, j))
-                     for node, (target, a, j) in edge_list)
+    def computation(path):
+        return tuple((rows[v][0], _profile_vector(g, flat, rows[v][0], *move))
+                     for v, (_, _, move) in path)
 
-    return LassoComputation(steps(prefix_edges), steps(tour))
+    return LassoComputation(computation(prefix), computation(tour))
 
 
 # -- the slot walk ----------------------------------------------------------------
 
-def _sweep(game: _FairGame, states: Sequence[int], max_profiles: float = math.inf,
-           prune: bool = False) -> dict:
+def _sweep(game: _FairGame, states: Sequence[int], prune: bool = False) -> dict:
     """The one slot walk, under both engines: the profiles in canonical
     order, each checked exactly on one arena against every state of
     ``states`` it has not yet won from, all in one pass (:func:`_product`).
     Returns each state's first winning profile, as a flat slot vector, or
     None, keyed by the state.  ``enumerate``, the correctness oracle,
-    walks every state with the profile-space bound ``max_profiles``;
-    ``fixpoint`` walks one state, unbounded, with ``prune``.
+    walks every state; ``fixpoint`` walks one state with ``prune``.
 
     A profile's product reads only the choice slots (more than one move)
     of the states its rows hold, its conflict: every profile agreeing with
@@ -479,14 +462,8 @@ def _sweep(game: _FairGame, states: Sequence[int], max_profiles: float = math.in
     the users.  Otherwise the node's least completion, every deeper slot
     at move 0, is checked as above.  The root node is not solved: with
     every slot free, that is the caller's solve."""
-    g = game.g
-    sizes = _slot_sizes(g)
-    space = math.prod(sizes)
-    if space > max_profiles:
-        raise BoundExceeded(
-            f"profile space of size {space} exceeds the enumeration bound "
-            f"{max_profiles}; use the fixpoint engine", max_profiles)
-    n = len(g.states)
+    sizes = _slot_sizes(game.g)
+    n = len(game.g.states)
     slots = [slot for slot, size in enumerate(sizes) if size > 1]
     reads = [0] * n     # per state, the depths of its choice slots
     for depth, slot in enumerate(slots):
@@ -510,7 +487,7 @@ def _sweep(game: _FairGame, states: Sequence[int], max_profiles: float = math.in
             depth += 1
         else:
             profile = tuple(flat)
-            won, rows, _, _ = _product(game, profile, pending)
+            won, rows, _, _, _ = _product(game, profile, pending)
             witnesses.update((root[0], profile) for root, w in zip(pending, won) if w)
             pending = [root for root, w in zip(pending, won) if not w]
             if not pending:
@@ -541,22 +518,23 @@ class _FairGame:
     """The (state, monitor) product of one objective, and its fair game as
     an arena shared by every slot assignment and every start state.
 
-    :meth:`row` lists, once per ``(qi, mon)``, the ``(qj, mon')`` each move
-    of each user and of the environment reaches, and ``labels`` is the
-    game's label table (:func:`_label_table`), given when arenas share it:
-    the weak fairness constraints each move meets.  :meth:`_walk` is the
-    only walk over these rows, with the table's raw masks: the exact check
-    (:func:`_product`, every slot fixed) and the game solve (:meth:`solve`,
-    for any set of roots) read its result, and :func:`_extract_lasso`
-    finds taken edges in the same table.  At a row the adversary
+    A product step is one ``(target, mask, move)`` triple: the
+    ``(qj, mon')`` row a move reaches, the weak fairness constraints it
+    meets, read from ``labels``, the game's label table
+    (:func:`_label_table`) given when arenas share it, and the move as
+    ``(player, move index)``.  :meth:`_build_options` builds a row's steps
+    once, and :meth:`_walk` is the only walk over them: the exact check
+    (:func:`_product`, every slot fixed), its lasso (:func:`_extract_lasso`)
+    and the game solve (:meth:`solve`, for any set of roots) read its
+    result.  At a row the adversary
     (scheduler and environment) picks one environment move, or a user:
     that user's fixed move, or any of its moves while its slot is free,
     since the user chooses.  The monitor is eventually constant on a play,
     so "the monitor violates" is folded into every constraint: the
     adversary wins by forcing a play that meets each constraint infinitely
     often from violating rows, a generalized Buechi condition solved by
-    :func:`_adversary_region`.  The rows are built once, lazily from each
-    new start state.
+    :func:`_adversary_region`.  The rows' steps are built once, lazily
+    from each new start state.
     """
 
     def __init__(self, g: GameStructure, constraints: Sequence[FairnessConstraint],
@@ -567,31 +545,23 @@ class _FairGame:
         self.labels = labels or _label_table(g, self.constraints)
         self._violating = objective.violating_monitors()
         self._goals = (2 << len(self.constraints)) - 1   # all mask bits
-        self._rows: dict = {}       # (qi, mon) -> per player, per move (qj, mon')
         self._options: dict = {}    # (qi, mon) -> (choices, static)
-
-    def row(self, qi: int, mon: int) -> tuple:
-        """For each user, then the environment, the ``(qj, mon')`` that
-        each of its moves reaches from ``(qi, mon)``."""
-        row = self._rows.get((qi, mon))
-        if row is None:
-            step = self.objective.monitor_step
-            row = self._rows[(qi, mon)] = tuple(
-                tuple((qj, step(mon, qj)) for qj in per_state[qi])
-                for per_state in self.g.successors)
-        return row
 
     def start(self, q0: int) -> tuple:
         return q0, self.objective.monitor_step(_PENDING, q0)
 
     def _build_options(self, node: tuple) -> tuple:
-        """A row's moves as ``(target, mask)`` steps with the label table's
-        raw masks, built once: ``choices``, the user and steps of each user
-        with more than one move, and ``static``, the steps of the other
-        users and of every environment move."""
+        """A row's moves as ``(target, mask, move)`` steps, built once: the
+        ``(qj, mon')`` row each move reaches, its label-table mask and its
+        ``(player, move index)``.  ``choices`` holds the user and steps of
+        each user with more than one move, and ``static`` the steps of the
+        other users and of every environment move."""
+        qi, mon = node
+        monitor = self.objective.monitor_step
         choices, static = [], []
-        for a, (targets, masks) in enumerate(zip(self.row(*node), self.labels[node[0]])):
-            moves = tuple(zip(targets, masks))
+        for a, (per_state, masks) in enumerate(zip(self.g.successors, self.labels[qi])):
+            moves = tuple(((qj, monitor(mon, qj)), mask, (a, j))
+                          for j, (qj, mask) in enumerate(zip(per_state[qi], masks)))
             if a != self.g.env_player and len(moves) > 1:
                 choices.append((a, moves))
             else:
@@ -602,9 +572,9 @@ class _FairGame:
     def _walk(self, fixed: Sequence, roots: Sequence) -> tuple:
         """The rows ``roots`` reach under the flat slot vector ``fixed``,
         numbered from 0 in discovery order (the roots first), as ``(steps,
-        free, order)``: per row, the ``(target, mask)`` steps of each fixed
-        or only user move and of every environment move; the steps of each
-        free slot's user, one list per user; and the rows themselves."""
+        free, order)``: per row, the ``(target, mask, move)`` steps of each
+        fixed or only user move and of every environment move; the steps of
+        each free slot's user, one list per user; and the rows themselves."""
         n = len(self.g.states)
         local = {root: i for i, root in enumerate(roots)}
         order = list(roots)
@@ -624,12 +594,12 @@ class _FairGame:
             renumbered = []
             for moves in row:
                 out = []
-                for target, mask in moves:
+                for target, mask, move in moves:
                     i = local.get(target)
                     if i is None:
                         i = local[target] = len(order)
                         order.append(target)
-                    out.append((i, mask))
+                    out.append((i, mask, move))
                 renumbered.append(out)
             steps.append(renumbered[0])
             free.append(renumbered[1:])
@@ -702,7 +672,7 @@ def _adversary_region(walk: tuple, roots: int, violating: frozenset,
     n = len(steps)
     preds: list = [[] for _ in range(n)]
     for v, row in enumerate(steps):
-        for t, _ in itertools.chain(row, *free[v]):
+        for t, _, _ in itertools.chain(row, *free[v]):
             preds[t].append(v)
     alive = [True] * n
     while True:
@@ -714,12 +684,12 @@ def _adversary_region(walk: tuple, roots: int, violating: frozenset,
             queued[v] = False
             meet = meets[v]
             value = 0
-            for t, mask in steps[v]:
+            for t, mask, _ in steps[v]:
                 if alive[t]:
                     value |= forced[t] | mask & meet
             for moves in free[v]:
                 both = goals
-                for t, mask in moves:
+                for t, mask, _ in moves:
                     both &= forced[t] | mask & meet if alive[t] else 0
                     if not both:
                         break
@@ -750,13 +720,20 @@ def _label(game: _FairGame, q0: int, states: Sequence[int], engine: str,
            max_profiles: int) -> tuple:
     """The states of ``states`` from which some memoryless profile wins on
     ``game``, and the canonically first flat witness at ``q0``, one of
-    ``states``, or None.  ``enumerate`` sweeps (:func:`_sweep`),
-    ``fixpoint`` labels with :func:`_label_fixpoint`, and ``both`` runs
-    the two and raises :class:`EngineDisagreement` where their state sets
-    differ, or else their witnesses at ``q0``, the only one printed."""
+    ``states``, or None.  ``enumerate`` sweeps (:func:`_sweep`), and
+    raises :class:`BoundExceeded` before any walk when the profile space
+    exceeds ``max_profiles``; ``fixpoint`` labels with
+    :func:`_label_fixpoint`; and ``both`` runs the two and raises
+    :class:`EngineDisagreement` where their state sets differ, or else
+    their witnesses at ``q0``, the only one printed."""
     if engine == "fixpoint":
         return _label_fixpoint(game, q0, states)
-    swept = _sweep(game, states, max_profiles)
+    space = profile_space(game.g)
+    if space > max_profiles:
+        raise BoundExceeded(
+            f"profile space of size {space} exceeds the enumeration bound "
+            f"{max_profiles}; use the fixpoint engine", max_profiles)
+    swept = _sweep(game, states)
     won = frozenset(qi for qi in states if swept[qi] is not None)
     if engine == "both":
         pruned, witness = _label_fixpoint(game, q0, states)
@@ -877,10 +854,10 @@ def _label_fixpoint(game: _FairGame, q0: int, states: Sequence[int]) -> tuple:
     slot free, which one solve (:meth:`_FairGame.solve`) from the roots of
     all of ``states`` answers, for ``q0`` alone too.  The pruned slot walk
     (:func:`_sweep`) runs at the first state still pending, and a witness
-    it finds is checked exactly against every later pending state in one
-    pass (:func:`_winners`), which retires the states it wins from.  So a
-    state is walked only when no witness found at an earlier state wins
-    there.  Every bit is exact, and no lasso is built.
+    it finds, while any later state is pending, is checked exactly against
+    all of them in one product (:func:`_product`), which retires the states
+    it wins from.  So a state is walked only when no witness found at an
+    earlier state wins there.  Every bit is exact, and no lasso is built.
     """
     free = [None] * len(_slot_sizes(game.g))
     won, _ = game.solve(free, [game.start(qi) for qi in states])
@@ -892,9 +869,12 @@ def _label_fixpoint(game: _FairGame, q0: int, states: Sequence[int]) -> tuple:
         root = pending.pop(0)
         witness = _sweep(game, [root[0]], prune=True)[root[0]]
         if witness is not None:
-            won, pending = _winners(game, witness, pending)
             witnesses.append(witness)
-            winning.update(node[0] for node in [root, *won])
+            winning.add(root[0])
+            if pending:
+                won = _product(game, witness, pending)[0]
+                winning.update(node[0] for node, w in zip(pending, won) if w)
+                pending = [node for node, w in zip(pending, won) if not w]
     return frozenset(winning), witnesses[0] if q0 in winning else None
 
 

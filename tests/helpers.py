@@ -5,14 +5,14 @@ import itertools
 import random
 import sys
 
-from petrigames import fixtures
+from petrigames import fixtures, solver
 from petrigames.formulas import And, Coalition, Not, Or, PathFormula, Prop, TrueConst, \
     holds_in, parse_formula, path_satisfies
 from petrigames.game import LassoComputation, build_fairness, build_game, lasso_is_fair
 from petrigames.nets import NetSystem, enabled_set, fire, parse_net, reachability_graph
 from petrigames.randnet import random_net
 from petrigames.solver import PathObjective, _FairGame, _label_fixpoint, _slot_sizes, \
-    _winners, model_check
+    model_check
 from petrigames.unfold import Play, cut_step, enabled_events, initial_cut, materialise_play
 
 #: the caps of the wide draw, ``random_net(seed, **WIDE_DRAW)``: up to
@@ -195,17 +195,24 @@ def small_scope_goals(net):
 def check_small_scope_net(net):
     """The engines' cross-check on every small-scope goal of ``net``, at
     every state: ``model_check(engine="both")`` raises on a disagreement,
+    its evidence at the initial state holds without the solver (a witness
+    by :func:`refute_profile`, a lasso by :func:`check_first_profile_lasso`),
     and the fixpoint labelling's state set, and its witness at each state
     labelled alone, are the reference sweep's.  Returns the goal count."""
     g = build_game(net)
     fcs = build_fairness(net, g)
     states = range(len(g.states))
+    q0 = g.initial_state()
     goals = small_scope_goals(net)
     for pf in goals:
-        model_check(g, fcs, pool_goal(net, pf), engine="both")
+        verdict = model_check(g, fcs, pool_goal(net, pf), engine="both")
+        if verdict.satisfied:
+            assert refute_profile(g, fcs, pf, verdict.witness, q0) is None, (net.name, pf)
+        else:
+            check_first_profile_lasso(g, fcs, pf, verdict.counterexample, q0)
         game = _FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
         expected = reference_sweep(game, states)
-        won, _ = _label_fixpoint(game, g.initial_state(), states)
+        won, _ = _label_fixpoint(game, q0, states)
         assert won == {qi for qi in states if expected[qi] is not None}, (net.name, pf)
         for qi in states:
             assert _label_fixpoint(game, qi, [qi])[1] == expected[qi], (net.name, pf, qi)
@@ -707,12 +714,15 @@ def reference_sweep(game, states):
     """The enumerate sweep without backjumping: every profile in canonical
     order, as ``itertools.product`` lists them, checked on ``game`` against
     every state of ``states`` not yet won, until none is left.  Returns each
-    state's first winning flat profile, or None, keyed by the state."""
+    state's first winning flat profile, or None, keyed by the state.  It
+    calls ``solver._product`` through the module, so a test that counts
+    the solver's product walks counts these too."""
     witnesses = dict.fromkeys(states)
     pending = [game.start(qi) for qi in states]
     for flat in itertools.product(*map(range, _slot_sizes(game.g))):
-        won, pending = _winners(game, flat, pending)
-        witnesses.update((root[0], flat) for root in won)
+        won = solver._product(game, flat, pending)[0]
+        witnesses.update((root[0], flat) for root, w in zip(pending, won) if w)
+        pending = [root for root, w in zip(pending, won) if not w]
         if not pending:
             break
     return witnesses

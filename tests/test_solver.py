@@ -455,7 +455,7 @@ def test_fixpoint_state_sets_match_enumerate_on_corpus():
             # the pruned one-root walk's witness at every state, not only at q0
             game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
             states = range(len(g.states))
-            swept = solver._sweep(game, states, solver.DEFAULT_PROFILE_BOUND)
+            swept = solver._sweep(game, states)
             for qi in states:
                 assert solver._sweep(game, [qi], prune=True) == {qi: swept[qi]}, \
                     (seed, pf, qi)
@@ -554,7 +554,8 @@ def test_refute_matches_independent_profile_check(fair, monkeypatch):
                     elif outcome.counterexample is None:
                         got = "no fair computation"
                     else:
-                        got = set(lassos[-1][4])
+                        _, _, rows, _, component = lassos[-1]
+                        got = {rows[v] for v in component}
                         violated += 1
                     assert got == expected, (seed, pf, qi, profile)
     assert violated > 0
@@ -715,7 +716,7 @@ def test_enumerate_witness_at_every_state_matches_independent_check(fair):
         states = range(len(g.states))
         for pf in formula_pool(net):
             game = solver._FairGame(g, fcs, PathObjective.from_path_formula(g, pf))
-            swept = solver._sweep(game, states, solver.DEFAULT_PROFILE_BOUND)
+            swept = solver._sweep(game, states)
             for qi in states:
                 expected = next((_flat(p) for p in profiles
                                  if refute_profile(g, fcs, pf, p, qi) is None), None)
@@ -732,8 +733,8 @@ def test_sweep_finds_the_reference_sweeps_witnesses(monkeypatch, caps):
     compared = []
     sweep = solver._sweep
 
-    def checked(game, states, max_profiles):
-        swept = sweep(game, states, max_profiles)
+    def checked(game, states):
+        swept = sweep(game, states)
         assert swept == reference_sweep(game, states)
         compared.append(states)
         return swept
@@ -766,7 +767,7 @@ def test_a_refuted_profile_that_reads_no_choice_slot_ends_the_sweep(monkeypatch)
     qx = g.state_index[S({"x"})]
     game = solver._arena(g, fcs, PathFormula.from_coalition(parse_formula("<<u>> F y")))
     calls = _count_calls(monkeypatch, "_product")
-    assert solver._sweep(game, [qx], solver.DEFAULT_PROFILE_BOUND) == {qx: None}
+    assert solver._sweep(game, [qx]) == {qx: None}
     assert len(calls) == 1
     assert reference_sweep(game, [qx]) == {qx: None}
     assert len(calls) == 1 + profile_space(g) == 4
@@ -780,7 +781,7 @@ def test_a_sweep_whose_checks_read_every_slot_skips_nothing(monkeypatch):
         parse_formula("<<u0,u1>> F y1")))
     states = range(len(g.states))
     calls = _count_calls(monkeypatch, "_product")
-    swept = solver._sweep(game, states, profile_space(g))
+    swept = solver._sweep(game, states)
     walks = len(calls)
     assert swept == reference_sweep(game, states)
     assert all(swept.values())
@@ -812,8 +813,7 @@ def test_enumerate_skips_the_profiles_a_refuted_one_refutes(monkeypatch):
     # unsatisfied goal's lasso check included), below the reference sweep's
     # 2876, with the same verdicts and no solve
     walks, solves, verdicts = _pool_check_walks(monkeypatch, solver._sweep)
-    reference, _, expected = _pool_check_walks(
-        monkeypatch, lambda game, states, max_profiles: reference_sweep(game, states))
+    reference, _, expected = _pool_check_walks(monkeypatch, reference_sweep)
     assert verdicts == expected
     assert walks == 2138
     assert walks < reference
@@ -826,7 +826,7 @@ def test_fixpoint_prunes_the_same_slot_walk(monkeypatch):
     # enumerate's verdicts
     walks, solves, verdicts = _pool_check_walks(monkeypatch, solver._sweep, "fixpoint")
     assert verdicts == _pool_check_walks(monkeypatch, solver._sweep)[2]
-    assert (solves, walks) == (1556, 1301)
+    assert (solves, walks) == (1556, 1175)
 
 
 def test_the_profile_bound_is_checked_before_any_walk(g4, fc4, monkeypatch, capsys,
@@ -837,7 +837,8 @@ def test_the_profile_bound_is_checked_before_any_walk(g4, fc4, monkeypatch, caps
     game = solver._arena(g4, fc4, REACH_BOTH)
     calls = _count_calls(monkeypatch, "_product")
     with pytest.raises(BoundExceeded) as raised:
-        solver._sweep(game, range(len(g4.states)), space - 1)
+        solver._label(game, g4.initial_state(), range(len(g4.states)), "enumerate",
+                      space - 1)
     assert str(raised.value) == message
     assert calls == []
     path = tmp_path / "F4.net"
